@@ -20,7 +20,6 @@ import warnings
 import numpy as np
 
 from . import __version__, divisor, moments, resonator, verify
-from .grampoints import classify, enumerate_points
 from .special import DomainError, EvalConfig, theta
 from .verify import run_checks
 
@@ -36,7 +35,6 @@ class RunConfig:
     threads: int = 1
     cache_dir: str | None = None
     format: str = "csv"
-    rs_correction_order: int = 1
     abs_tol: float = 1e-10
     output: str | None = None
     stamp: bool = False
@@ -52,15 +50,17 @@ class RunConfig:
             raise DomainError("format must be csv or json")
 
     def eval_config(self) -> EvalConfig:
-        return EvalConfig(rs_correction_order=self.rs_correction_order,
-                          abs_tol=self.abs_tol)
+        return EvalConfig(abs_tol=self.abs_tol)
+
+    def sweep(self) -> moments.GramSweep:
+        return moments.GramSweep(self.phi, self.t_max, self.eval_config(),
+                                 cache_dir=self.cache_dir, threads=self.threads)
 
     def semantic_hash(self) -> str:
         # threads, cache location and output format do not affect the numbers
         payload = "\n".join([
             f"phi={self.phi!r}",
             f"t_max={self.t_max!r}",
-            f"rs_correction_order={self.rs_correction_order!r}",
             f"abs_tol={self.abs_tol!r}",
             f"version={__version__}",
         ])
@@ -83,7 +83,7 @@ def _read_config_file(path: str) -> dict:
 
 _CONFIG_TYPES = {
     "phi": float, "t_max": float, "threads": int, "cache_dir": str,
-    "format": str, "rs_correction_order": int, "abs_tol": float,
+    "format": str, "abs_tol": float,
     "output": str, "stamp": lambda v: v.lower() in ("1", "true", "yes"),
 }
 
@@ -131,17 +131,16 @@ def _dump_json(obj) -> str:
 # ----------------------------------------------------------------------
 
 def cmd_points(cfg: RunConfig) -> int:
-    points = enumerate_points(cfg.phi, cfg.t_max, cfg.eval_config(),
-                              cache_dir=cfg.cache_dir)
-    signed = classify(points, cfg.eval_config(), threads=cfg.threads)
+    sweep = cfg.sweep()
+    points, signed = sweep.points, sweep.signed()
     th = theta(points.t) if len(points) else np.empty(0)
-    zeta = np.exp(-1j * th) * signed.value * np.where(points.n % 2 == 0, 1.0, -1.0)
+    zeta = np.exp(-1j * th) * sweep.z
     rows = []
     for i in range(len(points)):
-        z_val = signed.value[i] * (1.0 if points.n[i] % 2 == 0 else -1.0)
         sign = "+" if signed.sign[i] > 0 else "-"
         rows.append((int(points.n[i]), cfg.phi, float(points.t[i]),
-                     float(zeta[i].real), float(zeta[i].imag), float(z_val), sign))
+                     float(zeta[i].real), float(zeta[i].imag), float(sweep.z[i]),
+                     sign))
     if cfg.format == "json":
         payload = {
             "metadata": _metadata(cfg),
@@ -213,39 +212,22 @@ def _fmt_detail(v):
 
 
 def cmd_maxscan(cfg: RunConfig) -> int:
-    sweep = moments.GramSweep(cfg.phi, cfg.t_max, cfg.eval_config(),
-                              cache_dir=cfg.cache_dir, threads=cfg.threads)
-    signed = sweep.signed()
-    absz = np.abs(signed.value)
+    sweep = cfg.sweep()
     n_checkpoints = max(2, int(math.log10(max(cfg.t_max / 100.0, 10.0)) * 3))
     checkpoints = np.geomspace(max(100.0, cfg.t_max / 1000.0), cfg.t_max, n_checkpoints)
-    lines = ["T,count,max_plus,argmax_plus,max_minus,argmax_minus,"
-             "logT_5_4,logT_3_2,ratio_plus_5_4,ratio_minus_5_4"]
+    columns = ("T", "count", "max_plus", "argmax_plus", "max_minus", "argmax_minus",
+               "logT_5_4", "logT_3_2", "ratio_plus_5_4", "ratio_minus_5_4")
+    lines = [",".join(columns)]
     rows = []
-    for cp in checkpoints:
-        mask = sweep.points.t <= cp
-        row = {"T": float(cp), "count": int(mask.sum())}
-        for label, cls_mask in (("plus", signed.plus_mask), ("minus", signed.minus_mask)):
-            sel = mask & cls_mask
-            if sel.any():
-                idx = np.nonzero(sel)[0]
-                j = idx[np.argmax(absz[idx])]
-                row[f"max_{label}"] = float(absz[j])
-                row[f"argmax_{label}"] = float(sweep.points.t[j])
-            else:
-                row[f"max_{label}"] = None
-                row[f"argmax_{label}"] = None
+    for cp, best in zip(checkpoints, moments.class_maxima(sweep, checkpoints)):
+        row = {"T": float(cp), **dataclasses.asdict(best)}
         lt = math.log(cp)
         row["logT_5_4"] = lt ** 1.25
         row["logT_3_2"] = lt ** 1.5
         row["ratio_plus_5_4"] = (row["max_plus"] / lt ** 1.25) if row["max_plus"] else None
         row["ratio_minus_5_4"] = (row["max_minus"] / lt ** 1.25) if row["max_minus"] else None
         rows.append(row)
-        cells = [repr(row["T"]), str(row["count"])]
-        for key in ("max_plus", "argmax_plus", "max_minus", "argmax_minus",
-                    "logT_5_4", "logT_3_2", "ratio_plus_5_4", "ratio_minus_5_4"):
-            cells.append("" if row[key] is None else repr(row[key]))
-        lines.append(",".join(cells))
+        lines.append(",".join("" if row[key] is None else repr(row[key]) for key in columns))
     if cfg.format == "json":
         _emit(_dump_json({"metadata": _metadata(cfg), "scan": rows}), cfg.output)
     else:
@@ -270,7 +252,7 @@ def cmd_resonate(cfg: RunConfig, cutoff: float, with_certificate: bool) -> int:
         }
         if with_certificate:
             cert = resonator.certify_lower_bound(cfg.phi, cfg.t_max, res,
-                                                 cfg.eval_config())
+                                                 cfg.eval_config(), sweep=cfg.sweep())
             summary["certificate"] = {
                 "certified_bound": cert.certified_bound,
                 "scanned_max": cert.scanned_max,
@@ -325,8 +307,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="flat key=value config file; flags override")
     parser.add_argument("--output", "-o", default=None,
                         help="write to file instead of stdout")
-    parser.add_argument("--rs-correction-order", dest="rs_correction_order",
-                        type=int, default=None)
     parser.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
     parser.add_argument("--stamp", action="store_true", default=None,
                         help="include a wall-clock timestamp in the metadata")

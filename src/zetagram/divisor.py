@@ -209,16 +209,16 @@ def divisor_ratio_sum(lam: float, mu: float, x: float) -> float:
     """sum_{n<=x} d_lam(n) d_mu(n) / n, exactly by tables."""
     if x < 2:
         raise ValueError("x must be >= 2")
-    n = int(math.floor(x))
-    ta = build_table(lam, n)
-    tb = ta if mu == lam else build_table(mu, n)
-    ns = np.arange(0, n + 1, dtype=float)
-    ns[0] = 1.0
-    return blocked_fsum(ta.values * tb.values / ns)
+    return divisor_ratio_sums_at(lam, mu, (x,))[0]
 
 
 def divisor_ratio_sums_at(lam: float, mu: float, checkpoints) -> list:
-    """divisor_ratio_sum at several increasing checkpoints off one table."""
+    """sum_{n<=x} d_lam(n) d_mu(n) / n at several checkpoints x, off one
+    table.
+
+    The first checkpoint is one blocked sum; each later one adds the
+    blocked sum of its segment to the running total.
+    """
     xs = sorted(int(c) for c in checkpoints)
     n = xs[-1]
     ta = build_table(lam, n)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import divisor, grampoints
-from .grampoints import Angle, bulk_hardy_z, enumerate_points, solve_gram
+from . import divisor
+from .grampoints import Angle, SignedGramPointSet, classify, enumerate_points, solve_gram
 from .special import DEFAULT_CONFIG, DomainError, EvalConfig
 from .summation import blocked_fsum, fsum
 
@@ -34,6 +34,7 @@ __all__ = [
     "Theorem1Report",
     "signed_odd_moment",
     "max_scan",
+    "class_maxima",
     "MaxScanResult",
 ]
 
@@ -143,7 +144,8 @@ class MomentReport:
 
 
 class GramSweep:
-    """Shared enumeration + Z evaluation for a (phi, t_max, cfg) triple.
+    """Shared enumeration + sign classification for a (phi, t_max, cfg)
+    triple: the one pipeline from a height to classified points.
 
     The moment operations accept one of these to amortize the expensive
     part across many verifications; they build their own otherwise.
@@ -154,21 +156,14 @@ class GramSweep:
         self.phi = phi if isinstance(phi, Angle) else Angle(float(phi))
         self.t_max = float(t_max)
         self.cfg = cfg
-        self.threads = threads
         self.points = enumerate_points(self.phi, self.t_max, cfg, cache_dir)
-        self.z = bulk_hardy_z(self.points.t, cfg, threads)
+        self._signed = classify(self.points, cfg, threads)
         self.parity = np.where(self.points.n % 2 == 0, 1.0, -1.0)
-        self._signed = None
+        # value = parity * Z with parity = +-1, so this recovers Z exactly
+        self.z = self.parity * self._signed.value
         self._cut = None
 
-    def signed(self):
-        if self._signed is None:
-            signed_value = self.parity * self.z
-            sign = np.where(signed_value >= 0.0, 1,
-                            np.where(np.abs(signed_value) < grampoints.NEAR_ZERO, 1, -1))
-            self._signed = grampoints.SignedGramPointSet(
-                self.points, signed_value, sign.astype(np.int8),
-                np.abs(signed_value) < grampoints.NEAR_ZERO)
+    def signed(self) -> SignedGramPointSet:
         return self._signed
 
     @property
@@ -345,6 +340,8 @@ class Theorem1Report:
     sigma1: float          # coefficient sum over (m in X-range, mn in Y-range)
     sigma2: float          # coefficient sum over (m in Y-range, mn in X-range)
     n_points: int
+    x_coeffs: divisor.TruncatedCoeffs   # D^p, the coefficients of X
+    y_coeffs: divisor.TruncatedCoeffs   # D^r, the coefficients of Y
 
 
 def _coefficient_cross_sum(a: divisor.TruncatedCoeffs, b: divisor.TruncatedCoeffs) -> float:
@@ -379,12 +376,8 @@ def theorem1_pipeline(kexp: RationalExponent, t_max: float, phi=0.0,
     xi = t_max ** (1.0 / (4.0 * kexp.p))
     x_tr = divisor.convolve_truncated(kexp.kappa, kexp.p, xi)
     y_tr = divisor.convolve_truncated(kexp.kappa, kexp.r, xi)
-    x_poly = DirichletPolynomial(
-        coefficients={n: complex(v) for n, v in enumerate(x_tr.values[1:].tolist(), 1) if v},
-        limit=max(1, x_tr.limit))
-    y_poly = DirichletPolynomial(
-        coefficients={n: complex(v) for n, v in enumerate(y_tr.values[1:].tolist(), 1) if v},
-        limit=max(1, y_tr.limit))
+    x_poly = DirichletPolynomial.from_values(x_tr.values[1:])
+    y_poly = DirichletPolynomial.from_values(y_tr.values[1:])
     sw = _sweep(phi, t_max, cfg, sweep)
     s1 = compute_S1(phi, t_max, x_poly, y_poly, cfg, sweep=sw)
     s2 = compute_S2(phi, t_max, x_poly, cfg, sweep=sw)
@@ -402,7 +395,7 @@ def theorem1_pipeline(kexp: RationalExponent, t_max: float, phi=0.0,
         exponent=kexp, phi=sw.phi.phi, t_max=float(t_max), xi=xi,
         s1=s1, s2=s2, moment=moment_val, lower_bound=lower,
         holder_satisfied=holder_ok, sigma1=sigma1, sigma2=sigma2,
-        n_points=len(sw.points))
+        n_points=len(sw.points), x_coeffs=x_tr, y_coeffs=y_tr)
 
 
 # ----------------------------------------------------------------------
@@ -442,6 +435,32 @@ class MaxScanResult:
     max_minus: float | None
     argmax_plus: float | None
     argmax_minus: float | None
+    count: int             # points scanned: those with t_n <= T
+
+
+def class_maxima(sweep: GramSweep, heights) -> list:
+    """MaxScanResult over the prefix t_n <= T of the sweep for each height
+    T: the largest |zeta| in each sign class and its abscissa (ties go to
+    the first point), None for a class with no point below T."""
+    signed = sweep.signed()
+    absz = np.abs(signed.value)
+    t = sweep.points.t
+
+    def best(mask, count):
+        idx = np.nonzero(mask[:count])[0]
+        if not idx.size:
+            return None, None
+        j = idx[np.argmax(absz[idx])]
+        return float(absz[j]), float(t[j])
+
+    out = []
+    for height in heights:
+        count = int(np.searchsorted(t, height, "right"))
+        mp, ap = best(signed.plus_mask, count)
+        mm, am = best(signed.minus_mask, count)
+        out.append(MaxScanResult(max_plus=mp, max_minus=mm, argmax_plus=ap,
+                                 argmax_minus=am, count=count))
+    return out
 
 
 def max_scan(phi, t_max: float, cfg: EvalConfig = DEFAULT_CONFIG,
@@ -449,16 +468,4 @@ def max_scan(phi, t_max: float, cfg: EvalConfig = DEFAULT_CONFIG,
     """Running maxima of |zeta| over each sign class with abscissas."""
     _require_height(t_max, 100.0, "max_scan")
     sw = _sweep(phi, t_max, cfg, sweep)
-    signed = sw.signed()
-    absz = np.abs(signed.value)
-
-    def best(mask):
-        if not mask.any():
-            return None, None
-        idx = np.nonzero(mask)[0]
-        j = idx[np.argmax(absz[idx])]
-        return float(absz[j]), float(sw.points.t[j])
-
-    mp, ap = best(signed.plus_mask)
-    mm, am = best(signed.minus_mask)
-    return MaxScanResult(max_plus=mp, max_minus=mm, argmax_plus=ap, argmax_minus=am)
+    return class_maxima(sw, (sw.t_max,))[0]

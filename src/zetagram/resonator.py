@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divisor import ConfigurationError, primes_up_to
-from .moments import DirichletPolynomial, GramSweep, MomentReport, compute_S1, compute_S2
+from .moments import (DirichletPolynomial, GramSweep, MomentReport, _sweep, compute_S1,
+                      compute_S2)
 from .special import DEFAULT_CONFIG, EvalConfig
 from .summation import fsum
 
@@ -178,7 +179,7 @@ def certify_lower_bound(phi, t_max: float, res: Resonator,
     with X = Y = the resonator polynomial, so the scanned maximum must
     dominate |S1|/S2 up to 1e-9 relative slack (raises otherwise).
     """
-    sw = sweep if sweep is not None else GramSweep(phi, t_max, cfg)
+    sw = _sweep(phi, t_max, cfg, sweep)
     poly = res.coefficient_polynomial()
     limit_ok = res.config.X <= t_max ** (0.25 - epsilon)
     if not limit_ok:

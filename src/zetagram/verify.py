@@ -156,8 +156,7 @@ def check_thm1(cache: SweepCache, phi: float, t_max: float,
             {"moment": rep.moment, "lower_bound": rep.lower_bound,
              "sigma1": rep.sigma1, "sigma2": rep.sigma2, "xi": rep.xi}))
         # truncation invariants for both constructed polynomials
-        for tr in (divisor.convolve_truncated(kexp.kappa, kexp.p, rep.xi),
-                   divisor.convolve_truncated(kexp.kappa, kexp.r, rep.xi)):
+        for tr in (rep.x_coeffs, rep.y_coeffs):
             full = divisor.build_table(tr.kappa * tr.m, tr.limit) if tr.m else None
             below = int(math.floor(tr.xi))
             if full is not None:

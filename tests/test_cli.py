@@ -2,9 +2,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from zetagram import cli
+from zetagram.moments import GramSweep
+from zetagram.special import hardy_z, theta
 from zetagram.verify import CriterionResult
 
 
@@ -58,6 +61,19 @@ def test_points_json_schema(tmp_path):
     assert set(row) == {"n", "phi", "t", "zeta_re", "zeta_im", "z", "sign"}
     assert "config_hash" in doc["metadata"]
     assert "timestamp" not in doc["metadata"]
+
+
+def test_points_json_values_are_hardy_z(tmp_path):
+    code, data = run_cli(["points", "--phi", "0.3", "--t-max", "300",
+                          "--format", "json"], tmp_path, "p.json")
+    assert code == 0
+    rows = json.loads(data)["points"]
+    t = np.array([row["t"] for row in rows])
+    z = hardy_z(t)
+    zeta = np.exp(-1j * theta(t)) * z
+    for row, z_i, zeta_i in zip(rows, z, zeta):
+        assert row["z"] == z_i
+        assert complex(row["zeta_re"], row["zeta_im"]) == zeta_i
 
 
 def test_points_stamp_adds_timestamp(tmp_path):
@@ -144,6 +160,26 @@ def test_maxscan_table(tmp_path):
     assert all(a <= b for a, b in zip(present, present[1:]))
 
 
+def test_maxscan_rows_are_masked_argmax(tmp_path):
+    code, data = run_cli(["maxscan", "--phi", "0", "--t-max", "2000",
+                          "--format", "json"], tmp_path, "m.json")
+    assert code == 0
+    sweep = GramSweep(0.0, 2000.0)
+    signed = sweep.signed()
+    absz = np.abs(signed.value)
+    for row in json.loads(data)["scan"]:
+        below = sweep.points.t <= row["T"]
+        assert row["count"] == int(below.sum())
+        for label, mask in (("plus", signed.plus_mask), ("minus", signed.minus_mask)):
+            idx = np.nonzero(below & mask)[0]
+            if idx.size:
+                j = idx[np.argmax(absz[idx])]
+                expected = [float(absz[j]), float(sweep.points.t[j])]
+            else:
+                expected = [None, None]
+            assert [row[f"max_{label}"], row[f"argmax_{label}"]] == expected
+
+
 def test_maxscan_empty_class_cells(tmp_path):
     code, data = run_cli(["maxscan", "--phi", "0", "--t-max", "200"], tmp_path)
     assert code == 0
@@ -173,6 +209,18 @@ def test_resonate_json_with_certificate(tmp_path):
     doc = json.loads(data)
     assert doc["support_size"] == 1
     assert doc["certificate"]["scanned_max"] >= doc["certificate"]["certified_bound"]
+
+
+def test_resonate_certificate_uses_threads_and_cache(tmp_path):
+    args = ["resonate", "--x", "1e3", "--certificate", "--t-max", "2000",
+            "--format", "json"]
+    cache = tmp_path / "cache"
+    code, cached = run_cli(args + ["--threads", "2", "--cache-dir", str(cache)],
+                           tmp_path, "a.json")
+    assert code == 0
+    assert len(list(cache.iterdir())) == 1
+    _, plain = run_cli(args + ["--threads", "1"], tmp_path, "b.json")
+    assert cached == plain
 
 
 def test_divisor_table_dump(tmp_path):
@@ -214,6 +262,14 @@ def test_config_file_bad_key(tmp_path, capsys):
     cfgfile.write_text("frobnicate = 1\n")
     code = cli.main(["points", "--config", str(cfgfile)])
     assert code == cli.EXIT_USAGE
+
+
+def test_rs_correction_order_removed(tmp_path):
+    with pytest.raises(SystemExit):
+        cli.main(["points", "--t-max", "50", "--rs-correction-order", "0"])
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("rs_correction_order = 0\n")
+    assert cli.main(["points", "--config", str(cfgfile)]) == cli.EXIT_USAGE
 
 
 def test_semantic_hash_ignores_threads():

@@ -215,9 +215,16 @@ def test_ratio_sum_monotone():
 
 
 def test_ratio_sums_at_matches_single_calls():
-    batch = divisor_ratio_sums_at(2.0, 1.0, (100, 1000))
-    singles = [divisor_ratio_sum(2.0, 1.0, 100.0), divisor_ratio_sum(2.0, 1.0, 1000.0)]
-    assert np.allclose(batch, singles, rtol=1e-12)
+    # checkpoints on both sides of summation.BLOCK = 65,536
+    for lam, mu, xs in ((2.0, 1.0, (100, 1000, 100_000)),
+                        (0.5, 0.5, (150_000, 200_000))):
+        batch = divisor_ratio_sums_at(lam, mu, xs)
+        singles = [divisor_ratio_sum(lam, mu, float(x)) for x in xs]
+        # a single call is the batch's first checkpoint, bit for bit; each
+        # later checkpoint adds its segment to the running total, which
+        # rounds once more than one blocked sum over the whole prefix
+        assert batch[0] == singles[0]
+        assert batch[1:] == pytest.approx(singles[1:], rel=1e-15, abs=0.0)
 
 
 def test_ratio_sum_exponent_band():

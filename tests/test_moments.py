@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from zetagram.grampoints import bulk_hardy_z, classify
 from zetagram.moments import (
     DirichletPolynomial,
     GramSweep,
@@ -18,6 +20,7 @@ from zetagram.moments import (
     signed_odd_moment,
     theorem1_pipeline,
 )
+from zetagram.resonator import build_resonator, certify_lower_bound
 from zetagram.special import DomainError, theta
 from zetagram.summation import cfsum
 
@@ -241,3 +244,45 @@ def test_sweep_cut_height_is_midpoint(sweep_2k):
     last = float(sweep_2k.points.t[-1])
     assert big_t > last
     assert big_t > 2000.0 or abs(big_t - 2000.0) < 5.0
+
+
+# ----------------------------------------------------------------------
+# One sweep pipeline
+# ----------------------------------------------------------------------
+
+def _certify(phi, t_max, sweep):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return certify_lower_bound(phi, t_max, build_resonator(1e3), sweep=sweep)
+
+
+SWEEP_CONSUMERS = {
+    "compute_S1": lambda phi, t, sw: compute_S1(phi, t, ONE, ONE, sweep=sw),
+    "compute_S2": lambda phi, t, sw: compute_S2(phi, t, ONE, sweep=sw),
+    "moment_abs_2k": lambda phi, t, sw: moment_abs_2k(phi, t, 1.0, sweep=sw),
+    "moment_cubed": lambda phi, t, sw: moment_cubed(phi, t, sweep=sw),
+    "theorem1_pipeline": lambda phi, t, sw: theorem1_pipeline(
+        RationalExponent(1, 1), t, phi, sweep=sw),
+    "signed_odd_moment": lambda phi, t, sw: signed_odd_moment(phi, t, 1, sweep=sw),
+    "max_scan": lambda phi, t, sw: max_scan(phi, t, sweep=sw),
+    "certify_lower_bound": _certify,
+}
+
+
+@pytest.mark.parametrize("phi, t_max", [(0.3, 2000.0), (0.0, 1500.0)],
+                         ids=["other-phi", "other-t_max"])
+@pytest.mark.parametrize("consumer", sorted(SWEEP_CONSUMERS))
+def test_sweep_for_other_request_rejected(sweep_2k, consumer, phi, t_max):
+    with pytest.raises(ValueError, match="different"):
+        SWEEP_CONSUMERS[consumer](phi, t_max, sweep_2k)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_is_classify_bit_for_bit(threads):
+    # 5,597 points: above the 4,096 at which bulk_hardy_z uses its pool
+    sweep = GramSweep(0.3, 6000.0, threads=threads)
+    ref = classify(sweep.points, threads=threads)
+    got = sweep.signed()
+    for name in ("value", "sign", "ambiguous"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+    assert sweep.z.tobytes() == bulk_hardy_z(sweep.points.t, threads=threads).tobytes()
