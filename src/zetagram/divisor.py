@@ -214,10 +214,8 @@ def divisor_ratio_sum(lam: float, mu: float, x: float) -> float:
 
 def divisor_ratio_sums_at(lam: float, mu: float, checkpoints) -> list:
     """sum_{n<=x} d_lam(n) d_mu(n) / n at several checkpoints x, off one
-    table.
-
-    The first checkpoint is one blocked sum; each later one adds the
-    blocked sum of its segment to the running total.
+    table: each checkpoint is one blocked sum over its whole prefix, so
+    it equals divisor_ratio_sum(lam, mu, x) bit for bit.
     """
     xs = sorted(int(c) for c in checkpoints)
     n = xs[-1]
@@ -226,14 +224,7 @@ def divisor_ratio_sums_at(lam: float, mu: float, checkpoints) -> list:
     ns = np.arange(0, n + 1, dtype=float)
     ns[0] = 1.0
     terms = ta.values * tb.values / ns
-    out = []
-    prev = 0
-    acc = 0.0
-    for x in xs:
-        acc += blocked_fsum(terms[prev + 1:x + 1])
-        out.append(acc)
-        prev = x
-    return out
+    return [blocked_fsum(terms[1:x + 1]) for x in xs]
 
 
 # ----------------------------------------------------------------------

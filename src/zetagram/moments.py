@@ -10,8 +10,8 @@ reductions, so reports are bit-identical across runs and worker counts.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,21 +74,49 @@ class DirichletPolynomial:
         """sum |x_n| / n"""
         return fsum([abs(v) / n for n, v in self.coefficients.items()])
 
+    @cached_property
     def _arrays(self):
-        ns = np.array(sorted(self.coefficients), dtype=float)
-        cs = np.array([self.coefficients[int(n)] for n in ns], dtype=complex)
+        """(n, x_n) over the support, sorted by n; built once."""
+        ns = np.array(sorted(self.coefficients), dtype=np.int64)
+        cs = np.array([self.coefficients[n] for n in ns.tolist()], dtype=complex)
         return ns, cs
 
     def evaluate_half_line(self, t: np.ndarray, conj_arg: bool = False) -> np.ndarray:
         """X(1/2 + it), or X(1/2 - it) when conj_arg (no coefficient
-        conjugation: exactly the polynomial at the reflected argument)."""
-        ns, cs = self._arrays()
-        if not ns.size:
-            return np.zeros(np.asarray(t).shape, dtype=complex)
-        sgn = 1.0 if conj_arg else -1.0
+        conjugation: exactly the polynomial at the reflected argument).
+
+        One coefficient per pass into a single accumulator, so memory is
+        O(len(t) + support) whatever the support size.
+        """
+        ns, cs = self._arrays
         t = np.asarray(t, dtype=float)
-        phases = np.exp(sgn * 1j * np.outer(t, np.log(ns)))
-        return phases @ (cs / np.sqrt(ns))
+        phase = 1j if conj_arg else -1j
+        out = np.zeros(t.shape, dtype=complex)
+        for logn, w in zip(np.log(ns).tolist(), (cs / np.sqrt(ns)).tolist()):
+            out += w * np.exp(phase * (t * logn))
+        return out
+
+
+def _cross_sum(a: DirichletPolynomial, b: DirichletPolynomial) -> complex:
+    """sum_{m in supp a, mn in supp b} a_m b_{mn} / (mn), exactly rounded.
+
+    Each term is (a_m b_k) / k with the real and imaginary parts divided
+    by k separately, which rounds as Python's complex / int does (numpy's
+    complex / real multiplies by a reciprocal instead).
+    """
+    an, ac = a._arrays
+    bn, bc = b._arrays
+    if not (an.size and bn.size):
+        return 0j
+    dense = np.zeros(int(bn[-1]) + 1, dtype=complex)
+    dense[bn] = bc
+    re, im = [], []
+    for m, am in zip(an.tolist(), ac.tolist()):
+        ks = np.arange(m, dense.size, m)
+        prod = am * dense[ks]
+        re.append(prod.real / ks)
+        im.append(prod.imag / ks)
+    return complex(fsum(np.concatenate(re)), fsum(np.concatenate(im)))
 
 
 @dataclass(frozen=True)
@@ -128,11 +156,10 @@ class MomentReport:
     abs_error: float
     rel_error: float
     n_points: int
-    eval_seconds: float = 0.0
 
     @classmethod
     def build(cls, phi, t_max, kind, parameter, computed, predicted,
-              n_points, eval_seconds=0.0) -> "MomentReport":
+              n_points) -> "MomentReport":
         computed = complex(computed)
         predicted = complex(predicted)
         abs_err = abs(computed - predicted)
@@ -140,7 +167,7 @@ class MomentReport:
         return cls(phi=float(phi), t_max=float(t_max), kind=kind,
                    parameter=float(parameter), computed=computed,
                    predicted=predicted, abs_error=abs_err, rel_error=rel_err,
-                   n_points=int(n_points), eval_seconds=float(eval_seconds))
+                   n_points=int(n_points))
 
 
 class GramSweep:
@@ -210,7 +237,6 @@ def moment_abs_2k(phi, t_max: float, k: float, cfg: EvalConfig = DEFAULT_CONFIG,
     _require_height(t_max, 100.0, "moment_abs_2k")
     if k < 0:
         raise ValueError("k must be >= 0")
-    start = time.perf_counter()
     sw = _sweep(phi, t_max, cfg, sweep)
     absz = np.abs(sw.z)
     if k == 0:
@@ -221,7 +247,7 @@ def moment_abs_2k(phi, t_max: float, k: float, cfg: EvalConfig = DEFAULT_CONFIG,
     big_t = sw.cut_height
     predicted = big_t * math.log(big_t) ** (k * k + 1.0) / TWO_PI
     return MomentReport.build(sw.phi.phi, t_max, "abs2k", k, computed, predicted,
-                              len(sw.points), time.perf_counter() - start)
+                              len(sw.points))
 
 
 def moment_cubed(phi, t_max: float, cfg: EvalConfig = DEFAULT_CONFIG,
@@ -232,7 +258,6 @@ def moment_cubed(phi, t_max: float, cfg: EvalConfig = DEFAULT_CONFIG,
       + 2 e^{3 i phi} cos(3 phi) (T/2pi) log(T/2pi e).
     """
     _require_height(t_max, 100.0, "moment_cubed")
-    start = time.perf_counter()
     sw = _sweep(phi, t_max, cfg, sweep)
     phase = complex(np.exp(3j * sw.phi.phi))
     computed = phase * blocked_fsum(sw.parity * sw.z ** 3)
@@ -242,7 +267,7 @@ def moment_cubed(phi, t_max: float, cfg: EvalConfig = DEFAULT_CONFIG,
     predicted = (2.0 * phase * math.cos(sw.phi.phi) * tau * p3(math.log(tau))
                  + 2.0 * phase * math.cos(3.0 * sw.phi.phi) * tau * math.log(tau / math.e))
     return MomentReport.build(sw.phi.phi, t_max, "cubed", 3.0, computed, predicted,
-                              len(sw.points), time.perf_counter() - start)
+                              len(sw.points))
 
 
 # ----------------------------------------------------------------------
@@ -262,17 +287,8 @@ def s1_predicted_coefficient(phi, x_poly: DirichletPolynomial,
     """e^{-2 i phi} sum_{m<=X, mn<=Y} x_m y_{mn}/(mn)
     + sum_{m<=Y, mn<=X} y_m x_{mn}/(mn), exactly over the supports."""
     angle = phi if isinstance(phi, Angle) else Angle(float(phi))
-
-    def double_sum(a: DirichletPolynomial, b: DirichletPolynomial) -> complex:
-        out = []
-        for m, am in a.coefficients.items():
-            for kk, bk in b.coefficients.items():
-                if kk % m == 0:
-                    out.append(am * bk / kk)
-        return complex(fsum(np.real(out)), fsum(np.imag(out))) if out else 0j
-
-    return complex(np.exp(-2j * angle.phi)) * double_sum(x_poly, y_poly) \
-        + double_sum(y_poly, x_poly)
+    return complex(np.exp(-2j * angle.phi)) * _cross_sum(x_poly, y_poly) \
+        + _cross_sum(y_poly, x_poly)
 
 
 def compute_S1(phi, t_max: float, x_poly: DirichletPolynomial,
@@ -284,7 +300,6 @@ def compute_S1(phi, t_max: float, x_poly: DirichletPolynomial,
     _require_height(t_max, 100.0, "compute_S1")
     if enforce_limits:
         _check_limits(t_max, x_poly, y_poly)
-    start = time.perf_counter()
     sw = _sweep(phi, t_max, cfg, sweep)
     # zeta(1/2 - it_n) = conj(zeta) = e^{i theta} Z = (-1)^n e^{-i phi} Z
     zeta_conj = sw.parity * complex(np.exp(-1j * sw.phi.phi)) * sw.z
@@ -296,8 +311,7 @@ def compute_S1(phi, t_max: float, x_poly: DirichletPolynomial,
     tau = big_t / TWO_PI
     predicted = tau * math.log(tau / math.e) * s1_predicted_coefficient(sw.phi, x_poly, y_poly)
     return MomentReport.build(sw.phi.phi, t_max, "S1", float(x_poly.limit),
-                              computed, predicted, len(sw.points),
-                              time.perf_counter() - start)
+                              computed, predicted, len(sw.points))
 
 
 def compute_S2(phi, t_max: float, x_poly: DirichletPolynomial,
@@ -309,7 +323,6 @@ def compute_S2(phi, t_max: float, x_poly: DirichletPolynomial,
     _require_height(t_max, 100.0, "compute_S2")
     if enforce_limits:
         _check_limits(t_max, x_poly)
-    start = time.perf_counter()
     sw = _sweep(phi, t_max, cfg, sweep)
     xs = x_poly.evaluate_half_line(sw.points.t)
     computed = blocked_fsum(np.abs(xs) ** 2)
@@ -318,8 +331,7 @@ def compute_S2(phi, t_max: float, x_poly: DirichletPolynomial,
     tau = big_t / TWO_PI
     predicted = tau * math.log(tau / math.e) * coeff
     return MomentReport.build(sw.phi.phi, t_max, "S2", float(x_poly.limit),
-                              computed, predicted, len(sw.points),
-                              time.perf_counter() - start)
+                              computed, predicted, len(sw.points))
 
 
 # ----------------------------------------------------------------------
@@ -342,21 +354,6 @@ class Theorem1Report:
     n_points: int
     x_coeffs: divisor.TruncatedCoeffs   # D^p, the coefficients of X
     y_coeffs: divisor.TruncatedCoeffs   # D^r, the coefficients of Y
-
-
-def _coefficient_cross_sum(a: divisor.TruncatedCoeffs, b: divisor.TruncatedCoeffs) -> float:
-    """sum_{m in supp a, m n in supp b} a_m b_{mn} / (mn)."""
-    av = a.values
-    bv = b.values
-    terms = []
-    for m in range(1, av.size):
-        am = av[m]
-        if am == 0.0:
-            continue
-        ks = np.arange(m, bv.size, m)
-        if ks.size:
-            terms.append(am * np.sum(bv[ks] / ks))
-    return fsum(terms)
 
 
 def theorem1_pipeline(kexp: RationalExponent, t_max: float, phi=0.0,
@@ -389,8 +386,8 @@ def theorem1_pipeline(kexp: RationalExponent, t_max: float, phi=0.0,
     holder_ok = moment_val * s2_val ** (2.0 * k - 1.0) >= s1_abs ** (2.0 * k) * (1.0 - 1e-9)
     if not holder_ok:
         raise RuntimeError("Hoelder inequality violated beyond numerical slack")
-    sigma1 = _coefficient_cross_sum(x_tr, y_tr)
-    sigma2 = _coefficient_cross_sum(y_tr, x_tr)
+    sigma1 = _cross_sum(x_poly, y_poly).real
+    sigma2 = _cross_sum(y_poly, x_poly).real
     return Theorem1Report(
         exponent=kexp, phi=sw.phi.phi, t_max=float(t_max), xi=xi,
         s1=s1, s2=s2, moment=moment_val, lower_bound=lower,

@@ -99,9 +99,10 @@ def test_criterion_03_gram_point_residuals(phi):
 
 
 def test_criterion_04_cubic_moment_main_term(sweep_1e5_phi0, sweep_1e4_phi0):
+    start = time.perf_counter()
     rep5 = moment_cubed(0.0, 1e5, sweep=sweep_1e5_phi0.sweep)
+    elapsed = sweep_1e5_phi0.build_seconds + (time.perf_counter() - start)
     rep4 = moment_cubed(0.0, 1e4, sweep=sweep_1e4_phi0.sweep)
-    elapsed = sweep_1e5_phi0.build_seconds + rep5.eval_seconds
     report(4, "cubic moment vs main term",
            rep4.rel_error <= 0.10 and rep5.rel_error <= 0.05
            and rep5.rel_error < rep4.rel_error and elapsed < 120.0,

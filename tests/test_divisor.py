@@ -220,11 +220,7 @@ def test_ratio_sums_at_matches_single_calls():
                         (0.5, 0.5, (150_000, 200_000))):
         batch = divisor_ratio_sums_at(lam, mu, xs)
         singles = [divisor_ratio_sum(lam, mu, float(x)) for x in xs]
-        # a single call is the batch's first checkpoint, bit for bit; each
-        # later checkpoint adds its segment to the running total, which
-        # rounds once more than one blocked sum over the whole prefix
-        assert batch[0] == singles[0]
-        assert batch[1:] == pytest.approx(singles[1:], rel=1e-15, abs=0.0)
+        assert batch == singles
 
 
 def test_ratio_sum_exponent_band():

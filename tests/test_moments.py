@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetagram.grampoints import bulk_hardy_z, classify
 from zetagram.moments import (
@@ -19,6 +22,7 @@ from zetagram.moments import (
     s1_predicted_coefficient,
     signed_odd_moment,
     theorem1_pipeline,
+    _cross_sum,
 )
 from zetagram.resonator import build_resonator, certify_lower_bound
 from zetagram.special import DomainError, theta
@@ -56,6 +60,37 @@ def test_polynomial_evaluation_against_loop():
         assert abs(got_conj[i] - want) < 1e-12
 
 
+def test_polynomial_evaluation_memory_is_bounded():
+    # a dense points x support phase matrix would take 160 MB here
+    rng = np.random.default_rng(7)
+    poly = DirichletPolynomial.from_values(rng.standard_normal(2000))
+    ts = np.linspace(100.0, 1e4, 5000)
+    tracemalloc.start()
+    try:
+        poly.evaluate_half_line(ts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * ts.size * 16
+
+
+COEFFS = st.dictionaries(
+    st.integers(1, 60),
+    st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+    max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(COEFFS, st.lists(st.floats(0.0, 1e3), min_size=1, max_size=5))
+def test_polynomial_evaluation_property(coeffs, ts):
+    poly = DirichletPolynomial(coeffs, 60)
+    for conj_arg, sgn in ((False, -1.0), (True, 1.0)):
+        got = poly.evaluate_half_line(np.array(ts), conj_arg=conj_arg)
+        for i, t in enumerate(ts):
+            want = sum(v * n ** (-0.5 + sgn * 1j * t) for n, v in coeffs.items())
+            assert abs(got[i] - want) <= 1e-12
+
+
 def test_polynomial_index_bounds():
     with pytest.raises(ValueError):
         DirichletPolynomial({3: 1.0}, 2)
@@ -89,6 +124,36 @@ def test_s1_coefficient_example_five_halves():
 def test_s1_coefficient_cancellation():
     got = s1_predicted_coefficient(math.pi / 2, ONE, ONE)
     assert abs(got) < 1e-15
+
+
+def _double_loop(a: DirichletPolynomial, b: DirichletPolynomial):
+    """Brute-force oracle: (exactly rounded cross-sum, sum of |terms|)."""
+    out = [am * bk / kk for m, am in a.coefficients.items()
+           for kk, bk in b.coefficients.items() if kk % m == 0]
+    value = complex(math.fsum(v.real for v in out), math.fsum(v.imag for v in out))
+    return value, math.fsum(abs(v) for v in out)
+
+
+def _s1_oracle(phi, x_poly, y_poly):
+    xy, xy_scale = _double_loop(x_poly, y_poly)
+    yx, yx_scale = _double_loop(y_poly, x_poly)
+    return complex(np.exp(-2j * phi)) * xy + yx, xy_scale + yx_scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(COEFFS, COEFFS, st.floats(0.0, math.pi, exclude_max=True))
+def test_s1_coefficient_matches_double_loop(x_coeffs, y_coeffs, phi):
+    x_poly = DirichletPolynomial(x_coeffs, 60)
+    y_poly = DirichletPolynomial(y_coeffs, 60)
+    want, scale = _s1_oracle(phi, x_poly, y_poly)
+    assert abs(s1_predicted_coefficient(phi, x_poly, y_poly) - want) <= 1e-15 * scale
+
+
+def test_s1_coefficient_resonator_bit_for_bit():
+    poly = build_resonator(5e4).coefficient_polynomial()
+    for phi in (0.0, 0.7):
+        want, _ = _s1_oracle(phi, poly, poly)
+        assert s1_predicted_coefficient(phi, poly, poly) == want
 
 
 # ----------------------------------------------------------------------
@@ -192,6 +257,15 @@ def test_pipeline_three_halves(sweep_2k):
     assert rep.holder_satisfied
     assert rep.sigma2 >= rep.sigma1
     assert rep.moment > 0.0
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (3, 2), (2, 1)])
+def test_pipeline_sigmas_are_exact_cross_sums(sweep_2k, p, q):
+    rep = theorem1_pipeline(RationalExponent(p, q), 2000.0, sweep=sweep_2k)
+    x_poly = DirichletPolynomial.from_values(rep.x_coeffs.values[1:])
+    y_poly = DirichletPolynomial.from_values(rep.y_coeffs.values[1:])
+    assert rep.sigma1 == _cross_sum(x_poly, y_poly).real == _double_loop(x_poly, y_poly)[0].real
+    assert rep.sigma2 == _cross_sum(y_poly, x_poly).real == _double_loop(y_poly, x_poly)[0].real
 
 
 def test_pipeline_holder_tightness(sweep_2k):

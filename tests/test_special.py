@@ -365,3 +365,10 @@ def test_eval_config_validation():
         EvalConfig(rs_correction_order=5)
     with pytest.raises(ValueError):
         EvalConfig(rs_remainder="magic")
+
+
+def test_rs_correction_order_beyond_c1_rejected():
+    # only C0 and C1 exist, so orders 2..4 would silently act like 1
+    EvalConfig(rs_correction_order=1)
+    with pytest.raises(ValueError):
+        EvalConfig(rs_correction_order=2)
