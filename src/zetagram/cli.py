@@ -270,7 +270,7 @@ def cmd_resonate(cfg: RunConfig, cutoff: float, with_certificate: bool) -> int:
 
 def cmd_divisor(cfg: RunConfig, kappa: float, limit: int, partial: float | None) -> int:
     if partial is not None:
-        total, pred = divisor.divisor_partial_sum(int(kappa), partial)
+        total, pred = divisor.divisor_partial_sum(kappa, partial)
         payload = {"metadata": _metadata(cfg), "kappa": kappa, "x": partial,
                    "sum": total, "predicted": pred,
                    "rel_error": None if pred is None else abs(total - pred) / total}

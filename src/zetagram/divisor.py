@@ -58,6 +58,11 @@ def primes_up_to(n: int) -> np.ndarray:
 # d_kappa pointwise and by sieve
 # ----------------------------------------------------------------------
 
+def _check_kappa(kappa: float) -> None:
+    if not (math.isfinite(kappa) and kappa > 0):
+        raise ValueError(f"kappa must be finite and positive, got {kappa!r}")
+
+
 def _prime_power_coeff(kappa: float, j: int) -> float:
     """d_kappa(p^j) = Gamma(kappa + j) / (Gamma(kappa) j!) as the product
     prod_{i<j} (kappa + i)/(i + 1)."""
@@ -72,8 +77,7 @@ def d_kappa(n: int, kappa: float) -> float:
     factorization.  Kept simple; bulk work goes through build_table."""
     if n < 1:
         raise ValueError("d_kappa requires n >= 1")
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    _check_kappa(kappa)
     out = 1.0
     m = int(n)
     p = 2
@@ -105,9 +109,15 @@ class DivisorTable:
 def build_table(kappa: float, limit: int) -> DivisorTable:
     """Sieve d_kappa(1..limit) by multiplying the prime-power ratio
     d_kappa(p^e)/d_kappa(p^{e-1}) = (kappa + e - 1)/e into every
-    multiple of p^e."""
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    multiple of p^e, primes ascending, then exponents ascending.
+
+    A prime p > sqrt(limit) divides each n <= limit at most once, and is
+    then n's largest prime factor, so its ratio is the last one
+    multiplied in.  Those primes share one vectorized pass after the
+    per-prime loop, with the ratio rounded as the loop rounds it at
+    e = 1: (kappa + 1 - 1.0) / 1, which is not always kappa.
+    """
+    _check_kappa(kappa)
     limit = int(limit)
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -115,14 +125,28 @@ def build_table(kappa: float, limit: int) -> DivisorTable:
         raise SizeBudgetError(f"table of size {limit} exceeds budget")
     vals = np.ones(limit + 1, dtype=float)
     vals[0] = 0.0
-    if kappa != 1.0:
-        for p in primes_up_to(limit).tolist():
-            pe = p
-            e = 1
-            while pe <= limit:
-                vals[pe::pe] *= (kappa + e - 1.0) / e
-                pe *= p
-                e += 1
+    if kappa == 1.0:
+        return DivisorTable(kappa=kappa, limit=limit, values=vals)
+    primes = primes_up_to(limit)
+    split = int(np.searchsorted(primes, math.isqrt(limit), "right"))
+    for p in primes[:split].tolist():
+        pe = p
+        e = 1
+        while pe <= limit:
+            vals[pe::pe] *= (kappa + e - 1.0) / e
+            pe *= p
+            e += 1
+    large = primes[split:]
+    if large.size:
+        ratio = (kappa + 1 - 1.0) / 1
+        cofactors = np.arange(1, limit // int(large[0]) + 1)
+        counts = np.searchsorted(large, limit // cofactors, "right")
+        # index arrays of at most 2^14 primes: whole slices (5 MB at 1e7)
+        # would leave the process that much larger after the call
+        chunk = 1 << 14
+        for m, k in zip(cofactors.tolist(), counts.tolist()):
+            for lo in range(0, k, chunk):
+                vals[m * large[lo:min(k, lo + chunk)]] *= ratio
     return DivisorTable(kappa=kappa, limit=limit, values=vals)
 
 
@@ -187,14 +211,14 @@ def convolve_truncated(kappa: float, m: int, xi: float) -> TruncatedCoeffs:
 # Partial sums
 # ----------------------------------------------------------------------
 
-def divisor_partial_sum(lam: int, x: float):
-    """(sum_{n<=x} d_lam(n), x P_{lam-1}(log x) or None).
+def divisor_partial_sum(lam: float, x: float):
+    """(sum_{n<=x} d_lam(n), x P_{lam-1}(log x) or None) for any lam > 0.
 
     The residue polynomial is implemented for lam = 3 (via P2); for
     other lam the exact sum is still returned with prediction None.
     """
-    if x < 2:
-        raise ValueError("x must be >= 2")
+    if not 2 <= x < math.inf:
+        raise ValueError(f"x must be finite and >= 2, got {x!r}")
     n = int(math.floor(x))
     table = build_table(float(lam), n)
     total = blocked_fsum(table.values[1:])
@@ -207,18 +231,20 @@ def divisor_partial_sum(lam: int, x: float):
 
 def divisor_ratio_sum(lam: float, mu: float, x: float) -> float:
     """sum_{n<=x} d_lam(n) d_mu(n) / n, exactly by tables."""
-    if x < 2:
-        raise ValueError("x must be >= 2")
     return divisor_ratio_sums_at(lam, mu, (x,))[0]
 
 
 def divisor_ratio_sums_at(lam: float, mu: float, checkpoints) -> list:
     """sum_{n<=x} d_lam(n) d_mu(n) / n at several checkpoints x, off one
     table: each checkpoint is one blocked sum over its whole prefix, so
-    it equals divisor_ratio_sum(lam, mu, x) bit for bit.
+    it equals divisor_ratio_sum(lam, mu, x) bit for bit.  Every
+    checkpoint must be finite and >= 2, and there must be at least one.
     """
-    xs = sorted(int(c) for c in checkpoints)
-    n = xs[-1]
+    checkpoints = list(checkpoints)
+    if not checkpoints or not all(2 <= c < math.inf for c in checkpoints):
+        raise ValueError(f"checkpoints must be finite and >= 2, got {checkpoints!r}")
+    xs = [int(c) for c in checkpoints]
+    n = max(xs)
     ta = build_table(lam, n)
     tb = ta if mu == lam else build_table(mu, n)
     ns = np.arange(0, n + 1, dtype=float)

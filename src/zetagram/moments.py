@@ -189,9 +189,27 @@ class GramSweep:
         # value = parity * Z with parity = +-1, so this recovers Z exactly
         self.z = self.parity * self._signed.value
         self._cut = None
+        self._half_line = {}
 
     def signed(self) -> SignedGramPointSet:
         return self._signed
+
+    def half_line(self, poly: DirichletPolynomial, conj_arg: bool = False) -> np.ndarray:
+        """poly.evaluate_half_line over the sweep's heights, evaluated once
+        per polynomial.  With real coefficients X(1/2 - it) is conj(X(1/2 + it))
+        bit for bit, so the reflected values cost no second evaluation.
+
+        The memo holds each polynomial it has seen, so an id in it is
+        never reused by another object.
+        """
+        if conj_arg and not np.any(poly._arrays[1].imag):
+            return np.conj(self.half_line(poly))
+        key = (id(poly), conj_arg)
+        if key not in self._half_line:
+            values = poly.evaluate_half_line(self.points.t, conj_arg)
+            values.flags.writeable = False
+            self._half_line[key] = (poly, values)
+        return self._half_line[key][1]
 
     @property
     def cut_height(self) -> float:
@@ -303,8 +321,8 @@ def compute_S1(phi, t_max: float, x_poly: DirichletPolynomial,
     sw = _sweep(phi, t_max, cfg, sweep)
     # zeta(1/2 - it_n) = conj(zeta) = e^{i theta} Z = (-1)^n e^{-i phi} Z
     zeta_conj = sw.parity * complex(np.exp(-1j * sw.phi.phi)) * sw.z
-    xs = x_poly.evaluate_half_line(sw.points.t)
-    ys = y_poly.evaluate_half_line(sw.points.t, conj_arg=True)
+    xs = sw.half_line(x_poly)
+    ys = sw.half_line(y_poly, conj_arg=True)
     terms = zeta_conj * xs * ys
     computed = complex(blocked_fsum(terms.real), blocked_fsum(terms.imag))
     big_t = sw.cut_height
@@ -324,7 +342,7 @@ def compute_S2(phi, t_max: float, x_poly: DirichletPolynomial,
     if enforce_limits:
         _check_limits(t_max, x_poly)
     sw = _sweep(phi, t_max, cfg, sweep)
-    xs = x_poly.evaluate_half_line(sw.points.t)
+    xs = sw.half_line(x_poly)
     computed = blocked_fsum(np.abs(xs) ** 2)
     coeff = fsum([abs(v) ** 2 / n for n, v in x_poly.coefficients.items()])
     big_t = sw.cut_height

@@ -240,6 +240,35 @@ def test_divisor_partial_sum_report(tmp_path):
     assert doc["rel_error"] < 0.02
 
 
+@pytest.mark.parametrize("kappa", ("nan", "inf", "-inf", "0"))
+def test_divisor_rejects_non_finite_kappa(tmp_path, capsys, kappa):
+    code, data = run_cli(["divisor", f"--kappa={kappa}", "--limit", "5"], tmp_path)
+    assert code == 2
+    assert data == b""
+    assert "error: kappa must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x", ("inf", "nan", "1.5"))
+def test_divisor_rejects_bad_partial_sum_bound(tmp_path, capsys, x):
+    code, _ = run_cli(["divisor", "--kappa", "3", "--partial-sum", x], tmp_path)
+    assert code == 2
+    assert "error: x must be finite and >= 2" in capsys.readouterr().err
+
+
+def test_divisor_partial_sum_honours_kappa(tmp_path):
+    sums = {}
+    for kappa in ("2", "2.5"):
+        code, data = run_cli(["divisor", "--kappa", kappa, "--partial-sum", "1000",
+                              "--format", "json"], tmp_path, f"{kappa}.json")
+        assert code == 0
+        doc = json.loads(data)
+        assert doc["kappa"] == float(kappa)
+        assert doc["predicted"] is None
+        sums[kappa] = doc["sum"]
+    assert sums["2"] == sum(1000 // d for d in range(1, 1001))
+    assert sums["2.5"] > sums["2"]
+
+
 # ----------------------------------------------------------------------
 # config file and hashing
 # ----------------------------------------------------------------------

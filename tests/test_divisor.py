@@ -3,6 +3,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetagram.divisor import (
     SizeBudgetError,
@@ -44,6 +46,22 @@ def convolution_brute(kappa: float, j: int, n: int) -> float:
         if n % d == 0:
             total += d_kappa(d, kappa) * convolution_brute(kappa, j - 1, n // d)
     return total
+
+
+def reference_table(kappa: float, limit: int) -> np.ndarray:
+    """The plain sieve: every prime, every exponent, one strided
+    multiply each, primes ascending then exponents ascending."""
+    vals = np.ones(limit + 1, dtype=float)
+    vals[0] = 0.0
+    if kappa != 1.0:
+        for p in primes_up_to(limit).tolist():
+            pe = p
+            e = 1
+            while pe <= limit:
+                vals[pe::pe] *= (kappa + e - 1.0) / e
+                pe *= p
+                e += 1
+    return vals
 
 
 # ----------------------------------------------------------------------
@@ -114,6 +132,33 @@ def test_table_growth_bound():
     table = build_table(3.0, 10 ** 6)
     ns = np.arange(1, 10 ** 6 + 1, dtype=float)
     assert np.max(table.values[1:] / ns ** 0.2) <= 1e3
+
+
+KAPPA_GRID = (0.1, 0.25, 1 / 3, 0.5, 2 / 3, 4 / 3, 1.5, 2.0, 2.7, 3.0)
+# p^2 - 1, p^2, p^2 + 1 sit on the seam where p joins the primes <= sqrt(limit)
+SEAM_LIMITS = (1, 2, 3, 4, 8, 9, 10, 10_200, 10_201, 10_202, 65_537, 10 ** 6)
+
+
+@pytest.mark.parametrize("kappa", KAPPA_GRID)
+def test_table_equals_reference_sieve(kappa):
+    for limit in SEAM_LIMITS:
+        assert np.array_equal(build_table(kappa, limit).values,
+                              reference_table(kappa, limit)), limit
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 4.0, exclude_min=True), st.integers(1, 50_000))
+def test_table_equals_reference_sieve_property(kappa, limit):
+    assert np.array_equal(build_table(kappa, limit).values,
+                          reference_table(kappa, limit))
+
+
+@pytest.mark.parametrize("kappa", (0.0, -1.0, math.nan, math.inf, -math.inf))
+def test_table_rejects_bad_kappa(kappa):
+    with pytest.raises(ValueError, match="finite and positive"):
+        build_table(kappa, 10)
+    with pytest.raises(ValueError, match="finite and positive"):
+        d_kappa(6, kappa)
 
 
 def test_table_budget():
@@ -221,6 +266,18 @@ def test_ratio_sums_at_matches_single_calls():
         batch = divisor_ratio_sums_at(lam, mu, xs)
         singles = [divisor_ratio_sum(lam, mu, float(x)) for x in xs]
         assert batch == singles
+
+
+@pytest.mark.parametrize("checkpoints", ((-3, 100), (100, 1.5), (), (math.nan,),
+                                         (math.inf,), (100, -math.inf)))
+def test_ratio_sums_at_rejects_bad_checkpoints(checkpoints):
+    with pytest.raises(ValueError, match="finite and >= 2"):
+        divisor_ratio_sums_at(2.0, 1.0, checkpoints)
+
+
+def test_ratio_sums_at_keeps_checkpoint_order():
+    assert divisor_ratio_sums_at(2.0, 1.0, (1000, 100)) == \
+        divisor_ratio_sums_at(2.0, 1.0, (100, 1000))[::-1]
 
 
 def test_ratio_sum_exponent_band():

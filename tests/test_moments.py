@@ -91,6 +91,53 @@ def test_polynomial_evaluation_property(coeffs, ts):
             assert abs(got[i] - want) <= 1e-12
 
 
+REAL_COEFFS = st.dictionaries(
+    st.integers(1, 60), st.floats(-1.0, 1.0, allow_nan=False), max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(REAL_COEFFS, st.lists(st.floats(0.0, 1e4), min_size=1, max_size=5))
+def test_real_polynomial_reflection_is_conjugate(coeffs, ts):
+    # X(1/2 - it) == conj(X(1/2 + it)) bit for bit when every x_n is real
+    poly = DirichletPolynomial(coeffs, 60)
+    ts = np.array(ts)
+    assert np.array_equal(poly.evaluate_half_line(ts, conj_arg=True),
+                          np.conj(poly.evaluate_half_line(ts)))
+
+
+def test_resonator_reflection_is_conjugate(sweep_2k):
+    poly = build_resonator(5e4).coefficient_polynomial()
+    ts = sweep_2k.points.t
+    assert np.array_equal(poly.evaluate_half_line(ts, conj_arg=True),
+                          np.conj(poly.evaluate_half_line(ts)))
+
+
+def test_sweep_evaluates_each_polynomial_once(monkeypatch):
+    calls = []
+    evaluate = DirichletPolynomial.evaluate_half_line
+
+    def counting(self, t, conj_arg=False):
+        calls.append((self, conj_arg))
+        return evaluate(self, t, conj_arg)
+
+    monkeypatch.setattr(DirichletPolynomial, "evaluate_half_line", counting)
+    sweep = GramSweep(0.0, 2000.0)
+    real = DirichletPolynomial({1: 1.0, 2: -0.5, 5: 0.25}, 5)
+    cplx = DirichletPolynomial({1: 1.0, 3: 0.5j}, 5)
+    compute_S1(0.0, 2000.0, real, real, sweep=sweep, enforce_limits=False)
+    compute_S2(0.0, 2000.0, real, sweep=sweep, enforce_limits=False)
+    assert calls == [(real, False)]
+    compute_S1(0.0, 2000.0, real, cplx, sweep=sweep, enforce_limits=False)
+    compute_S2(0.0, 2000.0, cplx, sweep=sweep, enforce_limits=False)
+    assert calls == [(real, False), (cplx, True), (cplx, False)]
+    ts = sweep.points.t
+    for poly in (real, cplx):
+        for conj_arg in (False, True):
+            assert np.array_equal(sweep.half_line(poly, conj_arg),
+                                  evaluate(poly, ts, conj_arg))
+    assert len(calls) == 3
+
+
 def test_polynomial_index_bounds():
     with pytest.raises(ValueError):
         DirichletPolynomial({3: 1.0}, 2)
