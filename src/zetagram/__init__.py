@@ -2,9 +2,7 @@
 Gram points, and numerical verification of their discrete moments."""
 
 from .special import (
-    DEFAULT_CONFIG,
     DomainError,
-    EvalConfig,
     PoleError,
     ZetaSample,
     delta,

@@ -20,7 +20,7 @@ import warnings
 import numpy as np
 
 from . import __version__, divisor, moments, resonator, verify
-from .special import DomainError, EvalConfig, theta
+from .special import DomainError, theta
 from .verify import run_checks
 
 EXIT_OK = 0
@@ -35,33 +35,28 @@ class RunConfig:
     threads: int = 1
     cache_dir: str | None = None
     format: str = "csv"
-    abs_tol: float = 1e-10
     output: str | None = None
     stamp: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.phi < math.pi:
             raise DomainError("phi must be in [0, pi)")
-        if self.t_max <= 0:
-            raise DomainError("t_max must be positive")
+        if not 0.0 < self.t_max < math.inf:
+            raise DomainError(f"t_max must be finite and positive, got {self.t_max!r}")
         if self.threads < 1:
             raise DomainError("threads must be >= 1")
         if self.format not in ("csv", "json"):
             raise DomainError("format must be csv or json")
 
-    def eval_config(self) -> EvalConfig:
-        return EvalConfig(abs_tol=self.abs_tol)
-
     def sweep(self) -> moments.GramSweep:
-        return moments.GramSweep(self.phi, self.t_max, self.eval_config(),
-                                 cache_dir=self.cache_dir, threads=self.threads)
+        return moments.GramSweep(self.phi, self.t_max, cache_dir=self.cache_dir,
+                                 threads=self.threads)
 
     def semantic_hash(self) -> str:
         # threads, cache location and output format do not affect the numbers
         payload = "\n".join([
             f"phi={self.phi!r}",
             f"t_max={self.t_max!r}",
-            f"abs_tol={self.abs_tol!r}",
             f"version={__version__}",
         ])
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -83,8 +78,7 @@ def _read_config_file(path: str) -> dict:
 
 _CONFIG_TYPES = {
     "phi": float, "t_max": float, "threads": int, "cache_dir": str,
-    "format": str, "abs_tol": float,
-    "output": str, "stamp": lambda v: v.lower() in ("1", "true", "yes"),
+    "format": str, "output": str, "stamp": lambda v: v.lower() in ("1", "true", "yes"),
 }
 
 
@@ -183,9 +177,8 @@ def _exponents_from_flags(args) -> list | None:
 
 
 def cmd_verify(cfg: RunConfig, which: str, exponents=None) -> int:
-    results = run_checks(which, cfg.phi, cfg.t_max, cfg.eval_config(),
-                         threads=cfg.threads, cache_dir=cfg.cache_dir,
-                         exponents=exponents)
+    results = run_checks(which, cfg.phi, cfg.t_max, threads=cfg.threads,
+                         cache_dir=cfg.cache_dir, exponents=exponents)
     bundle = {
         "metadata": _metadata(cfg),
         "criteria": [{"name": r.name, "passed": r.passed,
@@ -251,8 +244,7 @@ def cmd_resonate(cfg: RunConfig, cutoff: float, with_certificate: bool) -> int:
             "sum_f_squared": res.sum_f_squared,
         }
         if with_certificate:
-            cert = resonator.certify_lower_bound(cfg.phi, cfg.t_max, res,
-                                                 cfg.eval_config(), sweep=cfg.sweep())
+            cert = resonator.certify_lower_bound(cfg.phi, cfg.t_max, res, sweep=cfg.sweep())
             summary["certificate"] = {
                 "certified_bound": cert.certified_bound,
                 "scanned_max": cert.scanned_max,
@@ -307,7 +299,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="flat key=value config file; flags override")
     parser.add_argument("--output", "-o", default=None,
                         help="write to file instead of stdout")
-    parser.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
     parser.add_argument("--stamp", action="store_true", default=None,
                         help="include a wall-clock timestamp in the metadata")
 

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .summation import blocked_fsum, fsum
+from .summation import blocked_fsum, blocked_prefix_fsums, fsum
 
 __all__ = [
     "DivisorTable",
@@ -236,21 +236,23 @@ def divisor_ratio_sum(lam: float, mu: float, x: float) -> float:
 
 def divisor_ratio_sums_at(lam: float, mu: float, checkpoints) -> list:
     """sum_{n<=x} d_lam(n) d_mu(n) / n at several checkpoints x, off one
-    table: each checkpoint is one blocked sum over its whole prefix, so
-    it equals divisor_ratio_sum(lam, mu, x) bit for bit.  Every
-    checkpoint must be finite and >= 2, and there must be at least one.
+    pair of tables: each checkpoint is the blocked sum over its whole
+    prefix, so it equals divisor_ratio_sum(lam, mu, x) bit for bit.  The
+    terms are formed one block at a time.  Every checkpoint must be
+    finite and >= 2, and there must be at least one.
     """
     checkpoints = list(checkpoints)
     if not checkpoints or not all(2 <= c < math.inf for c in checkpoints):
         raise ValueError(f"checkpoints must be finite and >= 2, got {checkpoints!r}")
     xs = [int(c) for c in checkpoints]
     n = max(xs)
-    ta = build_table(lam, n)
-    tb = ta if mu == lam else build_table(mu, n)
-    ns = np.arange(0, n + 1, dtype=float)
-    ns[0] = 1.0
-    terms = ta.values * tb.values / ns
-    return [blocked_fsum(terms[1:x + 1]) for x in xs]
+    ta = build_table(lam, n).values
+    tb = ta if mu == lam else build_table(mu, n).values
+
+    def terms(a, b):  # d_lam(n) d_mu(n) / n for a < n <= b
+        return ta[a + 1:b + 1] * tb[a + 1:b + 1] / np.arange(a + 1, b + 1, dtype=float)
+
+    return blocked_prefix_fsums(terms, xs)
 
 
 # ----------------------------------------------------------------------
@@ -273,11 +275,11 @@ def stieltjes() -> tuple:
     ns = np.arange(1, n_top + 1, dtype=float)
     recip = 1.0 / ns
     logs = np.log(ns) * recip
+    ends = [1 << e for e in exps]
+    hs = blocked_prefix_fsums(lambda a, b: recip[a:b], ends)
+    s1s = blocked_prefix_fsums(lambda a, b: logs[a:b], ends)
     g_seq, g1_seq = [], []
-    for e in exps:
-        n = 1 << e
-        h = blocked_fsum(recip[:n])
-        s1 = blocked_fsum(logs[:n])
+    for n, h, s1 in zip(ends, hs, s1s):
         ln = math.log(n)
         g_seq.append(h - ln - 0.5 / n)
         g1_seq.append(s1 - 0.5 * ln * ln - 0.5 * ln / n)

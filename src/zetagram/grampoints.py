@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import lambertw
 
 from . import special
-from .special import DEFAULT_CONFIG, DomainError, EvalConfig, theta, theta_deriv
+from .special import DomainError, theta, theta_deriv
 
 __all__ = [
     "Angle",
@@ -152,7 +152,7 @@ def _solve_targets(targets: np.ndarray) -> np.ndarray:
     return best_t
 
 
-def solve_gram(n: int, phi, cfg: EvalConfig = DEFAULT_CONFIG) -> GramPoint:
+def solve_gram(n: int, phi) -> GramPoint:
     """Solve theta(t) = pi n - phi on the canonical branch t > 2 pi."""
     angle = _as_angle(phi)
     target = math.pi * n - angle.phi
@@ -243,21 +243,35 @@ def _cache_header(phi: Angle, t_max: float) -> str:
             f"n,t\n")
 
 
-def _load_cache(path: str, phi: Angle, t_max: float):
+def _load_cache(path: str, phi: Angle, t_max: float, n_max: int):
+    """The cached points, or None for a missing, foreign or damaged file.
+
+    The rows must be what enumerate_points would compute: indices 0..k
+    with k = n_max (n_max - 1 after its t <= t_max drop); every t finite,
+    strictly increasing and <= t_max; every theta residual within 1e-10,
+    or two ulps of pi n where that is larger (from about T = 4e5 on).
+    """
     try:
         with open(path, "r") as fh:
             head = fh.readline() + fh.readline() + fh.readline()
             if head != _cache_header(phi, t_max):
                 return None
-            n_list, t_list = [], []
+            t_list = []
             for line in fh:
                 a, b = line.split(",")
-                n_list.append(int(a))
+                if int(a) != len(t_list):
+                    return None
                 t_list.append(float(b))
-    except (OSError, ValueError):
+        pts = GramPointSet(phi, np.arange(len(t_list)), np.array(t_list, dtype=float))
+        del t_list  # free the floats before the checks' temporaries
+        t = pts.t
+        tol = np.maximum(1e-10, 2 * np.spacing(math.pi * pts.n))
+        sound = (len(pts) in (n_max, n_max + 1) and np.all(np.isfinite(t))
+                 and np.all(np.diff(t) > 0.0) and np.all(t <= t_max)
+                 and np.all(np.abs(pts.residuals()) <= tol))
+    except (OSError, ValueError):  # theta's DomainError included
         return None
-    return GramPointSet(phi, np.array(n_list, dtype=np.int64),
-                        np.array(t_list, dtype=float))
+    return pts if sound else None
 
 
 def _store_cache(path: str, phi: Angle, t_max: float, pts: GramPointSet) -> None:
@@ -269,24 +283,25 @@ def _store_cache(path: str, phi: Angle, t_max: float, pts: GramPointSet) -> None
     os.replace(tmp, path)
 
 
-def enumerate_points(phi, t_max: float, cfg: EvalConfig = DEFAULT_CONFIG,
-                     cache_dir: str | None = None) -> GramPointSet:
+def enumerate_points(phi, t_max: float, cache_dir: str | None = None) -> GramPointSet:
     """All Gram points t_n(phi) with 0 <= n and t_n <= t_max, ascending.
 
     Enumeration starts at index 0 (the root of theta = -phi); negative
-    indices on the canonical branch remain reachable via solve_gram.
+    indices on the canonical branch remain reachable via solve_gram.  A
+    cache file that fails the checks of _load_cache is recomputed and
+    rewritten.
     """
     angle = _as_angle(phi)
     t_max = float(t_max)
-    if t_max < 20.0:
-        raise DomainError("enumerate_points requires t_max >= 20")
+    if not 20.0 <= t_max < math.inf:
+        raise DomainError("enumerate_points requires a finite t_max >= 20")
+    n_max = int(math.floor((theta(t_max) + angle.phi) / math.pi))
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
         path = _cache_path(cache_dir, angle, t_max)
-        cached = _load_cache(path, angle, t_max)
+        cached = _load_cache(path, angle, t_max, n_max)
         if cached is not None:
             return cached
-    n_max = int(math.floor((theta(t_max) + angle.phi) / math.pi))
     idx = np.arange(0, n_max + 1, dtype=np.int64)
     targets = math.pi * idx - angle.phi
     t = _solve_targets(targets)
@@ -313,8 +328,7 @@ def count_estimate(phi, t_max: float) -> float:
 # Classification
 # ----------------------------------------------------------------------
 
-def bulk_hardy_z(t: np.ndarray, cfg: EvalConfig = DEFAULT_CONFIG,
-                 threads: int = 1) -> np.ndarray:
+def bulk_hardy_z(t: np.ndarray, threads: int = 1) -> np.ndarray:
     """Z(t) over an array, optionally across a thread pool.
 
     The block layout is fixed, so results are bit-identical for every
@@ -322,19 +336,18 @@ def bulk_hardy_z(t: np.ndarray, cfg: EvalConfig = DEFAULT_CONFIG,
     """
     t = np.asarray(t, dtype=float)
     if threads <= 1 or t.size < 4096:
-        return special.hardy_z(t, cfg)
+        return special.hardy_z(t)
     block = 1 << 14
     out = np.empty_like(t)
     spans = [(i, min(i + block, t.size)) for i in range(0, t.size, block)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [(a, b, pool.submit(special.hardy_z, t[a:b], cfg)) for a, b in spans]
+        futures = [(a, b, pool.submit(special.hardy_z, t[a:b])) for a, b in spans]
         for a, b, fut in futures:
             out[a:b] = fut.result()
     return out
 
 
-def classify(points: GramPointSet, cfg: EvalConfig = DEFAULT_CONFIG,
-             threads: int = 1) -> SignedGramPointSet:
+def classify(points: GramPointSet, threads: int = 1) -> SignedGramPointSet:
     """Sign classes of e^{-i phi} zeta(1/2 + i t_n) = (-1)^n Z(t_n).
 
     The identity form (-1)^n Z is exact on the canonical branch; a 1%
@@ -342,7 +355,7 @@ def classify(points: GramPointSet, cfg: EvalConfig = DEFAULT_CONFIG,
     mismatch raises.  Near-zero values (|value| < 1e-9) are flagged
     ambiguous and retained with sign "+".
     """
-    z = bulk_hardy_z(points.t, cfg, threads)
+    z = bulk_hardy_z(points.t, threads)
     parity = np.where(points.n % 2 == 0, 1.0, -1.0)
     value = parity * z
     sign = np.where(value >= 0.0, 1, np.where(np.abs(value) < NEAR_ZERO, 1, -1)).astype(np.int8)

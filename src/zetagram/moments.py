@@ -17,7 +17,7 @@ import numpy as np
 
 from . import divisor
 from .grampoints import Angle, SignedGramPointSet, classify, enumerate_points, solve_gram
-from .special import DEFAULT_CONFIG, DomainError, EvalConfig
+from .special import DomainError
 from .summation import blocked_fsum, fsum
 
 __all__ = [
@@ -171,20 +171,19 @@ class MomentReport:
 
 
 class GramSweep:
-    """Shared enumeration + sign classification for a (phi, t_max, cfg)
-    triple: the one pipeline from a height to classified points.
+    """Shared enumeration + sign classification for a (phi, t_max) pair:
+    the one pipeline from a height to classified points.
 
     The moment operations accept one of these to amortize the expensive
     part across many verifications; they build their own otherwise.
     """
 
-    def __init__(self, phi, t_max: float, cfg: EvalConfig = DEFAULT_CONFIG,
-                 cache_dir: str | None = None, threads: int = 1):
+    def __init__(self, phi, t_max: float, cache_dir: str | None = None,
+                 threads: int = 1):
         self.phi = phi if isinstance(phi, Angle) else Angle(float(phi))
         self.t_max = float(t_max)
-        self.cfg = cfg
-        self.points = enumerate_points(self.phi, self.t_max, cfg, cache_dir)
-        self._signed = classify(self.points, cfg, threads)
+        self.points = enumerate_points(self.phi, self.t_max, cache_dir)
+        self._signed = classify(self.points, threads)
         self.parity = np.where(self.points.n % 2 == 0, 1.0, -1.0)
         # value = parity * Z with parity = +-1, so this recovers Z exactly
         self.z = self.parity * self._signed.value
@@ -220,19 +219,19 @@ class GramSweep:
                 self._cut = self.t_max
             else:
                 n_last = int(self.points.n[-1])
-                t_next = solve_gram(n_last + 1, self.phi, self.cfg).t
+                t_next = solve_gram(n_last + 1, self.phi).t
                 self._cut = 0.5 * (float(self.points.t[-1]) + t_next)
         return self._cut
 
 
-def _sweep(phi, t_max, cfg, sweep) -> GramSweep:
+def _sweep(phi, t_max, sweep) -> GramSweep:
     if sweep is not None:
         want = phi.phi if isinstance(phi, Angle) else float(phi)
         if abs(sweep.phi.phi - want) > 1e-12 or sweep.t_max != float(t_max):
             raise ValueError("provided sweep was built for a different "
                              "(phi, t_max) than requested")
         return sweep
-    return GramSweep(phi, t_max, cfg)
+    return GramSweep(phi, t_max)
 
 
 def _require_height(t_max: float, minimum: float, what: str) -> None:
@@ -244,7 +243,7 @@ def _require_height(t_max: float, minimum: float, what: str) -> None:
 # |zeta|^{2k} and zeta^3
 # ----------------------------------------------------------------------
 
-def moment_abs_2k(phi, t_max: float, k: float, cfg: EvalConfig = DEFAULT_CONFIG,
+def moment_abs_2k(phi, t_max: float, k: float,
                   sweep: GramSweep | None = None) -> MomentReport:
     """sum |zeta(1/2 + i t_n)|^{2k} against the growth shape
     T (log T)^{k^2+1} / (2 pi).
@@ -255,7 +254,7 @@ def moment_abs_2k(phi, t_max: float, k: float, cfg: EvalConfig = DEFAULT_CONFIG,
     _require_height(t_max, 100.0, "moment_abs_2k")
     if k < 0:
         raise ValueError("k must be >= 0")
-    sw = _sweep(phi, t_max, cfg, sweep)
+    sw = _sweep(phi, t_max, sweep)
     absz = np.abs(sw.z)
     if k == 0:
         computed = float(len(sw.points))
@@ -268,15 +267,14 @@ def moment_abs_2k(phi, t_max: float, k: float, cfg: EvalConfig = DEFAULT_CONFIG,
                               len(sw.points))
 
 
-def moment_cubed(phi, t_max: float, cfg: EvalConfig = DEFAULT_CONFIG,
-                 sweep: GramSweep | None = None) -> MomentReport:
+def moment_cubed(phi, t_max: float, sweep: GramSweep | None = None) -> MomentReport:
     """sum zeta(1/2 + i t_n)^3 = e^{3 i phi} sum (-1)^n Z(t_n)^3 against
     the main term
     2 e^{3 i phi} cos(phi) (T/2pi) P3(log T/2pi)
       + 2 e^{3 i phi} cos(3 phi) (T/2pi) log(T/2pi e).
     """
     _require_height(t_max, 100.0, "moment_cubed")
-    sw = _sweep(phi, t_max, cfg, sweep)
+    sw = _sweep(phi, t_max, sweep)
     phase = complex(np.exp(3j * sw.phi.phi))
     computed = phase * blocked_fsum(sw.parity * sw.z ** 3)
     big_t = sw.cut_height
@@ -310,15 +308,14 @@ def s1_predicted_coefficient(phi, x_poly: DirichletPolynomial,
 
 
 def compute_S1(phi, t_max: float, x_poly: DirichletPolynomial,
-               y_poly: DirichletPolynomial, cfg: EvalConfig = DEFAULT_CONFIG,
-               sweep: GramSweep | None = None,
+               y_poly: DirichletPolynomial, sweep: GramSweep | None = None,
                enforce_limits: bool = True) -> MomentReport:
     """S1 = sum zeta(1/2 - i t_n) X(1/2 + i t_n) Y(1/2 - i t_n) against
     (T/2pi) log(T/2pi e) times the exact coefficient double sums."""
     _require_height(t_max, 100.0, "compute_S1")
     if enforce_limits:
         _check_limits(t_max, x_poly, y_poly)
-    sw = _sweep(phi, t_max, cfg, sweep)
+    sw = _sweep(phi, t_max, sweep)
     # zeta(1/2 - it_n) = conj(zeta) = e^{i theta} Z = (-1)^n e^{-i phi} Z
     zeta_conj = sw.parity * complex(np.exp(-1j * sw.phi.phi)) * sw.z
     xs = sw.half_line(x_poly)
@@ -333,7 +330,6 @@ def compute_S1(phi, t_max: float, x_poly: DirichletPolynomial,
 
 
 def compute_S2(phi, t_max: float, x_poly: DirichletPolynomial,
-               cfg: EvalConfig = DEFAULT_CONFIG,
                sweep: GramSweep | None = None,
                enforce_limits: bool = True) -> MomentReport:
     """S2 = sum |X(1/2 + i t_n)|^2 against
@@ -341,7 +337,7 @@ def compute_S2(phi, t_max: float, x_poly: DirichletPolynomial,
     _require_height(t_max, 100.0, "compute_S2")
     if enforce_limits:
         _check_limits(t_max, x_poly)
-    sw = _sweep(phi, t_max, cfg, sweep)
+    sw = _sweep(phi, t_max, sweep)
     xs = sw.half_line(x_poly)
     computed = blocked_fsum(np.abs(xs) ** 2)
     coeff = fsum([abs(v) ** 2 / n for n, v in x_poly.coefficients.items()])
@@ -375,7 +371,6 @@ class Theorem1Report:
 
 
 def theorem1_pipeline(kexp: RationalExponent, t_max: float, phi=0.0,
-                      cfg: EvalConfig = DEFAULT_CONFIG,
                       sweep: GramSweep | None = None) -> Theorem1Report:
     """Lower-bound construction for sum |zeta|^{2k} with k = p/q.
 
@@ -393,10 +388,10 @@ def theorem1_pipeline(kexp: RationalExponent, t_max: float, phi=0.0,
     y_tr = divisor.convolve_truncated(kexp.kappa, kexp.r, xi)
     x_poly = DirichletPolynomial.from_values(x_tr.values[1:])
     y_poly = DirichletPolynomial.from_values(y_tr.values[1:])
-    sw = _sweep(phi, t_max, cfg, sweep)
-    s1 = compute_S1(phi, t_max, x_poly, y_poly, cfg, sweep=sw)
-    s2 = compute_S2(phi, t_max, x_poly, cfg, sweep=sw)
-    m2k = moment_abs_2k(phi, t_max, k, cfg, sweep=sw)
+    sw = _sweep(phi, t_max, sweep)
+    s1 = compute_S1(phi, t_max, x_poly, y_poly, sweep=sw)
+    s2 = compute_S2(phi, t_max, x_poly, sweep=sw)
+    m2k = moment_abs_2k(phi, t_max, k, sweep=sw)
     s1_abs = abs(s1.computed)
     s2_val = s2.computed.real
     lower = s1_abs ** (2.0 * k) / s2_val ** (2.0 * k - 1.0) if s2_val > 0 else 0.0
@@ -418,7 +413,6 @@ def theorem1_pipeline(kexp: RationalExponent, t_max: float, phi=0.0,
 # ----------------------------------------------------------------------
 
 def signed_odd_moment(phi, t_max: float, ell: int,
-                      cfg: EvalConfig = DEFAULT_CONFIG,
                       sweep: GramSweep | None = None) -> tuple:
     """(plus, minus): sums of |zeta|^{2 ell + 1} over the two sign
     classes, computed both by direct classification and through the
@@ -428,7 +422,7 @@ def signed_odd_moment(phi, t_max: float, ell: int,
     _require_height(t_max, 100.0, "signed_odd_moment")
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    sw = _sweep(phi, t_max, cfg, sweep)
+    sw = _sweep(phi, t_max, sweep)
     signed = sw.signed()
     power = 2 * ell + 1
     absv = np.abs(signed.value) ** power
@@ -478,9 +472,8 @@ def class_maxima(sweep: GramSweep, heights) -> list:
     return out
 
 
-def max_scan(phi, t_max: float, cfg: EvalConfig = DEFAULT_CONFIG,
-             sweep: GramSweep | None = None) -> MaxScanResult:
+def max_scan(phi, t_max: float, sweep: GramSweep | None = None) -> MaxScanResult:
     """Running maxima of |zeta| over each sign class with abscissas."""
     _require_height(t_max, 100.0, "max_scan")
-    sw = _sweep(phi, t_max, cfg, sweep)
+    sw = _sweep(phi, t_max, sweep)
     return class_maxima(sw, (sw.t_max,))[0]

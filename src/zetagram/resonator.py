@@ -21,7 +21,6 @@ import numpy as np
 from .divisor import ConfigurationError, primes_up_to
 from .moments import (DirichletPolynomial, GramSweep, MomentReport, _sweep, compute_S1,
                       compute_S2)
-from .special import DEFAULT_CONFIG, EvalConfig
 from .summation import fsum
 
 __all__ = [
@@ -33,6 +32,9 @@ __all__ = [
     "certify_lower_bound",
     "CertificateReport",
 ]
+
+#: The prediction is trusted for cutoffs X <= t_max^(1/4 - EPSILON).
+EPSILON = 0.01
 
 
 class DegenerateResonatorError(ValueError):
@@ -51,8 +53,8 @@ class ResonatorConfig:
     @classmethod
     def for_cutoff(cls, X: float) -> "ResonatorConfig":
         X = float(X)
-        if X < 1e3:
-            raise ConfigurationError("resonator cutoff X must be >= 1e3")
+        if not 1e3 <= X < math.inf:
+            raise ConfigurationError(f"resonator cutoff X must be finite and >= 1e3, got {X!r}")
         loglog = math.log(math.log(X))
         if loglog <= 1.0:
             raise ConfigurationError("need log log X > 1")
@@ -172,22 +174,20 @@ class CertificateReport:
 
 
 def certify_lower_bound(phi, t_max: float, res: Resonator,
-                        cfg: EvalConfig = DEFAULT_CONFIG,
-                        sweep: GramSweep | None = None,
-                        epsilon: float = 0.01) -> CertificateReport:
+                        sweep: GramSweep | None = None) -> CertificateReport:
     """Large-value certificate: |S1| <= S2 * max |zeta(1/2 + i t_n)|
     with X = Y = the resonator polynomial, so the scanned maximum must
     dominate |S1|/S2 up to 1e-9 relative slack (raises otherwise).
     """
-    sw = _sweep(phi, t_max, cfg, sweep)
+    sw = _sweep(phi, t_max, sweep)
     poly = res.coefficient_polynomial()
-    limit_ok = res.config.X <= t_max ** (0.25 - epsilon)
+    limit_ok = res.config.X <= t_max ** (0.25 - EPSILON)
     if not limit_ok:
         warnings.warn("resonator cutoff exceeds t_max^(1/4 - eps); the bound "
                       "is still computed but the prediction is untrusted",
                       RuntimeWarning)
-    s1 = compute_S1(phi, t_max, poly, poly, cfg, sweep=sw, enforce_limits=False)
-    s2 = compute_S2(phi, t_max, poly, cfg, sweep=sw, enforce_limits=False)
+    s1 = compute_S1(phi, t_max, poly, poly, sweep=sw, enforce_limits=False)
+    s2 = compute_S2(phi, t_max, poly, sweep=sw, enforce_limits=False)
     s2_val = s2.computed.real
     if s2_val <= 0.0:
         raise DegenerateResonatorError("S2 vanished")

@@ -5,15 +5,16 @@ Two genuinely independent evaluation routes are provided for the
 critical line:
 
 * :func:`zeta_euler_maclaurin` -- truncated Dirichlet sum plus an
-  Euler-Maclaurin tail.  Accurate but O(|t|) per point; the reference
-  oracle for |t| up to about 1e3.
+  Euler-Maclaurin tail of EM_TERMS Bernoulli terms, to EM_ABS_TOL.
+  Accurate but O(|t|) per point; the reference oracle for |t| up to
+  about 1e3.
 
 * :func:`hardy_z` -- Riemann-Siegel main sum of length floor(sqrt(t/2pi))
-  plus a remainder.  The default remainder is the *exact* saddle-point
-  contour integral evaluated by trapezoid quadrature on the 45-degree
-  line through N + 1/2 (about 1e-11 absolute accuracy for t >= 10 and
-  O(sqrt(t)) cost per point).  The classical asymptotic correction
-  terms C0, C1 are available as a cheaper documented mode.
+  plus the *exact* saddle-point remainder, a contour integral evaluated
+  by trapezoid quadrature on the 45-degree line through N + 1/2 (about
+  1e-11 absolute accuracy for t >= 10 and O(sqrt(t)) cost per point).
+  The classical asymptotic correction terms C0, C1 are kept in the
+  private :func:`_rs_series_remainder`, pinned against the quadrature.
 
 Everything is plain binary64; long sums are compensated.  All functions
 are pure, and the array entry points are safe to call from multiple
@@ -33,8 +34,6 @@ from scipy.special import loggamma as _sc_loggamma
 __all__ = [
     "DomainError",
     "PoleError",
-    "EvalConfig",
-    "DEFAULT_CONFIG",
     "ZetaSample",
     "log_gamma",
     "theta",
@@ -61,6 +60,11 @@ THETA_SWITCH_T = 30.0
 RS_STEP = 0.0625
 RS_HALFWIDTH = 4.5
 
+#: Bernoulli correction terms and absolute accuracy target of the
+#: Euler-Maclaurin tail.
+EM_TERMS = 12
+EM_ABS_TOL = 1e-10
+
 
 class DomainError(ValueError):
     """Argument outside the documented domain of an operation."""
@@ -68,43 +72,6 @@ class DomainError(ValueError):
 
 class PoleError(ValueError):
     """Evaluation requested at (or numerically too close to) a pole."""
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    """Evaluation knobs for the critical-line evaluators.
-
-    rs_correction_order
-        Asymptotic Riemann-Siegel correction depth used when
-        ``rs_remainder == "series"``: 0 keeps the leading C0 term, 1 adds
-        C1 (the only orders implemented).  Ignored by the quadrature
-        remainder.
-    em_terms
-        Number of Bernoulli correction terms in the Euler-Maclaurin tail.
-    abs_tol
-        Absolute accuracy target for zeta_euler_maclaurin.
-    rs_remainder
-        "quadrature" (exact contour integral, default) or "series"
-        (classical asymptotic C-terms).
-    """
-
-    rs_correction_order: int = 1
-    em_terms: int = 12
-    abs_tol: float = 1e-10
-    rs_remainder: str = "quadrature"
-
-    def __post_init__(self):
-        if self.abs_tol <= 0:
-            raise ValueError("abs_tol must be positive")
-        if not 0 <= self.rs_correction_order <= 1:
-            raise ValueError("rs_correction_order must be 0 or 1")
-        if not 1 <= self.em_terms <= 20:
-            raise ValueError("em_terms must be in [1, 20]")
-        if self.rs_remainder not in ("quadrature", "series"):
-            raise ValueError("rs_remainder must be 'quadrature' or 'series'")
-
-
-DEFAULT_CONFIG = EvalConfig()
 
 
 @dataclass(frozen=True)
@@ -241,29 +208,29 @@ def _bern_over_fact(k: int) -> float:
     return float(row[0] / math.factorial(m))
 
 
-def _em_truncation(s: complex, cfg: EvalConfig) -> int:
+def _em_truncation(s: complex) -> int:
     """Truncation point N for the Euler-Maclaurin tail.
 
     N of order |Im s| makes the tail terms decay like (|s|/2piN)^{2k};
     the start value below gives ~1e-13 absolute error with 12 terms,
     and N is bumped until the first omitted term estimate clears
-    cfg.abs_tol.
+    EM_ABS_TOL.
     """
     t = abs(s.imag)
     n = int(max(16, math.ceil(1.25 * t) + 24))
-    k = cfg.em_terms
+    k = EM_TERMS
     b = abs(_bern_over_fact(k + 1))
     while n < 10_000_000:
         # |(s)_{2k+1}| N^{-Re s - 2k - 1} ~ (|s| + 2k)^{2k+1} N^{-Re s - 2k - 1}
         logterm = math.log(b) + (2 * k + 1) * math.log(abs(s) + 2 * k + 2) \
             - (s.real + 2 * k + 1) * math.log(n)
-        if logterm < math.log(cfg.abs_tol) - 1.5:
+        if logterm < math.log(EM_ABS_TOL) - 1.5:
             break
         n = int(n * 1.3) + 8
     return n
 
 
-def zeta_euler_maclaurin(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
+def zeta_euler_maclaurin(s: complex) -> complex:
     """zeta(s) by Dirichlet sum plus Euler-Maclaurin tail.
 
     Intended for |Im s| <= 1e3 (cost grows linearly with |Im s|).
@@ -272,7 +239,7 @@ def zeta_euler_maclaurin(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> comple
     s = complex(s)
     if s == 1.0:
         raise PoleError("zeta has a pole at s=1")
-    n = _em_truncation(s, cfg)
+    n = _em_truncation(s)
     ns = np.arange(1, n, dtype=float)
     head_terms = ns ** (-s)
     head = complex(math.fsum(head_terms.real.tolist()),
@@ -281,15 +248,15 @@ def zeta_euler_maclaurin(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> comple
     corr = 0.0 + 0.0j
     rising = s
     npow = complex(n) ** (-s - 1)
-    for k in range(1, cfg.em_terms + 1):
+    for k in range(1, EM_TERMS + 1):
         corr += _bern_over_fact(k) * rising * npow * n ** (2 - 2 * k)
         rising *= (s + 2 * k - 1) * (s + 2 * k)
     return head + tail + corr
 
 
-def _z_from_em(t: float, cfg: EvalConfig) -> float:
+def _z_from_em(t: float) -> float:
     """Z(t) through the Euler-Maclaurin route (low-t path and oracle)."""
-    return (np.exp(1j * theta(t)) * zeta_euler_maclaurin(0.5 + 1j * t, cfg)).real
+    return (np.exp(1j * theta(t)) * zeta_euler_maclaurin(0.5 + 1j * t)).real
 
 
 # ----------------------------------------------------------------------
@@ -380,14 +347,14 @@ def _rs_quadrature_remainder(t: np.ndarray, th: np.ndarray) -> np.ndarray:
     return -2.0 * integral.real
 
 
-def _rs_series_remainder(t: np.ndarray, cfg: EvalConfig) -> np.ndarray:
+def _rs_series_remainder(t: np.ndarray, order: int) -> np.ndarray:
     """Classical asymptotic remainder (-1)^{N-1} tau^{-1/4} [C0 + C1 tau^{-1/2}].
 
     C0(p) = Psi(p); C1(p) = -Psi'''(p) / (96 pi^2) in the p = a - N
     parametrization (the constant is pinned against the exact remainder
     in the tests).  Error is O(tau^{-5/4}) after C0 and O(tau^{-7/4})
-    after C1; use the quadrature remainder when 1e-6 accuracy is needed
-    below t ~ 2e4.
+    after C1 (order 0 or 1).  Not used by hardy_z: it is 1e-6 accurate
+    only above t ~ 2e4.
     """
     a = np.sqrt(t / TWO_PI)
     n_main = np.floor(a)
@@ -395,7 +362,7 @@ def _rs_series_remainder(t: np.ndarray, cfg: EvalConfig) -> np.ndarray:
     tau = t / TWO_PI
     sgn = np.where(np.mod(n_main, 2.0) == 0.0, -1.0, 1.0)
     corr = rs_psi(p)
-    if cfg.rs_correction_order >= 1:
+    if order >= 1:
         corr = corr - rs_psi(p, deriv=3) / (96.0 * math.pi ** 2) / np.sqrt(tau)
     return sgn * tau ** (-0.25) * corr
 
@@ -422,26 +389,17 @@ def _rs_main_sum(t: np.ndarray, th: np.ndarray) -> np.ndarray:
     return 2.0 * sums
 
 
-def _hardy_z_rs(t: np.ndarray, cfg: EvalConfig) -> np.ndarray:
-    th = theta(t)
-    out = _rs_main_sum(t, th)
-    if cfg.rs_remainder == "quadrature":
-        out += _rs_quadrature_remainder(t, th)
-    else:
-        out += _rs_series_remainder(t, cfg)
-    return out
-
-
 #: Points per evaluation chunk are sized so the quadrature mesh stays
 #: within ~30 MB regardless of input length.
 _CHUNK_TARGET = 1 << 21
 
 
-def hardy_z(t, cfg: EvalConfig = DEFAULT_CONFIG):
+def hardy_z(t):
     """Hardy's Z(t) = e^{i theta(t)} zeta(1/2 + it), real for real t.
 
     Scalar or ndarray.  Heights below RS_MIN_T route through
-    Euler-Maclaurin; above, the Riemann-Siegel path per cfg.
+    Euler-Maclaurin; above, the Riemann-Siegel main sum plus the
+    quadrature remainder.
     """
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0.0):
@@ -451,23 +409,25 @@ def hardy_z(t, cfg: EvalConfig = DEFAULT_CONFIG):
     out = np.empty_like(arr)
     low = arr < RS_MIN_T
     for i in np.nonzero(low)[0]:
-        out[i] = _z_from_em(float(arr[i]), cfg)
+        out[i] = _z_from_em(float(arr[i]))
     hi = np.nonzero(~low)[0]
     if hi.size:
         nodes = int(2 * RS_HALFWIDTH / RS_STEP) + 1
         chunk = max(1024, _CHUNK_TARGET // nodes)
         for j in range(0, hi.size, chunk):
             idx = hi[j:j + chunk]
-            out[idx] = _hardy_z_rs(arr[idx], cfg)
+            ts = arr[idx]
+            th = theta(ts)
+            out[idx] = _rs_main_sum(ts, th) + _rs_quadrature_remainder(ts, th)
     return float(out[0]) if scalar else out
 
 
-def zeta_critical(t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> ZetaSample:
+def zeta_critical(t: float) -> ZetaSample:
     """Consistent (t, theta, Z, zeta) sample on the critical line."""
     t = float(t)
     if t < 0.0:
         raise DomainError("zeta_critical requires t >= 0")
     th = theta(t)
-    z = float(hardy_z(t, cfg))
+    z = float(hardy_z(t))
     zeta = complex(np.exp(-1j * th) * z)
     return ZetaSample(t=t, theta=th, z=z, zeta=zeta)

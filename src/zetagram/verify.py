@@ -18,7 +18,6 @@ import numpy as np
 from . import divisor, moments, resonator
 from .grampoints import Angle
 from .moments import DirichletPolynomial, GramSweep, RationalExponent
-from .special import DEFAULT_CONFIG, EvalConfig
 
 __all__ = ["CriterionResult", "SweepCache", "run_checks", "CHECK_NAMES"]
 
@@ -41,9 +40,7 @@ class CriterionResult:
 class SweepCache:
     """Shares GramSweep objects across checks within one run."""
 
-    def __init__(self, cfg: EvalConfig = DEFAULT_CONFIG, threads: int = 1,
-                 cache_dir: str | None = None):
-        self.cfg = cfg
+    def __init__(self, threads: int = 1, cache_dir: str | None = None):
         self.threads = threads
         self.cache_dir = cache_dir
         self._sweeps: dict = {}
@@ -51,8 +48,7 @@ class SweepCache:
     def get(self, phi: float, t_max: float) -> GramSweep:
         key = (round(float(phi), 12), float(t_max))
         if key not in self._sweeps:
-            self._sweeps[key] = GramSweep(phi, t_max, self.cfg,
-                                          cache_dir=self.cache_dir,
+            self._sweeps[key] = GramSweep(phi, t_max, cache_dir=self.cache_dir,
                                           threads=self.threads)
         return self._sweeps[key]
 
@@ -77,8 +73,7 @@ def check_prop1(cache: SweepCache, phi: float, t_max: float) -> list:
 
     for poly, tol, tag in ((one, 0.02 * scale, "S2[1]"),
                            (one_one, 0.05 * scale, "S2[1,1]")):
-        rep = moments.compute_S2(phi, t_max, poly, cache.cfg,
-                                 sweep=cache.get(phi, t_max))
+        rep = moments.compute_S2(phi, t_max, poly, sweep=cache.get(phi, t_max))
         out.append(CriterionResult(
             f"prop1:{tag}:phi={phi:.6g}", rep.rel_error <= tol,
             {"computed": rep.computed.real, "predicted": rep.predicted.real,
@@ -87,8 +82,7 @@ def check_prop1(cache: SweepCache, phi: float, t_max: float) -> list:
     s1_tol = 0.05 * scale
     yardstick = _main_scale(t_max)
     for x_poly, tag in ((one, "S1[1|1]"), (one_one, "S1[1,1|1]")):
-        rep = moments.compute_S1(phi, t_max, x_poly, one, cache.cfg,
-                                 sweep=cache.get(phi, t_max))
+        rep = moments.compute_S1(phi, t_max, x_poly, one, sweep=cache.get(phi, t_max))
         if abs(rep.predicted) > 1e-9 * yardstick:
             passed = rep.rel_error <= s1_tol
         else:
@@ -100,7 +94,7 @@ def check_prop1(cache: SweepCache, phi: float, t_max: float) -> list:
             {"computed_abs": abs(rep.computed), "predicted_abs": abs(rep.predicted),
              "rel_error": rep.rel_error, "tolerance": s1_tol}))
     # cancelling direction: coefficient (1 + e^{-2 i phi}) = 0 at phi = pi/2
-    rep_c = moments.compute_S1(math.pi / 2, t_max, one, one, cache.cfg,
+    rep_c = moments.compute_S1(math.pi / 2, t_max, one, one,
                                sweep=cache.get(math.pi / 2, t_max))
     out.append(CriterionResult(
         "prop1:S1-degenerate:phi=pi/2",
@@ -115,8 +109,8 @@ def check_thm2(cache: SweepCache, phi: float, t_max: float) -> list:
     vanishing direction phi = pi/2."""
     tol = 0.05 if t_max >= REFERENCE_T else 0.10
     frac = 0.01 if t_max >= REFERENCE_T else 0.03
-    rep = moments.moment_cubed(phi, t_max, cache.cfg, sweep=cache.get(phi, t_max))
-    rep_0 = moments.moment_cubed(0.0, t_max, cache.cfg, sweep=cache.get(0.0, t_max))
+    rep = moments.moment_cubed(phi, t_max, sweep=cache.get(phi, t_max))
+    rep_0 = moments.moment_cubed(0.0, t_max, sweep=cache.get(0.0, t_max))
     if abs(rep.predicted) > 1e-6 * abs(rep_0.predicted):
         main_ok = rep.rel_error <= tol
     else:
@@ -128,8 +122,7 @@ def check_thm2(cache: SweepCache, phi: float, t_max: float) -> list:
         {"computed_re": rep.computed.real, "computed_im": rep.computed.imag,
          "predicted_re": rep.predicted.real, "rel_error": rep.rel_error,
          "tolerance": tol, "n_points": rep.n_points})]
-    rep_v = moments.moment_cubed(math.pi / 2, t_max, cache.cfg,
-                                 sweep=cache.get(math.pi / 2, t_max))
+    rep_v = moments.moment_cubed(math.pi / 2, t_max, sweep=cache.get(math.pi / 2, t_max))
     out.append(CriterionResult(
         "thm2:vanishing:phi=pi/2",
         abs(rep_v.computed) <= frac * abs(rep_0.predicted),
@@ -148,8 +141,7 @@ def check_thm1(cache: SweepCache, phi: float, t_max: float,
     out = []
     for p, q in exponents:
         kexp = RationalExponent(p, q)
-        rep = moments.theorem1_pipeline(kexp, t_max, phi, cache.cfg,
-                                        sweep=cache.get(phi, t_max))
+        rep = moments.theorem1_pipeline(kexp, t_max, phi, sweep=cache.get(phi, t_max))
         ok = rep.holder_satisfied and rep.sigma2 >= rep.sigma1 and rep.lower_bound > 0.0
         out.append(CriterionResult(
             f"thm1:k={p}/{q}", ok,
@@ -183,10 +175,9 @@ def check_cor1(cache: SweepCache, phi: float, t_max: float) -> list:
         f"cor1:classes:phi={phi:.6g}", n_plus > 0 and n_minus > 0,
         {"n_plus": n_plus, "n_minus": n_minus})]
     t_small = max(1e3, t_max / 100.0)
-    scan_big = moments.max_scan(phi, t_max, cache.cfg, sweep=sw)
+    scan_big = moments.max_scan(phi, t_max, sweep=sw)
     if t_small < 0.9 * t_max:
-        scan_small = moments.max_scan(phi, t_small, cache.cfg,
-                                      sweep=cache.get(phi, t_small))
+        scan_small = moments.max_scan(phi, t_small, sweep=cache.get(phi, t_small))
         grown = (scan_big.max_plus or 0.0) > (scan_small.max_plus or 0.0) and \
                 (scan_big.max_minus or 0.0) > (scan_small.max_minus or 0.0)
     else:
@@ -201,7 +192,7 @@ def check_cor1(cache: SweepCache, phi: float, t_max: float) -> list:
          "ratio_plus_log54": (scan_big.max_plus or 0.0) / logt ** 1.25,
          "ratio_plus_log32": (scan_big.max_plus or 0.0) / logt ** 1.5}))
     try:
-        plus, minus = moments.signed_odd_moment(phi, t_max, 1, cache.cfg, sweep=sw)
+        plus, minus = moments.signed_odd_moment(phi, t_max, 1, sweep=sw)
         ident_ok = True
     except RuntimeError:
         plus = minus = float("nan")
@@ -241,7 +232,7 @@ def check_cor2(cache: SweepCache, phi: float, t_max: float) -> list:
         warnings.simplefilter("ignore", RuntimeWarning)
         res = resonator.build_resonator(cutoff)
         try:
-            cert = resonator.certify_lower_bound(phi, t_max, res, cache.cfg,
+            cert = resonator.certify_lower_bound(phi, t_max, res,
                                                  sweep=cache.get(phi, t_max))
             ok = cert.scanned_max >= cert.certified_bound * (1 - 1e-9)
             detail = {"certified_bound": cert.certified_bound,
@@ -299,8 +290,7 @@ _CHECKS = {
 }
 
 
-def run_checks(which: str, phi: float, t_max: float,
-               cfg: EvalConfig = DEFAULT_CONFIG, threads: int = 1,
+def run_checks(which: str, phi: float, t_max: float, threads: int = 1,
                cache_dir: str | None = None, exponents=None) -> list:
     """Run one named check (or "all") and return CriterionResults.
 
@@ -313,7 +303,7 @@ def run_checks(which: str, phi: float, t_max: float,
         if name not in _CHECKS:
             raise ValueError(f"unknown check {name!r}; choose from "
                              f"{', '.join(CHECK_NAMES)} or 'all'")
-    cache = SweepCache(cfg, threads, cache_dir)
+    cache = SweepCache(threads, cache_dir)
     results = []
     for name in names:
         if name == "thm1":

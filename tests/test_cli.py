@@ -294,11 +294,38 @@ def test_config_file_bad_key(tmp_path, capsys):
 
 
 def test_rs_correction_order_removed(tmp_path):
-    with pytest.raises(SystemExit):
-        cli.main(["points", "--t-max", "50", "--rs-correction-order", "0"])
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("rs_correction_order = 0\n")
-    assert cli.main(["points", "--config", str(cfgfile)]) == cli.EXIT_USAGE
+    for flag, key in (("--rs-correction-order", "rs_correction_order"),
+                      ("--abs-tol", "abs_tol")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["points", "--t-max", "50", flag, "1e-10"])
+        assert exc.value.code == cli.EXIT_USAGE
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{key} = 1e-10\n")
+        assert cli.main(["points", "--config", str(cfgfile)]) == cli.EXIT_USAGE
+
+
+COMMANDS = {
+    "points": ["points"],
+    "verify": ["verify", "thm2"],
+    "maxscan": ["maxscan"],
+    "resonate": ["resonate", "--x", "1e3", "--certificate"],
+    "divisor": ["divisor", "--kappa", "3", "--partial-sum", "1e3"],
+}
+
+
+@pytest.mark.parametrize("value", ("inf", "nan"))
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_non_finite_t_max_is_a_usage_error(command, value, capsys):
+    assert cli.main(COMMANDS[command] + ["--t-max", value]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: t_max must be finite and positive")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ("inf", "nan"))
+def test_non_finite_resonator_cutoff_is_a_usage_error(value, capsys):
+    assert cli.main(["resonate", "--x", value]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: resonator cutoff X must be finite")
 
 
 def test_semantic_hash_ignores_threads():

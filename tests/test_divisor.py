@@ -19,6 +19,7 @@ from zetagram.divisor import (
     primes_up_to,
     stieltjes,
 )
+from zetagram.summation import BLOCK
 
 GAMMA_REF = 0.5772156649015329
 GAMMA1_REF = -0.0728158454836767
@@ -62,6 +63,18 @@ def reference_table(kappa: float, limit: int) -> np.ndarray:
                 pe *= p
                 e += 1
     return vals
+
+
+def reference_ratio_sums(lam: float, mu: float, xs) -> list:
+    """The one-array formula: every term d_lam(n) d_mu(n) / n in one
+    array, then each prefix summed as exact BLOCK-long partials plus an
+    fsum of those."""
+    n = max(xs)
+    ns = np.arange(0, n + 1, dtype=float)
+    ns[0] = 1.0
+    terms = build_table(lam, n).values * build_table(mu, n).values / ns
+    return [math.fsum([math.fsum(terms[1 + i:1 + min(i + BLOCK, x)].tolist())
+                       for i in range(0, x, BLOCK)]) for x in xs]
 
 
 # ----------------------------------------------------------------------
@@ -265,7 +278,20 @@ def test_ratio_sums_at_matches_single_calls():
                         (0.5, 0.5, (150_000, 200_000))):
         batch = divisor_ratio_sums_at(lam, mu, xs)
         singles = [divisor_ratio_sum(lam, mu, float(x)) for x in xs]
-        assert batch == singles
+        assert batch == singles == reference_ratio_sums(lam, mu, xs)
+
+
+@pytest.mark.parametrize("lam,mu", ((1.0, 1.0), (2.0, 1.0), (0.5, 0.5), (1 / 3, 2.7)))
+def test_ratio_sums_at_block_seams_equal_reference(lam, mu):
+    xs = (2, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1, 150_000)
+    assert divisor_ratio_sums_at(lam, mu, xs) == reference_ratio_sums(lam, mu, xs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.0, 4.0, exclude_min=True), st.floats(0.0, 4.0, exclude_min=True),
+       st.lists(st.integers(2, 200_000), min_size=1, max_size=4))
+def test_ratio_sums_at_equal_reference_property(lam, mu, xs):
+    assert divisor_ratio_sums_at(lam, mu, xs) == reference_ratio_sums(lam, mu, xs)
 
 
 @pytest.mark.parametrize("checkpoints", ((-3, 100), (100, 1.5), (), (math.nan,),

@@ -193,3 +193,39 @@ def test_cache_header_mismatch_recomputes(tmp_path):
     path.write_text("# stale\n# header\nn,t\n0,bogus\n")
     pts = enumerate_points(0.0, 500.0, cache_dir=cache)
     assert abs(pts.t[0] - 17.8455995404) < 1e-8
+
+
+CACHE_DAMAGE = {
+    "truncated": lambda rows: rows[:len(rows) // 2],
+    "truncated-mid-row": lambda rows: rows[:-1] + [rows[-1][:-4]],
+    "garbled-huge": lambda rows: rows[:7] + ["7,1e308"] + rows[8:],
+    "garbled-text": lambda rows: rows[:7] + ["7,abc"] + rows[8:],
+    "garbled-nan": lambda rows: rows[:7] + ["7,nan"] + rows[8:],
+    "negative-first": lambda rows: ["0,-5.0"] + rows[1:],
+    # residual about 1.5e-8: off the Gram point, still in order
+    "t-off-by-1e-9-relative": lambda rows: rows[:7] + [
+        f"7,{float(rows[7].split(',')[1]) * (1 + 1e-9)!r}"] + rows[8:],
+    "reordered": lambda rows: rows[:10] + [rows[11], rows[10]] + rows[12:],
+    "extra-row": lambda rows: rows + [rows[-1]],
+}
+
+
+@pytest.mark.parametrize("damage", sorted(CACHE_DAMAGE))
+def test_damaged_cache_is_rebuilt(tmp_path, damage):
+    cold = enumerate_points(0.3, 2000.0)
+    enumerate_points(0.3, 2000.0, cache_dir=str(tmp_path))
+    path = next(tmp_path.iterdir())
+    good = path.read_text()
+    head, rows = good.split("\n")[:3], good.split("\n")[3:-1]
+    assert len(rows) == len(cold)
+    path.write_text("\n".join(head + CACHE_DAMAGE[damage](rows)) + "\n")
+    pts = enumerate_points(0.3, 2000.0, cache_dir=str(tmp_path))
+    assert pts.n.tobytes() == cold.n.tobytes()
+    assert pts.t.tobytes() == cold.t.tobytes()
+    assert path.read_text() == good
+
+
+@pytest.mark.parametrize("t_max", (math.inf, math.nan, -math.inf, 19.9))
+def test_enumerate_rejects_non_finite_or_low_height(t_max):
+    with pytest.raises(DomainError, match="finite t_max >= 20"):
+        enumerate_points(0.0, t_max)

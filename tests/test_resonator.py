@@ -35,6 +35,12 @@ def test_config_rejects_small_cutoff():
         ResonatorConfig.for_cutoff(500.0)
 
 
+@pytest.mark.parametrize("x", (math.inf, math.nan, -math.inf))
+def test_config_rejects_non_finite_cutoff(x):
+    with pytest.raises(ConfigurationError, match="finite and >= 1e3"):
+        ResonatorConfig.for_cutoff(x)
+
+
 def test_empty_window_warns_and_degrades():
     with pytest.warns(RuntimeWarning):
         res = build_resonator(1e3)

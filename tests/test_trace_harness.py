@@ -1,0 +1,60 @@
+"""Smoke test of the benchmark's trace harness (perfbench/spans.py).
+
+The harness wraps the package's public functions from outside and binds
+its work counters to argument names (t, cache_dir, self, kappa, limit,
+m, xi, values), so a renamed or dropped parameter breaks it only when
+it runs.  This runs it in a subprocess over small commands.
+"""
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = r"""
+import json, sys
+from spans import TARGETS, Tracer, layer_metrics
+from zetagram import cli
+
+out_dir, commands = sys.argv[1], json.loads(sys.argv[2])
+tracer = Tracer()
+tracer.install()
+tracer.op = 1
+codes = [cli.main(argv + ["--output", f"{out_dir}/{i}.out"]) for i, argv in enumerate(commands)]
+tracer.op = None
+json.dump({"codes": codes, "spans": tracer.dump(),
+           "metrics": layer_metrics(tracer.spans, 1),
+           "counters": {t.name: list(t.stats) for t in TARGETS if t.counter}}, sys.stdout)
+"""
+
+
+def test_tracer_wraps_every_counter_without_error(tmp_path):
+    cache = str(tmp_path / "cache")
+    maxscan = ["maxscan", "--t-max", "2000", "--cache-dir", cache, "--threads", "2"]
+    commands = [
+        ["verify", "thm1", "--t-max", "2000"],
+        maxscan,
+        maxscan,  # the second run reads the cache the first one wrote
+        ["resonate", "--x", "1e4", "--certificate", "--t-max", "2000"],
+        ["divisor", "--kappa", "3", "--partial-sum", "1e4"],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                                       str(ROOT / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path), json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0] * len(commands)
+    for name, stats in result["counters"].items():
+        spans = [s for s in result["spans"] if s["name"] == name]
+        assert spans, f"{name} was never called"
+        produced = set().union(*(s["counts"] for s in spans))
+        assert set(stats) <= produced, f"{name} produced {produced}, not {stats}"
+    metrics = result["metrics"]
+    assert all(math.isfinite(v) for v in metrics.values())
+    assert metrics["grampoints.cache.misses"] == 1
+    assert metrics["grampoints.cache.hits"] == 1
