@@ -43,7 +43,10 @@ class ConfigurationError(RuntimeError):
 
 
 def primes_up_to(n: int) -> np.ndarray:
-    """Primes <= n by a boolean sieve."""
+    """Primes <= n by a boolean sieve of n + 1 entries, which must fit
+    INDEX_BUDGET."""
+    if n + 1 > INDEX_BUDGET:
+        raise SizeBudgetError(f"sieve of size {n} exceeds budget")
     if n < 2:
         return np.empty(0, dtype=np.int64)
     mask = np.ones(n + 1, dtype=bool)

@@ -6,6 +6,7 @@ value = e^{-i phi} zeta(1/2 + i t_n) = (-1)^n Z(t_n).
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 from collections.abc import Sequence
@@ -40,7 +41,7 @@ THETA_MIN = float(theta(TWO_PI))
 BRANCH_BUFFER = 0.25
 
 #: Bump when the solver or the theta evaluation changes; invalidates caches.
-EVALUATOR_VERSION = 1
+EVALUATOR_VERSION = 2
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 60
@@ -106,9 +107,11 @@ def _solve_targets(targets: np.ndarray) -> np.ndarray:
     """Vectorized safeguarded Newton for theta(t) = tau on t > 2 pi.
 
     theta' >= (1/2) log(t/2pi) > 0 there, so a bracket plus Newton with
-    bisection fallback always converges.  A final ulp-level polish picks
-    the representable t minimizing |theta(t) - tau|, which is the best
-    achievable residual in binary64.
+    bisection fallback always converges.  Each element stops on its own
+    test (|residual| <= NEWTON_TOL, or a step of at most 2 ulps), so its
+    result does not depend on the other targets of the batch.  A final
+    ulp-level polish picks the representable t minimizing
+    |theta(t) - tau|, which is the best achievable residual in binary64.
     """
     targets = np.asarray(targets, dtype=float)
     if np.any(targets < THETA_MIN + BRANCH_BUFFER):
@@ -123,21 +126,20 @@ def _solve_targets(targets: np.ndarray) -> np.ndarray:
             break
         hi[need] *= 1.7
     t = np.clip(_initial_guess(targets), lo + 0.05, hi)
+    live = np.ones(t.shape, dtype=bool)
     for _ in range(NEWTON_MAX_ITER):
         res = theta(t) - targets
         above = res > 0.0
         hi = np.where(above, np.minimum(hi, t), hi)
         lo = np.where(~above, np.maximum(lo, t), lo)
-        if np.all(np.abs(res) <= NEWTON_TOL):
-            break
+        live &= np.abs(res) > NEWTON_TOL
         step = res / theta_deriv(t)
         tn = t - step
         bad = ~((tn > lo) & (tn < hi)) | ~np.isfinite(tn)
         tn = np.where(bad, 0.5 * (lo + hi), tn)
-        if np.all(np.abs(tn - t) <= 2.0 * np.spacing(t)):
-            t = tn
+        t, live = np.where(live, tn, t), live & (np.abs(tn - t) > 2.0 * np.spacing(t))
+        if not live.any():
             break
-        t = tn
     # ulp polish: among the 5 neighbouring representables, keep the one
     # with the smallest computed residual.
     ulp = np.spacing(t)
@@ -231,55 +233,48 @@ class SignedGramPointSet(Sequence):
 # Enumeration and caching
 # ----------------------------------------------------------------------
 
-def _cache_path(cache_dir: str, phi: Angle, t_max: float) -> str:
-    key = f"phi{phi.phi!r}_T{t_max!r}_v{EVALUATOR_VERSION}"
-    key = key.replace("+", "").replace("-", "m")
-    return os.path.join(cache_dir, f"gram_{key}.csv")
+def _cache_path(cache_dir: str, phi: Angle) -> str:
+    key = f"phi{phi.phi!r}_v{EVALUATOR_VERSION}".replace("+", "").replace("-", "m")
+    return os.path.join(cache_dir, f"gram_{key}.bin")
 
 
-def _cache_header(phi: Angle, t_max: float) -> str:
-    return (f"# zetagram gram-point cache\n"
-            f"# evaluator={EVALUATOR_VERSION} phi={phi.phi!r} t_max={t_max!r}\n"
-            f"n,t\n")
+def _cache_fields(phi: Angle) -> bytes:
+    """The header up to the height; a file of another version or angle
+    does not start with it."""
+    return f"zetagram gram points evaluator={EVALUATOR_VERSION} phi={phi.phi!r} height=".encode()
 
 
-def _load_cache(path: str, phi: Angle, t_max: float, n_max: int):
-    """The cached points, or None for a missing, foreign or damaged file.
+def _digest(fields: bytes, body: bytes) -> bytes:
+    return hashlib.sha256(fields + body).hexdigest().encode()
 
-    The rows must be what enumerate_points would compute: indices 0..k
-    with k = n_max (n_max - 1 after its t <= t_max drop); every t finite,
-    strictly increasing and <= t_max; every theta residual within 1e-10,
-    or two ulps of pi n where that is larger (from about T = 4e5 on).
+
+def _load_cache(path: str, phi: Angle):
+    """(height, t) from the cache file of phi, or None for a missing,
+    foreign or damaged one.
+
+    The file is one header line, then t_0, t_1, ... as little-endian
+    float64: every point up to the height.  The header ends in the
+    sha256 of its own fields and of every byte of t, so any change to
+    either fails the comparison.
     """
     try:
-        with open(path, "r") as fh:
-            head = fh.readline() + fh.readline() + fh.readline()
-            if head != _cache_header(phi, t_max):
-                return None
-            t_list = []
-            for line in fh:
-                a, b = line.split(",")
-                if int(a) != len(t_list):
-                    return None
-                t_list.append(float(b))
-        pts = GramPointSet(phi, np.arange(len(t_list)), np.array(t_list, dtype=float))
-        del t_list  # free the floats before the checks' temporaries
-        t = pts.t
-        tol = np.maximum(1e-10, 2 * np.spacing(math.pi * pts.n))
-        sound = (len(pts) in (n_max, n_max + 1) and np.all(np.isfinite(t))
-                 and np.all(np.diff(t) > 0.0) and np.all(t <= t_max)
-                 and np.all(np.abs(pts.residuals()) <= tol))
-    except (OSError, ValueError):  # theta's DomainError included
+        with open(path, "rb") as fh:
+            head, _, body = fh.read().partition(b"\n")
+    except OSError:
         return None
-    return pts if sound else None
+    fields, _, digest = head.partition(b" sha256=")
+    prefix = _cache_fields(phi)
+    if not fields.startswith(prefix) or digest != _digest(fields, body):
+        return None
+    return float(fields[len(prefix):]), np.frombuffer(body, dtype="<f8")
 
 
-def _store_cache(path: str, phi: Angle, t_max: float, pts: GramPointSet) -> None:
+def _store_cache(path: str, phi: Angle, height: float, t: np.ndarray) -> None:
+    fields = _cache_fields(phi) + repr(height).encode()
+    body = t.astype("<f8").tobytes()
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(_cache_header(phi, t_max))
-        for n, t in zip(pts.n.tolist(), pts.t.tolist()):
-            fh.write(f"{n},{t!r}\n")
+    with open(tmp, "wb") as fh:
+        fh.write(fields + b" sha256=" + _digest(fields, body) + b"\n" + body)
     os.replace(tmp, path)
 
 
@@ -287,31 +282,31 @@ def enumerate_points(phi, t_max: float, cache_dir: str | None = None) -> GramPoi
     """All Gram points t_n(phi) with 0 <= n and t_n <= t_max, ascending.
 
     Enumeration starts at index 0 (the root of theta = -phi); negative
-    indices on the canonical branch remain reachable via solve_gram.  A
-    cache file that fails the checks of _load_cache is recomputed and
-    rewritten.
+    indices on the canonical branch remain reachable via solve_gram.
+    Each t_n is a function of (n, phi) alone, so the points below t_max
+    are a prefix of those below any larger height.  One cache file per
+    phi holds the points up to the largest height asked for: a lower
+    t_max reads its prefix, a higher one solves the missing indices and
+    rewrites the file, and a damaged or foreign file is replaced.
     """
     angle = _as_angle(phi)
     t_max = float(t_max)
     if not 20.0 <= t_max < math.inf:
         raise DomainError("enumerate_points requires a finite t_max >= 20")
     n_max = int(math.floor((theta(t_max) + angle.phi) / math.pi))
+    height, t = -math.inf, np.empty(0)
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
-        path = _cache_path(cache_dir, angle, t_max)
-        cached = _load_cache(path, angle, t_max, n_max)
-        if cached is not None:
-            return cached
-    idx = np.arange(0, n_max + 1, dtype=np.int64)
-    targets = math.pi * idx - angle.phi
-    t = _solve_targets(targets)
-    keep = t <= t_max
-    pts = GramPointSet(angle, idx[keep], t[keep])
-    if np.any(np.diff(pts.t) <= 0.0):
-        raise RuntimeError("enumerated abscissas are not strictly increasing")
-    if cache_dir:
-        _store_cache(path, angle, t_max, pts)
-    return pts
+        path = _cache_path(cache_dir, angle)
+        height, t = _load_cache(path, angle) or (height, t)
+    if t_max > height:
+        t = np.concatenate([t, _solve_targets(math.pi * np.arange(t.size, n_max + 1) - angle.phi)])
+        if np.any(np.diff(t) <= 0.0):
+            raise RuntimeError("enumerated abscissas are not strictly increasing")
+        if cache_dir:
+            _store_cache(path, angle, t_max, t)
+    k = int(np.searchsorted(t[:n_max + 1], t_max, "right"))
+    return GramPointSet(angle, np.arange(k), t[:k])
 
 
 def count_estimate(phi, t_max: float) -> float:

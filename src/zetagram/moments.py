@@ -64,16 +64,6 @@ class DirichletPolynomial:
         coeff = {n: complex(v) for n, v in enumerate(seq, start=1) if v != 0}
         return cls(coefficients=coeff, limit=max(len(seq), 1))
 
-    @property
-    def x0(self) -> float:
-        """max |x_n|"""
-        return max((abs(v) for v in self.coefficients.values()), default=0.0)
-
-    @property
-    def x1(self) -> float:
-        """sum |x_n| / n"""
-        return fsum([abs(v) / n for n, v in self.coefficients.items()])
-
     @cached_property
     def _arrays(self):
         """(n, x_n) over the support, sorted by n; built once."""

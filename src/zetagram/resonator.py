@@ -4,7 +4,10 @@ e^{i phi} R through the discrete mean-value ratio |S1| / S2.
 The resonator is the multiplicative function f supported on squarefree
 products of primes from [L^2, exp((log L)^2)] with L =
 exp(sqrt(log X log log X)), prime weight f(p) = L / (p log p), and
-Dirichlet coefficients x_n = sqrt(n) f(n).  This prime weight is the
+Dirichlet coefficients x_n = sqrt(n) f(n).  The window starts at L^2,
+so while L^4 > X no product of two of its primes is <= X and the
+support is {1} together with the window's primes; cutoffs with
+L^4 <= X (X above about 2e29) are rejected.  This prime weight is the
 one under which the classical bound sum_n f(n)^2 <= prod_p (1 +
 L^2/(p^2 log^2 p)) < e holds; see the notes in the README about the
 sqrt(p) variant.
@@ -38,7 +41,7 @@ EPSILON = 0.01
 
 
 class DegenerateResonatorError(ValueError):
-    """Resonator has an empty (zero) weight vector."""
+    """The certificate's S2 vanished, so |S1|/S2 is undefined."""
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,10 @@ class ResonatorConfig:
         if loglog <= 1.0:
             raise ConfigurationError("need log log X > 1")
         L = math.exp(math.sqrt(math.log(X) * loglog))
+        if L ** 4 <= X:
+            raise ConfigurationError(
+                f"resonator cutoff X = {X!r} has L^4 <= X, so its support would hold "
+                "products of primes; only {1} and primes are supported")
         return cls(X=X, L=L, prime_lo=L * L, prime_hi=math.exp(math.log(L) ** 2))
 
     @property
@@ -70,12 +77,8 @@ class ResonatorConfig:
 @dataclass
 class Resonator:
     config: ResonatorConfig
-    support: np.ndarray   # squarefree n with f(n) != 0, ascending, includes 1
+    support: np.ndarray   # 1 and the window's primes, ascending
     weights: np.ndarray   # f(n) on the support
-    factors: list         # prime tuple for each support element
-
-    def weight_map(self) -> dict:
-        return {int(n): float(w) for n, w in zip(self.support, self.weights)}
 
     def coefficient_polynomial(self) -> DirichletPolynomial:
         """x_n = sqrt(n) f(n) as a DirichletPolynomial."""
@@ -89,35 +92,12 @@ class Resonator:
         return fsum(self.weights ** 2)
 
 
-def _enumerate_support(cfg: ResonatorConfig, plist: list, weights: dict) -> Resonator:
-    """Squarefree products of the given primes up to X by bounded DFS."""
-    support = [(1, 1.0, ())]
-
-    def extend(start: int, n: int, f: float, used: tuple):
-        for i in range(start, len(plist)):
-            p = plist[i]
-            m = n * p
-            if m > cfg.X:
-                break
-            fp = f * weights[p]
-            support.append((m, fp, used + (p,)))
-            extend(i + 1, m, fp, used + (p,))
-
-    extend(0, 1, 1.0, ())
-    support.sort()
-    ns = np.array([s[0] for s in support], dtype=np.int64)
-    ws = np.array([s[1] for s in support], dtype=float)
-    facs = [s[2] for s in support]
-    return Resonator(config=cfg, support=ns, weights=ws, factors=facs)
-
-
 def build_resonator(X: float) -> Resonator:
-    """Enumerate the squarefree resonance support up to X.
+    """The resonator at cutoff X: f(1) = 1 and f(p) = L / (p log p) for
+    the primes p in [L^2, min(exp((log L)^2), X)].
 
-    At desk scale the prime window [L^2, min(exp((log L)^2), X)] admits
-    only single primes (two-prime products exceed X), but the DFS is
-    general.  An empty window (possible just above the X >= 1e3 floor)
-    degrades to the trivial resonator supported on {1}, with a warning.
+    An empty window (possible just above the X >= 1e3 floor) degrades
+    to the trivial resonator supported on {1}, with a warning.
     """
     cfg = ResonatorConfig.for_cutoff(X)
     hi = int(math.floor(cfg.effective_hi))
@@ -129,35 +109,19 @@ def build_resonator(X: float) -> Resonator:
     else:
         sieve = primes_up_to(hi)
         primes = sieve[sieve >= lo]
-    plist = primes.tolist()
-    weights = {p: cfg.L / (p * math.log(p)) for p in plist}
-    return _enumerate_support(cfg, plist, weights)
+    weights = [cfg.L / (p * math.log(p)) for p in primes.tolist()]
+    return Resonator(config=cfg, support=np.concatenate(([1], primes)),
+                     weights=np.array([1.0] + weights))
 
 
 def resonator_ratio(res: Resonator) -> float:
     """(sum_{mn<=X} f(m) f(mn)/sqrt(n)) / (sum_{n<=X} f(n)^2).
 
-    The numerator runs over support elements k and their divisors m
-    within the support (subset products of k's primes), so the cost is
-    linear in the support for the squarefree weight.
+    On the support {1} and primes the pairs (m, mn) are (1, 1), (1, p)
+    and (p, p), so the numerator is 1 + sum_p (f(p)/sqrt(p) + f(p)^2).
     """
-    wmap = res.weight_map()
-    if not wmap:
-        raise DegenerateResonatorError("empty resonator support")
-    num_terms = []
-    for k, fk, primes in zip(res.support.tolist(), res.weights.tolist(), res.factors):
-        # all divisors m of k inside the support: subset products
-        divs = [1]
-        for p in primes:
-            divs += [d * p for d in divs]
-        for m in divs:
-            fm = wmap.get(m)
-            if fm is not None:
-                num_terms.append(fm * fk / math.sqrt(k / m))
-    denominator = res.sum_f_squared
-    if denominator <= 0.0:
-        raise DegenerateResonatorError("zero diagonal weight")
-    return fsum(num_terms) / denominator
+    f, p = res.weights[1:], res.support[1:].astype(float)
+    return fsum(np.concatenate(([1.0], f / np.sqrt(p), f * f))) / res.sum_f_squared
 
 
 @dataclass

@@ -24,14 +24,6 @@ def fsum(values) -> float:
     return math.fsum(arr.tolist()) if arr.size else 0.0
 
 
-def cfsum(values) -> complex:
-    """Exactly rounded sum of a complex array, component-wise."""
-    arr = np.asarray(values, dtype=complex)
-    if not arr.size:
-        return 0.0 + 0.0j
-    return complex(math.fsum(arr.real.tolist()), math.fsum(arr.imag.tolist()))
-
-
 def blocked_fsum(values) -> float:
     """Compensated sum of block-wise exact partials, in index order.
 
@@ -61,17 +53,3 @@ def blocked_prefix_fsums(block_values, ends) -> list:
                 tails[e] = math.fsum(vals[:e - a])
     return [math.fsum(full[:e // BLOCK] + ([tails[e]] if e in tails else [])) for e in ends]
 
-
-def neumaier(values) -> float:
-    """Streaming Neumaier (improved Kahan) sum; kept as an independent
-    cross-check oracle for the fsum-based reductions."""
-    s = 0.0
-    comp = 0.0
-    for v in np.asarray(values, dtype=float):
-        t = s + v
-        if abs(s) >= abs(v):
-            comp += (s - t) + v
-        else:
-            comp += (v - t) + s
-        s = t
-    return s + comp

@@ -43,6 +43,11 @@ def test_points_rerun_byte_identical(tmp_path):
     # and identical to the run without any cache
     _, plain = run_cli(args[:5], tmp_path, "c.csv")
     assert plain == cold
+    # and from a cache that a lower height wrote and this run extends
+    lower = ["points", "--phi", "0.25", "--t-max", "100", "--cache-dir", str(tmp_path / "ext")]
+    run_cli(lower, tmp_path, "d.csv")
+    _, extended = run_cli(args[:5] + lower[5:], tmp_path, "e.csv")
+    assert extended == cold
 
 
 def test_points_rejects_bad_phi(tmp_path, capsys):
@@ -326,6 +331,29 @@ def test_non_finite_t_max_is_a_usage_error(command, value, capsys):
 def test_non_finite_resonator_cutoff_is_a_usage_error(value, capsys):
     assert cli.main(["resonate", "--x", value]) == cli.EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: resonator cutoff X must be finite")
+
+
+@pytest.mark.parametrize("value, message", (
+    ("1e8", "error: sieve of size 100000000 exceeds budget"),
+    ("1e30", "error: resonator cutoff X = 1e+30 has L^4 <= X"),
+), ids=("1e8", "1e30"))
+def test_resonator_cutoff_beyond_limits_is_a_usage_error(value, message, capsys):
+    assert cli.main(["resonate", "--x", value]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert "Traceback" not in err
+
+
+def test_large_resonator_cutoff_fails_before_allocating():
+    # under a 1.5 GiB address-space cap an unbounded sieve to 2e8 ends in a
+    # MemoryError traceback; the budget check must reject it first
+    script = ("import resource, sys; from zetagram import cli; "
+              "resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29)); "
+              "sys.exit(cli.main(['resonate', '--x', '2e8']))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == cli.EXIT_USAGE, proc.stderr
+    assert proc.stderr.startswith("error: sieve of size 200000000 exceeds budget")
 
 
 def test_semantic_hash_ignores_threads():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetagram import divisor
 from zetagram.divisor import (
     SizeBudgetError,
     build_table,
@@ -383,3 +384,10 @@ def test_zeta_laurent_connects_to_gamma():
 def test_primes_up_to():
     assert list(primes_up_to(20)) == [2, 3, 5, 7, 11, 13, 17, 19]
     assert primes_up_to(1).size == 0
+
+
+def test_primes_up_to_respects_index_budget(monkeypatch):
+    monkeypatch.setattr(divisor, "INDEX_BUDGET", 100)
+    assert primes_up_to(99)[-1] == 97
+    with pytest.raises(SizeBudgetError, match="sieve of size 100"):
+        primes_up_to(100)

@@ -1,9 +1,13 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetagram.grampoints import (
+    EVALUATOR_VERSION,
     Angle,
     GramPoint,
     OutOfBranchError,
@@ -195,34 +199,129 @@ def test_cache_header_mismatch_recomputes(tmp_path):
     assert abs(pts.t[0] - 17.8455995404) < 1e-8
 
 
+def cache_bytes(phi, t_max, tmp_path) -> bytes:
+    """The file enumerate_points writes for (phi, t_max) into a fresh
+    directory."""
+    d = tmp_path / f"fresh-{phi!r}-{t_max!r}"
+    enumerate_points(phi, t_max, cache_dir=str(d))
+    (path,) = d.iterdir()
+    return path.read_bytes()
+
+
+def resign(data: bytes, edit_fields) -> bytes:
+    """The file with its header fields edited and a matching checksum."""
+    head, _, body = data.partition(b"\n")
+    fields = edit_fields(head.partition(b" sha256=")[0])
+    return fields + b" sha256=" + hashlib.sha256(fields + body).hexdigest().encode() + b"\n" + body
+
+
+def edit_t(data: bytes, edit) -> bytes:
+    """The file with its t values edited in place, checksum kept."""
+    head, _, body = data.partition(b"\n")
+    t = np.frombuffer(body, dtype="<f8").copy()
+    edit(t)
+    return head + b"\n" + t.astype("<f8").tobytes()
+
+
+def put(t, i, value):
+    t[i] = value
+
+
+def flip_bit(data: bytes, pos: int) -> bytes:
+    return data[:pos] + bytes([data[pos] ^ 1]) + data[pos + 1:]
+
+
 CACHE_DAMAGE = {
-    "truncated": lambda rows: rows[:len(rows) // 2],
-    "truncated-mid-row": lambda rows: rows[:-1] + [rows[-1][:-4]],
-    "garbled-huge": lambda rows: rows[:7] + ["7,1e308"] + rows[8:],
-    "garbled-text": lambda rows: rows[:7] + ["7,abc"] + rows[8:],
-    "garbled-nan": lambda rows: rows[:7] + ["7,nan"] + rows[8:],
-    "negative-first": lambda rows: ["0,-5.0"] + rows[1:],
-    # residual about 1.5e-8: off the Gram point, still in order
-    "t-off-by-1e-9-relative": lambda rows: rows[:7] + [
-        f"7,{float(rows[7].split(',')[1]) * (1 + 1e-9)!r}"] + rows[8:],
-    "reordered": lambda rows: rows[:10] + [rows[11], rows[10]] + rows[12:],
-    "extra-row": lambda rows: rows + [rows[-1]],
+    "truncated": lambda g, _: g[:g.index(b"\n") + 1 + 8 * 100],
+    "truncated-mid-row": lambda g, _: g[:-4],
+    "odd-length": lambda g, _: g[:-1],
+    "garbled-huge": lambda g, _: edit_t(g, lambda t: put(t, 7, 1e308)),
+    "garbled-text": lambda g, _: g[:-160] + b"7,abc\nn,t\n" * 16,
+    "garbled-nan": lambda g, _: edit_t(g, lambda t: put(t, 7, math.nan)),
+    "negative-first": lambda g, _: edit_t(g, lambda t: put(t, 0, -5.0)),
+    "t-off-by-1e-9-relative": lambda g, _: edit_t(g, lambda t: put(t, 7, t[7] * (1 + 1e-9))),
+    # theta residual about 1.5e-11 at t = 22.6: below any residual test
+    "t-off-by-1e-12-relative": lambda g, _: edit_t(g, lambda t: put(t, 1, t[1] * (1 + 1e-12))),
+    "reordered": lambda g, _: edit_t(g, lambda t: put(t, [10, 11], t[[11, 10]])),
+    "extra-row": lambda g, _: g + g[-8:],
+    "flipped-bit": lambda g, _: flip_bit(g, len(g) - 100),
+    # "height=2000.0" becomes "height=3000.0"
+    "flipped-bit-in-height": lambda g, _: flip_bit(g, g.index(b"height=") + 7),
+    "foreign-phi": lambda g, tmp: cache_bytes(0.7, 2000.0, tmp),
+    "foreign-version": lambda g, _: resign(g, lambda f: f.replace(
+        b"evaluator=%d" % EVALUATOR_VERSION, b"evaluator=%d" % (EVALUATOR_VERSION - 1))),
 }
 
 
 @pytest.mark.parametrize("damage", sorted(CACHE_DAMAGE))
 def test_damaged_cache_is_rebuilt(tmp_path, damage):
     cold = enumerate_points(0.3, 2000.0)
-    enumerate_points(0.3, 2000.0, cache_dir=str(tmp_path))
-    path = next(tmp_path.iterdir())
-    good = path.read_text()
-    head, rows = good.split("\n")[:3], good.split("\n")[3:-1]
-    assert len(rows) == len(cold)
-    path.write_text("\n".join(head + CACHE_DAMAGE[damage](rows)) + "\n")
-    pts = enumerate_points(0.3, 2000.0, cache_dir=str(tmp_path))
+    cache = tmp_path / "cache"
+    enumerate_points(0.3, 2000.0, cache_dir=str(cache))
+    (path,) = cache.iterdir()
+    good = path.read_bytes()
+    assert good.endswith(b"\n" + cold.t.astype("<f8").tobytes())
+    assert resign(good, lambda f: f) == good  # the checksum is sha256(fields + body)
+    bad = CACHE_DAMAGE[damage](good, tmp_path)
+    assert bad != good
+    path.write_bytes(bad)
+    pts = enumerate_points(0.3, 2000.0, cache_dir=str(cache))
     assert pts.n.tobytes() == cold.n.tobytes()
     assert pts.t.tobytes() == cold.t.tobytes()
-    assert path.read_text() == good
+    assert list(cache.iterdir()) == [path]
+    assert path.read_bytes() == good
+
+
+def test_lower_height_reads_prefix_and_higher_height_extends(tmp_path):
+    cache = str(tmp_path)
+    enumerate_points(0.3, 2000.0, cache_dir=cache)
+    (path,) = tmp_path.iterdir()
+    before = path.read_bytes(), path.stat().st_mtime_ns
+    for t_max in (20.0, 500.0, 1999.5, 2000.0):
+        pts, cold = enumerate_points(0.3, t_max, cache_dir=cache), enumerate_points(0.3, t_max)
+        assert (pts.t.tobytes(), pts.n.tobytes()) == (cold.t.tobytes(), cold.n.tobytes())
+    assert (path.read_bytes(), path.stat().st_mtime_ns) == before
+    pts = enumerate_points(0.3, 3000.0, cache_dir=cache)
+    assert pts.t.tobytes() == enumerate_points(0.3, 3000.0).t.tobytes()
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == cache_bytes(0.3, 3000.0, tmp_path / "x")
+
+
+@pytest.mark.parametrize("phi", (0.0, 0.3, 2.9))
+def test_t_max_on_a_gram_point_cold_warm_and_extended_agree(tmp_path, phi):
+    t_max = solve_gram(200, phi).t
+    cold = enumerate_points(phi, t_max)
+    assert cold.t[-1] <= t_max
+    for first in (30.0, t_max, 2 * t_max):  # extended, exact, prefix
+        cache = str(tmp_path / repr(first))
+        enumerate_points(phi, first, cache_dir=cache)
+        pts = enumerate_points(phi, t_max, cache_dir=cache)
+        assert pts.t.tobytes() == cold.t.tobytes()
+        assert pts.n.tobytes() == cold.n.tobytes()
+
+
+@pytest.mark.parametrize("phi", (0.0, 0.3, 1.0, 2.9))
+def test_gram_point_is_a_function_of_n_and_phi(phi):
+    e3, e4, e5 = (enumerate_points(phi, t) for t in (1e3, 1e4, 1e5))
+    assert e3.t.tobytes() == e4.t[:len(e3)].tobytes()
+    assert e4.t.tobytes() == e5.t[:len(e4)].tobytes()
+    assert [solve_gram(n, phi).t for n in range(400)] == e3.t[:400].tolist()
+
+
+PHI = st.one_of(st.floats(0.0, math.pi, exclude_max=True),
+                st.floats(math.pi - 1e-6, math.pi, exclude_max=True),
+                st.just(math.nextafter(math.pi, 0.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(phi=PHI, t1=st.floats(20.0, 2000.0), dt=st.floats(0.0, 2000.0, exclude_min=True))
+def test_enumeration_prefix_property(phi, t1, dt):
+    small, big = enumerate_points(phi, t1), enumerate_points(phi, t1 + dt)
+    assert big.t[:len(small)].tobytes() == small.t.tobytes()
+    assert big.n[:len(small)].tobytes() == small.n.tobytes()
+    assert np.all(small.t <= t1) and (len(small) == len(big) or big.t[len(small)] > t1)
+    for n in {0, len(small) // 2, len(big) - 1}:
+        assert solve_gram(n, phi).t == big.t[n]
 
 
 @pytest.mark.parametrize("t_max", (math.inf, math.nan, -math.inf, 19.9))

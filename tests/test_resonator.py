@@ -7,19 +7,16 @@ import pytest
 from zetagram.divisor import ConfigurationError
 from zetagram.moments import GramSweep
 from zetagram.resonator import (
+    Resonator,
     ResonatorConfig,
-    _enumerate_support,
     build_resonator,
     certify_lower_bound,
     resonator_ratio,
 )
 
 
-def small_resonator(x=30.0, primes=(2, 3, 5), weight=0.5):
-    """Synthetic multi-prime resonator for exercising the DFS and the
-    divisor-pair numerator."""
-    cfg = ResonatorConfig(X=x, L=2.0, prime_lo=2.0, prime_hi=30.0)
-    return _enumerate_support(cfg, list(primes), {p: weight for p in primes})
+def is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def test_config_parameters():
@@ -33,6 +30,14 @@ def test_config_parameters():
 def test_config_rejects_small_cutoff():
     with pytest.raises(ConfigurationError):
         ResonatorConfig.for_cutoff(500.0)
+
+
+def test_config_rejects_cutoff_with_product_support():
+    # L^4 > X keeps products of two window primes (each >= L^2) above X
+    cfg = ResonatorConfig.for_cutoff(1e29)
+    assert cfg.L ** 4 > cfg.X
+    with pytest.raises(ConfigurationError, match="L\\^4 <= X"):
+        ResonatorConfig.for_cutoff(1e30)
 
 
 @pytest.mark.parametrize("x", (math.inf, math.nan, -math.inf))
@@ -49,15 +54,13 @@ def test_empty_window_warns_and_degrades():
 
 
 def test_support_structure_real_build():
-    res = build_resonator(1e4)
-    assert res.support[0] == 1
-    # at desk scale only single primes fit in the window
-    assert all(len(f) <= 1 for f in res.factors)
-    lo, hi = res.config.prime_lo, res.config.effective_hi
-    for n, facs in zip(res.support[1:], res.factors[1:]):
-        (p,) = facs
-        assert n == p
-        assert lo <= p <= hi
+    # the support is 1 and every prime of the window, ascending
+    for x in (1e4, 5e4):
+        res = build_resonator(x)
+        lo, hi = res.config.prime_lo, res.config.effective_hi
+        window = [n for n in range(math.ceil(lo), math.floor(hi) + 1) if is_prime(n)]
+        assert res.support.tolist() == [1] + window
+        assert res.weights[0] == 1.0
 
 
 def test_prime_weight_formula():
@@ -85,31 +88,18 @@ def test_coefficient_bound_x0():
         assert x0 <= math.sqrt(x)
 
 
-def test_multiplicativity_on_synthetic_support():
-    res = small_resonator()
-    wmap = res.weight_map()
-    assert wmap[6] == pytest.approx(wmap[2] * wmap[3])
-    assert wmap[30] == pytest.approx(wmap[2] * wmap[3] * wmap[5])
-    assert 4 not in wmap  # squares excluded
-    assert set(wmap) == {1, 2, 3, 5, 6, 10, 15, 30}
-
-
 def test_ratio_against_brute_force():
-    res = small_resonator()
-    wmap = res.weight_map()
-    x = res.config.X
-    num = 0.0
-    for m, fm in wmap.items():
-        for n in range(1, int(x) + 1):
-            fmn = wmap.get(m * n)
-            if fmn is not None and m * n <= x:
-                num += fm * fmn / math.sqrt(n)
-    den = sum(f * f for f in wmap.values())
-    assert resonator_ratio(res) == pytest.approx(num / den, rel=1e-12)
+    # every pair (m, mn) with f(m) f(mn) != 0 and mn <= X, by trial
+    for x in (1e4, 5e4):
+        res = build_resonator(x)
+        f = dict(zip(res.support.tolist(), res.weights.tolist()))
+        terms = [fm * f[m * n] / math.sqrt(n) for m, fm in f.items()
+                 for n in range(1, int(x) // m + 1) if m * n in f]
+        assert resonator_ratio(res) == math.fsum(terms) / math.fsum(w * w for w in f.values())
 
 
 def test_ratio_degenerate_is_one():
-    res = small_resonator(primes=())
+    res = Resonator(ResonatorConfig.for_cutoff(1e4), np.array([1]), np.array([1.0]))
     assert resonator_ratio(res) == 1.0
 
 

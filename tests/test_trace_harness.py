@@ -39,6 +39,7 @@ def test_tracer_wraps_every_counter_without_error(tmp_path):
         ["verify", "thm1", "--t-max", "2000"],
         maxscan,
         maxscan,  # the second run reads the cache the first one wrote
+        maxscan[:2] + ["1000"] + maxscan[3:],  # a lower height reads a prefix of it
         ["resonate", "--x", "1e4", "--certificate", "--t-max", "2000"],
         ["divisor", "--kappa", "3", "--partial-sum", "1e4"],
     ]
@@ -57,4 +58,4 @@ def test_tracer_wraps_every_counter_without_error(tmp_path):
     metrics = result["metrics"]
     assert all(math.isfinite(v) for v in metrics.values())
     assert metrics["grampoints.cache.misses"] == 1
-    assert metrics["grampoints.cache.hits"] == 1
+    assert metrics["grampoints.cache.hits"] == 2
