@@ -177,6 +177,8 @@ class GramSweep:
         self.parity = np.where(self.points.n % 2 == 0, 1.0, -1.0)
         # value = parity * Z with parity = +-1, so this recovers Z exactly
         self.z = self.parity * self._signed.value
+        if not np.all(np.isfinite(self.z)):
+            raise RuntimeError("Hardy Z is not finite at some Gram point")
         self._cut = None
         self._half_line = {}
 

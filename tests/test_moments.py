@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetagram import special
 from zetagram.grampoints import bulk_hardy_z, classify
 from zetagram.moments import (
     DirichletPolynomial,
@@ -414,3 +415,16 @@ def test_sweep_is_classify_bit_for_bit(threads):
     for name in ("value", "sign", "ambiguous"):
         assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
     assert sweep.z.tobytes() == bulk_hardy_z(sweep.points.t, threads=threads).tobytes()
+
+
+def test_sweep_rejects_non_finite_z(monkeypatch):
+    real = special.hardy_z
+
+    def one_nan(t):
+        z = real(t)
+        z[z.size // 2] = np.nan
+        return z
+
+    monkeypatch.setattr(special, "hardy_z", one_nan)
+    with pytest.raises(RuntimeError, match="not finite"):
+        GramSweep(0.0, 100.0)

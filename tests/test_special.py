@@ -4,9 +4,14 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zetagram.grampoints import solve_gram
+from zetagram.grampoints import bulk_hardy_z, solve_gram
 from zetagram.special import (
+    RS_MIN_T,
+    SERIES_MIN_T,
+    THETA_SWITCH_T,
     DomainError,
     PoleError,
     ZetaSample,
@@ -21,6 +26,7 @@ from zetagram.special import (
     zeta_critical,
     zeta_euler_maclaurin,
     _rs_main_sum,
+    _rs_quadrature_remainder,
     _rs_series_remainder,
 )
 
@@ -285,6 +291,20 @@ def test_hardy_z_negative_raises():
         hardy_z(-1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fn", [hardy_z, theta, theta_deriv, zeta_critical])
+def test_non_finite_height_raises(fn, bad):
+    with pytest.raises(DomainError):
+        fn(bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("fn", [hardy_z, theta, theta_deriv])
+def test_non_finite_height_in_array_raises(fn, bad):
+    with pytest.raises(DomainError):
+        fn(np.array([20.0, bad, 30.0]))
+
+
 def test_rs_psi_series_matches_direct_formula():
     ps = np.linspace(0.01, 0.99, 37)
     direct = np.cos(2 * math.pi * (ps * ps - ps - 1.0 / 16.0)) / np.cos(2 * math.pi * ps)
@@ -304,18 +324,13 @@ def test_rs_psi_removable_points_are_finite():
 
 
 def test_series_remainder_orders():
-    """The asymptotic mode: the C0-only error is reproduced by the C1
-    term -Psi'''(p) tau^{-1/2} / (96 pi^2), and including it shrinks the
-    error by an order of magnitude."""
-    def series_z(t, order):
-        arr = np.array([t])
-        return float((_rs_main_sum(arr, theta(arr)) + _rs_series_remainder(arr, order))[0])
-
-    err0s, err1s = [], []
-    for t in np.linspace(3e4, 9e4, 25):
-        exact = float(hardy_z(t))
-        z0 = series_z(t, 0)
-        z1 = series_z(t, 1)
+    """The asymptotic mode against the quadrature: the C0-only error is
+    reproduced by the C1 term -Psi'''(p) tau^{-1/2} / (96 pi^2), and the
+    mean error falls with each order up to C4."""
+    ts = np.linspace(3e4, 9e4, 25)
+    exact = _rs_quadrature_remainder(ts, theta(ts))
+    errs = [exact - _rs_series_remainder(ts, order) for order in range(5)]
+    for t, err0 in zip(ts, errs[0]):
         tau = t / TWO_PI
         a = math.sqrt(tau)
         n = math.floor(a)
@@ -324,11 +339,54 @@ def test_series_remainder_orders():
         c1_pred = -sgn * tau ** (-0.75) * rs_psi(p, deriv=3) / (96 * math.pi ** 2)
         if abs(c1_pred) > 1e-6:
             # C0-only error is dominated by the C1 term
-            assert abs((exact - z0) - c1_pred) < 0.35 * abs(c1_pred)
-        err0s.append(abs(exact - z0))
-        err1s.append(abs(exact - z1))
-    assert np.mean(err1s) < 0.1 * np.mean(err0s)
-    assert max(err1s) < 1e-6
+            assert abs(err0 - c1_pred) < 0.35 * abs(c1_pred)
+    means = [float(np.mean(np.abs(e))) for e in errs]
+    assert all(lo < hi for lo, hi in zip(means[1:], means))
+    assert means[1] < 0.1 * means[0]
+    assert np.max(np.abs(errs[1])) < 1e-6
+    assert np.max(np.abs(errs[4])) <= 1e-11
+
+
+def test_quadrature_mesh_matches_wide_fine_mesh():
+    # the derived mesh against one of half the step and 4.5 half-width
+    ts = np.random.default_rng(53).uniform(RS_MIN_T, SERIES_MIN_T, 400)
+    th = theta(ts)
+    rot = np.exp(1j * math.pi / 4.0)
+    x = np.floor(np.sqrt(ts / TWO_PI))[:, None] + 0.5 + rot * (np.arange(-144, 145) / 32.0)
+    f = np.exp(1j * math.pi * x * x - (0.5 + 1j * ts[:, None]) * np.log(x) + 1j * th[:, None])
+    ref = -2.0 * ((rot / 32.0) * (f / (2j * np.sin(math.pi * x))).sum(axis=1)).real
+    assert np.max(np.abs(_rs_quadrature_remainder(ts, th) - ref)) <= 2e-13
+
+
+def test_series_matches_quadrature_above_switch():
+    ts = np.random.default_rng(43).uniform(SERIES_MIN_T, 1e5, 2000)
+    th = theta(ts)
+    by_quadrature = _rs_main_sum(ts, th) + _rs_quadrature_remainder(ts, th)
+    assert np.max(np.abs(hardy_z(ts) - by_quadrature)) <= 1e-11
+
+
+# every seam of hardy_z: the route switches and the main-sum
+# breakpoints t = 2 pi k^2, where N(t) steps
+_SEAMS = (RS_MIN_T, THETA_SWITCH_T, SERIES_MIN_T) + tuple(TWO_PI * k * k for k in range(2, 127))
+_heights = st.one_of(
+    st.floats(0.0, 1e5),
+    st.builds(lambda seam, off: max(0.0, seam + off),
+              st.sampled_from(_SEAMS), st.floats(-1e-3, 1e-3)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_heights, min_size=1, max_size=12))
+def test_hardy_z_is_a_function_of_each_height(ts):
+    arr = np.array(ts)
+    one_by_one = np.array([hardy_z(t) for t in arr])
+    assert hardy_z(arr).tobytes() == one_by_one.tobytes()
+
+
+def test_bulk_hardy_z_same_bytes_at_one_and_two_threads():
+    # three blocks of bulk_hardy_z, unsorted, on both sides of the switch
+    ts = np.random.default_rng(47).uniform(SERIES_MIN_T - 3000.0, SERIES_MIN_T + 3000.0, 40_000)
+    assert bulk_hardy_z(ts, threads=1).tobytes() == bulk_hardy_z(ts, threads=2).tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -363,9 +421,11 @@ def test_zeta_sample_rejects_non_finite():
 # mpmath as an independent high-precision oracle
 # ----------------------------------------------------------------------
 
-# both sides of the RS_MIN_T = 10 and THETA_SWITCH_T = 30 seams, and the
-# height with the largest measured deviation (|Z| about 12)
-ORACLE_HEIGHTS = (6.5, 9.999, 10.0, 10.001, 29.999, 30.0, 30.001, 100.0, 1e4, 1e5, 74955.5)
+# both sides of the RS_MIN_T = 10, THETA_SWITCH_T = 30 and SERIES_MIN_T
+# seams, and the height with the largest measured deviation (|Z| about 12)
+ORACLE_HEIGHTS = (6.5, 9.999, 10.0, 10.001, 29.999, 30.0, 30.001, 100.0,
+                  SERIES_MIN_T - 0.001, SERIES_MIN_T, SERIES_MIN_T + 0.001,
+                  1e4, 1e5, 74955.5)
 
 
 @pytest.mark.parametrize("t", ORACLE_HEIGHTS)
