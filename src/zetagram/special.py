@@ -33,6 +33,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import loggamma as _sc_loggamma
 
+from .summation import fsum
+
 __all__ = [
     "DomainError",
     "PoleError",
@@ -246,8 +248,7 @@ def zeta_euler_maclaurin(s: complex) -> complex:
     n = _em_truncation(s)
     ns = np.arange(1, n, dtype=float)
     head_terms = ns ** (-s)
-    head = complex(math.fsum(head_terms.real.tolist()),
-                   math.fsum(head_terms.imag.tolist()))
+    head = complex(fsum(head_terms.real), fsum(head_terms.imag))
     tail = n ** (1.0 - s) / (s - 1.0) + 0.5 * n ** (-s)
     corr = 0.0 + 0.0j
     rising = s
@@ -457,7 +458,8 @@ def hardy_z(t):
     if not np.all((arr >= 0.0) & (arr < math.inf)):
         raise DomainError("hardy_z requires finite t >= 0")
     scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    shape = arr.shape
+    arr = arr.ravel()
     out = np.empty_like(arr)
     low = arr < RS_MIN_T
     for i in np.nonzero(low)[0]:
@@ -474,7 +476,7 @@ def hardy_z(t):
             idx = quad[j:j + _CHUNK_POINTS]
             rem[idx] = _rs_quadrature_remainder(ts[idx], th[idx])
         out[~low] = _rs_main_sum(ts, th) + rem
-    return float(out[0]) if scalar else out
+    return float(out[0]) if scalar else out.reshape(shape)
 
 
 def zeta_critical(t: float) -> ZetaSample:

@@ -383,6 +383,15 @@ def test_hardy_z_is_a_function_of_each_height(ts):
     assert hardy_z(arr).tobytes() == one_by_one.tobytes()
 
 
+def test_hardy_z_keeps_the_shape_of_2d_input():
+    # heights on both sides of RS_MIN_T (the Euler-Maclaurin route) and
+    # of SERIES_MIN_T
+    arr = np.array([[5.0, 30.0, RS_MIN_T - 0.5], [RS_MIN_T, 6000.0, 12.0]])
+    z = hardy_z(arr)
+    assert z.shape == arr.shape
+    assert z.tobytes() == hardy_z(arr.ravel()).reshape(arr.shape).tobytes()
+
+
 def test_bulk_hardy_z_same_bytes_at_one_and_two_threads():
     # three blocks of bulk_hardy_z, unsorted, on both sides of the switch
     ts = np.random.default_rng(47).uniform(SERIES_MIN_T - 3000.0, SERIES_MIN_T + 3000.0, 40_000)
