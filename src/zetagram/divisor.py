@@ -1,6 +1,9 @@
 """Generalized divisor functions d_kappa (Dirichlet coefficients of
 zeta^kappa), truncated convolution powers, partial-sum asymptotics, and
 the cubic-moment polynomials built from Stieltjes constants.
+
+Bulk d_kappa values come from one segmented sieve, _sieve_segments; the
+sums over n reduce its segments as they come and hold no whole table.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .summation import blocked_fsum, blocked_prefix_fsums, fsum
+from .summation import BLOCK, blocked_prefix_fsums
 
 __all__ = [
     "DivisorTable",
@@ -32,6 +35,10 @@ __all__ = [
 
 #: hard cap on convolution output length (entries)
 INDEX_BUDGET = 100_000_000
+
+#: Entries per sieve segment; a multiple of BLOCK, so that each block
+#: of a blocked sum lies in one segment.
+SEG = 4 * BLOCK
 
 
 class SizeBudgetError(ValueError):
@@ -109,16 +116,20 @@ class DivisorTable:
         return float(self.values[n])
 
 
-def build_table(kappa: float, limit: int) -> DivisorTable:
-    """Sieve d_kappa(1..limit) by multiplying the prime-power ratio
-    d_kappa(p^e)/d_kappa(p^{e-1}) = (kappa + e - 1)/e into every
-    multiple of p^e, primes ascending, then exponents ascending.
+def _sieve_segments(kappa: float, limit: int):
+    """d_kappa(1..limit) as consecutive arrays of SEG entries (the last
+    may be shorter): segment j holds n = j SEG + 1 .. (j + 1) SEG.
 
-    A prime p > sqrt(limit) divides each n <= limit at most once, and is
-    then n's largest prime factor, so its ratio is the last one
-    multiplied in.  Those primes share one vectorized pass after the
-    per-prime loop, with the ratio rounded as the loop rounds it at
-    e = 1: (kappa + 1 - 1.0) / 1, which is not always kappa.
+    Each n gets the prime-power ratio d_kappa(p^e)/d_kappa(p^{e-1}) =
+    (kappa + e - 1)/e for every p^e dividing it, primes ascending, then
+    exponents ascending.  Only primes p <= sqrt(limit) are sieved, and
+    the part of n they make up is multiplied alongside.  An n that part
+    does not reach has one prime factor above sqrt(limit), its largest,
+    so that prime's ratio, rounded as at e = 1: (kappa + 1 - 1.0) / 1,
+    which is not always kappa, comes last.
+
+    The arguments are checked at the call, not at the first next().
+    Each segment is a new array.
     """
     _check_kappa(kappa)
     limit = int(limit)
@@ -126,30 +137,58 @@ def build_table(kappa: float, limit: int) -> DivisorTable:
         raise ValueError("limit must be >= 1")
     if limit + 1 > INDEX_BUDGET:
         raise SizeBudgetError(f"table of size {limit} exceeds budget")
-    vals = np.ones(limit + 1, dtype=float)
-    vals[0] = 0.0
-    if kappa == 1.0:
-        return DivisorTable(kappa=kappa, limit=limit, values=vals)
-    primes = primes_up_to(limit)
-    split = int(np.searchsorted(primes, math.isqrt(limit), "right"))
-    for p in primes[:split].tolist():
-        pe = p
-        e = 1
-        while pe <= limit:
-            vals[pe::pe] *= (kappa + e - 1.0) / e
-            pe *= p
-            e += 1
-    large = primes[split:]
-    if large.size:
-        ratio = (kappa + 1 - 1.0) / 1
-        cofactors = np.arange(1, limit // int(large[0]) + 1)
-        counts = np.searchsorted(large, limit // cofactors, "right")
-        # index arrays of at most 2^14 primes: whole slices (5 MB at 1e7)
-        # would leave the process that much larger after the call
-        chunk = 1 << 14
-        for m, k in zip(cofactors.tolist(), counts.tolist()):
-            for lo in range(0, k, chunk):
-                vals[m * large[lo:min(k, lo + chunk)]] *= ratio
+
+    def segments():
+        small = primes_up_to(math.isqrt(limit)).tolist()
+        large = (kappa + 1 - 1.0) / 1
+        for lo in range(1, limit + 1, SEG):
+            hi = min(lo + SEG - 1, limit)
+            vals = np.ones(hi - lo + 1)
+            if kappa == 1.0:
+                yield vals
+                continue
+            # smooth[i]: the part of n = lo + i made of the sieved primes
+            # (int32 holds every n under INDEX_BUDGET)
+            smooth = np.ones(hi - lo + 1, dtype=np.int32)
+            for p in small:
+                pe, e = p, 1
+                while pe <= hi:
+                    first = -lo % pe
+                    vals[first::pe] *= (kappa + e - 1.0) / e
+                    smooth[first::pe] *= p
+                    pe *= p
+                    e += 1
+            # times 1.0 leaves the rest as it is, and needs no branch
+            vals *= np.where(smooth != np.arange(lo, hi + 1, dtype=np.int32), large, 1.0)
+            yield vals
+
+    return segments()
+
+
+def _blocked_segment_sums(segments, ends) -> list:
+    """blocked_prefix_fsums over the concatenation of the SEG-long
+    segments, which it asks for a block at a time in index order: SEG is
+    a multiple of BLOCK, so each block lies in one segment."""
+    seg = None
+
+    def block(a, b):
+        nonlocal seg
+        if a % SEG == 0:
+            seg = next(segments)
+        return seg[a % SEG:a % SEG + b - a]
+
+    return blocked_prefix_fsums(block, ends)
+
+
+def build_table(kappa: float, limit: int) -> DivisorTable:
+    """d_kappa(0..limit) in one array, with d_kappa(0) = 0, filled from
+    the sieve segment by segment (see _sieve_segments).  It holds the
+    whole table; sums over n go through the segments instead."""
+    segments = _sieve_segments(kappa, limit)
+    limit = int(limit)
+    vals = np.zeros(limit + 1)
+    for lo, seg in zip(range(1, limit + 1, SEG), segments):
+        vals[lo:lo + seg.size] = seg
     return DivisorTable(kappa=kappa, limit=limit, values=vals)
 
 
@@ -223,8 +262,7 @@ def divisor_partial_sum(lam: float, x: float):
     if not 2 <= x < math.inf:
         raise ValueError(f"x must be finite and >= 2, got {x!r}")
     n = int(math.floor(x))
-    table = build_table(float(lam), n)
-    total = blocked_fsum(table.values[1:])
+    total = _blocked_segment_sums(_sieve_segments(float(lam), n), (n,))[0]
     if lam == 3:
         prediction = x * p2_polynomial()(math.log(x))
     else:
@@ -233,29 +271,31 @@ def divisor_partial_sum(lam: float, x: float):
 
 
 def divisor_ratio_sum(lam: float, mu: float, x: float) -> float:
-    """sum_{n<=x} d_lam(n) d_mu(n) / n, exactly by tables."""
+    """sum_{n<=x} d_lam(n) d_mu(n) / n, by blocked exact sums."""
     return divisor_ratio_sums_at(lam, mu, (x,))[0]
 
 
 def divisor_ratio_sums_at(lam: float, mu: float, checkpoints) -> list:
-    """sum_{n<=x} d_lam(n) d_mu(n) / n at several checkpoints x, off one
-    pair of tables: each checkpoint is the blocked sum over its whole
+    """sum_{n<=x} d_lam(n) d_mu(n) / n at several checkpoints x, in one
+    pass of the sieve: each checkpoint is the blocked sum over its whole
     prefix, so it equals divisor_ratio_sum(lam, mu, x) bit for bit.  The
-    terms are formed one block at a time.  Every checkpoint must be
-    finite and >= 2, and there must be at least one.
+    terms are formed one sieve segment at a time.  Every checkpoint must
+    be finite and >= 2, and there must be at least one.
     """
     checkpoints = list(checkpoints)
     if not checkpoints or not all(2 <= c < math.inf for c in checkpoints):
         raise ValueError(f"checkpoints must be finite and >= 2, got {checkpoints!r}")
     xs = [int(c) for c in checkpoints]
     n = max(xs)
-    ta = build_table(lam, n).values
-    tb = ta if mu == lam else build_table(mu, n).values
+    seg_a = _sieve_segments(lam, n)
+    seg_b = None if mu == lam else _sieve_segments(mu, n)
 
-    def terms(a, b):  # d_lam(n) d_mu(n) / n for a < n <= b
-        return ta[a + 1:b + 1] * tb[a + 1:b + 1] / np.arange(a + 1, b + 1, dtype=float)
+    def terms():  # d_lam(n) d_mu(n) / n, one segment at a time
+        for lo, da in zip(range(1, n + 1, SEG), seg_a):
+            db = da if seg_b is None else next(seg_b)
+            yield da * db / np.arange(lo, lo + da.size, dtype=float)
 
-    return blocked_prefix_fsums(terms, xs)
+    return _blocked_segment_sums(terms(), xs)
 
 
 # ----------------------------------------------------------------------
@@ -271,16 +311,19 @@ def stieltjes() -> tuple:
 
     Accelerated by the Euler-Maclaurin half-term plus dyadic Richardson
     extrapolation; the three top levels must agree to 1e-10 or a
-    ConfigurationError is raised.  Computed once per process.
+    ConfigurationError is raised.  The terms are formed one block at a
+    time inside the blocked sums, so no 2^22-entry array is held.
+    Computed once per process.
     """
     exps = (20, 21, 22)
-    n_top = 1 << exps[-1]
-    ns = np.arange(1, n_top + 1, dtype=float)
-    recip = 1.0 / ns
-    logs = np.log(ns) * recip
     ends = [1 << e for e in exps]
-    hs = blocked_prefix_fsums(lambda a, b: recip[a:b], ends)
-    s1s = blocked_prefix_fsums(lambda a, b: logs[a:b], ends)
+
+    def recip(a, b):  # 1/n for a < n <= b
+        return 1.0 / np.arange(a + 1, b + 1, dtype=float)
+
+    hs = blocked_prefix_fsums(recip, ends)
+    s1s = blocked_prefix_fsums(
+        lambda a, b: np.log(np.arange(a + 1, b + 1, dtype=float)) * recip(a, b), ends)
     g_seq, g1_seq = [], []
     for n, h, s1 in zip(ends, hs, s1s):
         ln = math.log(n)

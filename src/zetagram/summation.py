@@ -102,7 +102,8 @@ def blocked_fsum(values) -> float:
 
 def blocked_prefix_fsums(block_values, ends) -> list:
     """blocked_fsum(v[:e]) for each e in ends, with v given a block at a
-    time: block_values(a, b) returns v[a:b] for b - a <= BLOCK.
+    time: block_values(a, b) returns v[a:b] for b - a <= BLOCK, and is
+    called once per block, in index order from a = 0.
 
     The exact partial of each full block is computed once and shared by
     every end past it, so at most one block of v is held at a time.

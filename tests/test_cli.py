@@ -356,6 +356,35 @@ def test_large_resonator_cutoff_fails_before_allocating():
     assert proc.stderr.startswith("error: sieve of size 200000000 exceeds budget")
 
 
+def run_under_address_space_headroom(argv, headroom_mib):
+    """cli.main(argv) in a child whose address space may grow by at most
+    headroom_mib past its size after import."""
+    script = ("import resource, sys; from zetagram import cli; "
+              "size = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize(); "
+              f"cap = size + ({headroom_mib} << 20); "
+              "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
+              f"sys.exit(cli.main({argv!r}))")
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_divisor_partial_sum_streams_its_table():
+    # x = 1e7 with 48 MiB of headroom: a whole d_3 table up to 1e7 takes
+    # 76 MiB, so holding one ends in a MemoryError
+    proc = run_under_address_space_headroom(
+        ["divisor", "--kappa", "3", "--partial-sum", "1e7"], 48)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("kappa,x,sum,predicted\n3.0,10000000.0,")
+
+
+def test_divisor_partial_sum_beyond_budget_fails_before_allocating():
+    proc = run_under_address_space_headroom(
+        ["divisor", "--kappa", "3", "--partial-sum", "1.5e8"], 48)
+    assert proc.returncode == cli.EXIT_USAGE, proc.stderr
+    assert proc.stderr.startswith("error: table of size 150000000 exceeds budget")
+    assert "Traceback" not in proc.stderr
+
+
 def test_semantic_hash_ignores_threads():
     a = cli.RunConfig(phi=0.1, t_max=100.0, threads=1)
     b = cli.RunConfig(phi=0.1, t_max=100.0, threads=8)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from zetagram import divisor
 from zetagram.divisor import (
+    SEG,
     SizeBudgetError,
     build_table,
     convolve_truncated,
@@ -20,7 +22,7 @@ from zetagram.divisor import (
     primes_up_to,
     stieltjes,
 )
-from zetagram.summation import BLOCK
+from zetagram.summation import BLOCK, blocked_fsum
 
 GAMMA_REF = 0.5772156649015329
 GAMMA1_REF = -0.0728158454836767
@@ -149,8 +151,10 @@ def test_table_growth_bound():
 
 
 KAPPA_GRID = (0.1, 0.25, 1 / 3, 0.5, 2 / 3, 4 / 3, 1.5, 2.0, 2.7, 3.0)
-# p^2 - 1, p^2, p^2 + 1 sit on the seam where p joins the primes <= sqrt(limit)
-SEAM_LIMITS = (1, 2, 3, 4, 8, 9, 10, 10_200, 10_201, 10_202, 65_537, 10 ** 6)
+# p^2 - 1, p^2, p^2 + 1 sit on the seam where p joins the primes <= sqrt(limit);
+# SEG - 1 .. 2 SEG + 1 on the seams between sieve segments
+SEAM_LIMITS = (1, 2, 3, 4, 8, 9, 10, 10_200, 10_201, 10_202, 65_537, 10 ** 6,
+               SEG - 1, SEG, SEG + 1, 2 * SEG + 1)
 
 
 @pytest.mark.parametrize("kappa", KAPPA_GRID)
@@ -167,7 +171,37 @@ def test_table_equals_reference_sieve_property(kappa, limit):
                           reference_table(kappa, limit))
 
 
-@pytest.mark.parametrize("kappa", (0.0, -1.0, math.nan, math.inf, -math.inf))
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, 4.0, exclude_min=True), st.integers(1, 5_000), st.integers(1, 300))
+def test_table_equals_reference_sieve_short_segments(kappa, limit, seg):
+    # segments of a few entries put prime powers on both sides of many seams
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(divisor, "SEG", seg)
+        assert np.array_equal(build_table(kappa, limit).values,
+                              reference_table(kappa, limit))
+
+
+def test_sieve_segments_layout():
+    sizes = [seg.size for seg in divisor._sieve_segments(0.5, 2 * SEG + 1)]
+    assert sizes == [SEG, SEG, 1]
+    assert SEG % BLOCK == 0
+
+
+BAD_KAPPAS = (0.0, -1.0, math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("kappa,limit,error,message", (
+    *((k, 10, ValueError, "finite and positive") for k in BAD_KAPPAS),
+    (2.0, 0, ValueError, "limit must be >= 1"),
+    (2.0, 200_000_000, SizeBudgetError, "table of size 200000000 exceeds budget"),
+))
+def test_sieve_segments_checks_at_the_call(kappa, limit, error, message):
+    # a generator body would run only at the first next()
+    with pytest.raises(error, match=message):
+        divisor._sieve_segments(kappa, limit)
+
+
+@pytest.mark.parametrize("kappa", BAD_KAPPAS)
 def test_table_rejects_bad_kappa(kappa):
     with pytest.raises(ValueError, match="finite and positive"):
         build_table(kappa, 10)
@@ -253,6 +287,29 @@ def test_d3_partial_sum_asymptotic():
     assert abs(total - pred) / total <= 0.005
 
 
+@pytest.mark.parametrize("kappa", BAD_KAPPAS)
+def test_partial_sum_and_ratio_sums_reject_bad_kappa(kappa):
+    with pytest.raises(ValueError, match="finite and positive"):
+        divisor_partial_sum(kappa, 100.0)
+    with pytest.raises(ValueError, match="finite and positive"):
+        divisor_ratio_sums_at(kappa, 1.0, (100,))
+    with pytest.raises(ValueError, match="finite and positive"):
+        divisor_ratio_sums_at(2.0, kappa, (100,))
+    with pytest.raises(ValueError, match="finite and positive"):
+        divisor_ratio_sums_at(kappa, kappa, (100,))
+
+
+def test_partial_sum_budget():
+    with pytest.raises(SizeBudgetError, match="table of size 150000000 exceeds budget"):
+        divisor_partial_sum(3, 1.5e8)
+
+
+def test_partial_sum_equals_blocked_sum_of_table():
+    for kappa, x in ((3, 10.0), (0.5, SEG + 1.5), (2.7, 2 * SEG + 1.0)):
+        table = build_table(float(kappa), int(x))
+        assert divisor_partial_sum(kappa, x)[0] == blocked_fsum(table.values[1:])
+
+
 def test_d2_partial_sum_hyperbola():
     x = 5000
     total, pred = divisor_partial_sum(2, float(x))
@@ -284,7 +341,7 @@ def test_ratio_sums_at_matches_single_calls():
 
 @pytest.mark.parametrize("lam,mu", ((1.0, 1.0), (2.0, 1.0), (0.5, 0.5), (1 / 3, 2.7)))
 def test_ratio_sums_at_block_seams_equal_reference(lam, mu):
-    xs = (2, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1, 150_000)
+    xs = (2, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1, 150_000, SEG, SEG + 1)
     assert divisor_ratio_sums_at(lam, mu, xs) == reference_ratio_sums(lam, mu, xs)
 
 
@@ -323,6 +380,12 @@ def test_stieltjes_against_references():
     assert abs(gamma - GAMMA_REF) <= 1e-12
     assert abs(gamma1 - GAMMA1_REF) <= 1e-11
     assert gamma1 < 0
+
+
+def test_stieltjes_bits_are_pinned():
+    gamma, gamma1 = stieltjes()
+    assert gamma.hex() == "0x1.2788cfc6fb61bp-1"
+    assert gamma1.hex() == "-0x1.2a40f2afba9b0p-4"
 
 
 def test_stieltjes_against_raw_limit():
@@ -391,3 +454,32 @@ def test_primes_up_to_respects_index_budget(monkeypatch):
     assert primes_up_to(99)[-1] == 97
     with pytest.raises(SizeBudgetError, match="sieve of size 100"):
         primes_up_to(100)
+
+
+# ----------------------------------------------------------------------
+# memory: no d_kappa table or 1/n array is held whole
+# ----------------------------------------------------------------------
+
+def traced_peak_mb(fn, *args) -> float:
+    stieltjes()  # P2 needs it; its own peak is measured on its own
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_ratio_sums_memory_is_bounded():
+    # two whole tables at 4e6 take 64 MB
+    assert traced_peak_mb(divisor_ratio_sums_at, 2.0, 0.5, (4_000_000,)) <= 24
+
+
+def test_stieltjes_memory_is_bounded():
+    # three 2^22-entry arrays take 96 MB
+    assert traced_peak_mb(stieltjes.__wrapped__) <= 8
+
+
+def test_partial_sum_memory_is_bounded():
+    # a whole table at 4e6 takes 32 MB
+    assert traced_peak_mb(divisor_partial_sum, 3, 4e6) <= 16
