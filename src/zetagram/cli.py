@@ -96,12 +96,14 @@ def _build_runconfig(args) -> RunConfig:
     return RunConfig(**values)
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(text, output: str | None) -> None:
+    """Write a string, or an iterable's strings one by one so no large report is held whole."""
+    chunks = (text,) if isinstance(text, str) else text
     if output:
         with open(output, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _jsonable(value):
@@ -168,6 +170,8 @@ def _exponents_from_flags(args) -> list | None:
             raise DomainError("--p and --q must be given together")
         return [(int(p), int(q))]
     if k is not None:
+        if not math.isfinite(k):
+            raise DomainError("--k must be a finite rational >= 1")
         from fractions import Fraction
         frac = Fraction(k).limit_denominator(64)
         if abs(float(frac) - k) > 1e-12 or frac < 1:
@@ -244,7 +248,7 @@ def cmd_resonate(cfg: RunConfig, cutoff: float, with_certificate: bool) -> int:
             "sum_f_squared": res.sum_f_squared,
         }
         if with_certificate:
-            cert = resonator.certify_lower_bound(cfg.phi, cfg.t_max, res, sweep=cfg.sweep())
+            cert = resonator.certify_lower_bound(cfg.sweep(), res)
             summary["certificate"] = {
                 "certified_bound": cert.certified_bound,
                 "scanned_max": cert.scanned_max,
@@ -272,15 +276,29 @@ def cmd_divisor(cfg: RunConfig, kappa: float, limit: int, partial: float | None)
             _emit(f"kappa,x,sum,predicted\n{kappa!r},{partial!r},{total!r},"
                   f"{'' if pred is None else repr(pred)}\n", cfg.output)
         return EXIT_OK
-    table = divisor.build_table(kappa, limit)
-    if cfg.format == "json":
-        _emit(_dump_json({"metadata": _metadata(cfg), "kappa": kappa,
-                          "values": table.values[1:].tolist()}), cfg.output)
-    else:
-        lines = ["n,d_kappa"] + [f"{n},{float(table.values[n])!r}"
-                                 for n in range(1, limit + 1)]
-        _emit("\n".join(lines) + "\n", cfg.output)
+    # the sieve checks its arguments here, before any output is opened
+    segments = divisor._sieve_segments(kappa, limit)
+    _emit(_divisor_dump(cfg, kappa, segments), cfg.output)
     return EXIT_OK
+
+
+def _divisor_dump(cfg: RunConfig, kappa: float, segments):
+    """The d_kappa table as text, one sieve segment at a time.  In the JSON
+    that _dump_json makes, "values" sorts last, so its list closes the document."""
+    if cfg.format == "json":
+        head = _dump_json({"metadata": _metadata(cfg), "kappa": kappa, "values": None})
+        yield head[:-len("null\n}\n")] + "["
+        sep = "\n    "
+        for seg in segments:
+            yield sep + ",\n    ".join(map(repr, seg.tolist()))
+            sep = ",\n    "
+        yield "\n  ]\n}\n"
+    else:
+        yield "n,d_kappa\n"
+        lo = 1
+        for seg in segments:
+            yield "".join(f"{n},{v!r}\n" for n, v in enumerate(seg.tolist(), lo))
+            lo += seg.size
 
 
 # ----------------------------------------------------------------------

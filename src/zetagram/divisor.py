@@ -244,8 +244,9 @@ def convolve_truncated(kappa: float, m: int, xi: float) -> TruncatedCoeffs:
     b_val = [float(base.values[j]) for j in b_idx]
     acc = np.zeros(limit + 1, dtype=float)
     acc[1] = 1.0
-    for _ in range(m):
-        acc = _dirichlet_convolve(acc, b_idx, b_val, limit)
+    if base_limit > 1:  # else every power of the one-term polynomial 1 is itself
+        for _ in range(m):
+            acc = _dirichlet_convolve(acc, b_idx, b_val, limit)
     return TruncatedCoeffs(kappa=kappa, m=m, xi=xi, values=acc)
 
 

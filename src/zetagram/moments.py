@@ -148,24 +148,24 @@ class MomentReport:
     n_points: int
 
     @classmethod
-    def build(cls, phi, t_max, kind, parameter, computed, predicted,
-              n_points) -> "MomentReport":
+    def build(cls, sweep: "GramSweep", kind, parameter, computed,
+              predicted) -> "MomentReport":
         computed = complex(computed)
         predicted = complex(predicted)
         abs_err = abs(computed - predicted)
         rel_err = abs_err / max(abs(predicted), REL_EPS)
-        return cls(phi=float(phi), t_max=float(t_max), kind=kind,
+        return cls(phi=sweep.phi.phi, t_max=sweep.t_max, kind=kind,
                    parameter=float(parameter), computed=computed,
                    predicted=predicted, abs_error=abs_err, rel_error=rel_err,
-                   n_points=int(n_points))
+                   n_points=len(sweep.points))
 
 
 class GramSweep:
     """Shared enumeration + sign classification for a (phi, t_max) pair:
     the one pipeline from a height to classified points.
 
-    The moment operations accept one of these to amortize the expensive
-    part across many verifications; they build their own otherwise.
+    Every moment engine takes one of these as its first argument, so one
+    sweep serves every verification at its (phi, t_max).
     """
 
     def __init__(self, phi, t_max: float, cache_dir: str | None = None,
@@ -179,7 +179,6 @@ class GramSweep:
         self.z = self.parity * self._signed.value
         if not np.all(np.isfinite(self.z)):
             raise RuntimeError("Hardy Z is not finite at some Gram point")
-        self._cut = None
         self._half_line = {}
 
     def signed(self) -> SignedGramPointSet:
@@ -202,88 +201,75 @@ class GramSweep:
             self._half_line[key] = (poly, values)
         return self._half_line[key][1]
 
-    @property
+    @cached_property
     def cut_height(self) -> float:
         """Midpoint normalization T = (t_nu + t_{nu+1}) / 2 at the cut:
         removes the boundary jitter of stopping between two roots."""
-        if self._cut is None:
-            if not len(self.points):
-                self._cut = self.t_max
-            else:
-                n_last = int(self.points.n[-1])
-                t_next = solve_gram(n_last + 1, self.phi).t
-                self._cut = 0.5 * (float(self.points.t[-1]) + t_next)
-        return self._cut
+        if not len(self.points):
+            return self.t_max
+        t_next = solve_gram(int(self.points.n[-1]) + 1, self.phi).t
+        return 0.5 * (float(self.points.t[-1]) + t_next)
 
 
-def _sweep(phi, t_max, sweep) -> GramSweep:
-    if sweep is not None:
-        want = phi.phi if isinstance(phi, Angle) else float(phi)
-        if abs(sweep.phi.phi - want) > 1e-12 or sweep.t_max != float(t_max):
-            raise ValueError("provided sweep was built for a different "
-                             "(phi, t_max) than requested")
-        return sweep
-    return GramSweep(phi, t_max)
-
-
-def _require_height(t_max: float, minimum: float, what: str) -> None:
-    if t_max < minimum:
-        raise DomainError(f"{what} requires t_max >= {minimum}")
+def _require_height(sweep: GramSweep, what: str) -> None:
+    if sweep.t_max < 100.0:
+        raise DomainError(f"{what} requires t_max >= 100.0")
 
 
 # ----------------------------------------------------------------------
 # |zeta|^{2k} and zeta^3
 # ----------------------------------------------------------------------
 
-def moment_abs_2k(phi, t_max: float, k: float,
-                  sweep: GramSweep | None = None) -> MomentReport:
+def moment_abs_2k(sweep: GramSweep, k: float) -> MomentReport:
     """sum |zeta(1/2 + i t_n)|^{2k} against the growth shape
     T (log T)^{k^2+1} / (2 pi).
 
     The shape carries an unknown constant, so rel_error here is a
     comparator, not an accuracy claim; k = 0 returns the point count.
+    A k whose comparator is not a finite double raises DomainError.
     """
-    _require_height(t_max, 100.0, "moment_abs_2k")
+    _require_height(sweep, "moment_abs_2k")
     if k < 0:
         raise ValueError("k must be >= 0")
-    sw = _sweep(phi, t_max, sweep)
-    absz = np.abs(sw.z)
+    big_t = sweep.cut_height
+    try:
+        predicted = big_t * math.log(big_t) ** (k * k + 1.0) / TWO_PI
+    except OverflowError:
+        predicted = math.inf
+    if not math.isfinite(predicted):
+        raise DomainError(f"k = {k!r} is too large: T (log T)^(k^2+1) overflows at T = {big_t!r}")
+    absz = np.abs(sweep.z)
     if k == 0:
-        computed = float(len(sw.points))
+        computed = float(len(sweep.points))
     else:
         logs = np.where(absz < 1e-300, -np.inf, np.log(np.maximum(absz, 1e-300)))
         computed = blocked_fsum(np.where(np.isneginf(logs), 0.0, np.exp(2.0 * k * logs)))
-    big_t = sw.cut_height
-    predicted = big_t * math.log(big_t) ** (k * k + 1.0) / TWO_PI
-    return MomentReport.build(sw.phi.phi, t_max, "abs2k", k, computed, predicted,
-                              len(sw.points))
+    return MomentReport.build(sweep, "abs2k", k, computed, predicted)
 
 
-def moment_cubed(phi, t_max: float, sweep: GramSweep | None = None) -> MomentReport:
+def moment_cubed(sweep: GramSweep) -> MomentReport:
     """sum zeta(1/2 + i t_n)^3 = e^{3 i phi} sum (-1)^n Z(t_n)^3 against
     the main term
     2 e^{3 i phi} cos(phi) (T/2pi) P3(log T/2pi)
       + 2 e^{3 i phi} cos(3 phi) (T/2pi) log(T/2pi e).
     """
-    _require_height(t_max, 100.0, "moment_cubed")
-    sw = _sweep(phi, t_max, sweep)
-    phase = complex(np.exp(3j * sw.phi.phi))
-    computed = phase * blocked_fsum(sw.parity * sw.z ** 3)
-    big_t = sw.cut_height
+    _require_height(sweep, "moment_cubed")
+    phase = complex(np.exp(3j * sweep.phi.phi))
+    computed = phase * blocked_fsum(sweep.parity * sweep.z ** 3)
+    big_t = sweep.cut_height
     tau = big_t / TWO_PI
     p3 = divisor.p3_polynomial()
-    predicted = (2.0 * phase * math.cos(sw.phi.phi) * tau * p3(math.log(tau))
-                 + 2.0 * phase * math.cos(3.0 * sw.phi.phi) * tau * math.log(tau / math.e))
-    return MomentReport.build(sw.phi.phi, t_max, "cubed", 3.0, computed, predicted,
-                              len(sw.points))
+    predicted = (2.0 * phase * math.cos(sweep.phi.phi) * tau * p3(math.log(tau))
+                 + 2.0 * phase * math.cos(3.0 * sweep.phi.phi) * tau * math.log(tau / math.e))
+    return MomentReport.build(sweep, "cubed", 3.0, computed, predicted)
 
 
 # ----------------------------------------------------------------------
 # S1 and S2
 # ----------------------------------------------------------------------
 
-def _check_limits(t_max: float, *polys: DirichletPolynomial) -> None:
-    bound = t_max ** 0.25 * (1.0 + 1e-9)
+def _check_limits(sweep: GramSweep, *polys: DirichletPolynomial) -> None:
+    bound = sweep.t_max ** 0.25 * (1.0 + 1e-9)
     for poly in polys:
         if poly.limit > bound:
             raise PreconditionError(
@@ -299,45 +285,39 @@ def s1_predicted_coefficient(phi, x_poly: DirichletPolynomial,
         + _cross_sum(y_poly, x_poly)
 
 
-def compute_S1(phi, t_max: float, x_poly: DirichletPolynomial,
-               y_poly: DirichletPolynomial, sweep: GramSweep | None = None,
-               enforce_limits: bool = True) -> MomentReport:
+def compute_S1(sweep: GramSweep, x_poly: DirichletPolynomial,
+               y_poly: DirichletPolynomial, enforce_limits: bool = True) -> MomentReport:
     """S1 = sum zeta(1/2 - i t_n) X(1/2 + i t_n) Y(1/2 - i t_n) against
     (T/2pi) log(T/2pi e) times the exact coefficient double sums."""
-    _require_height(t_max, 100.0, "compute_S1")
+    _require_height(sweep, "compute_S1")
     if enforce_limits:
-        _check_limits(t_max, x_poly, y_poly)
-    sw = _sweep(phi, t_max, sweep)
+        _check_limits(sweep, x_poly, y_poly)
     # zeta(1/2 - it_n) = conj(zeta) = e^{i theta} Z = (-1)^n e^{-i phi} Z
-    zeta_conj = sw.parity * complex(np.exp(-1j * sw.phi.phi)) * sw.z
-    xs = sw.half_line(x_poly)
-    ys = sw.half_line(y_poly, conj_arg=True)
+    zeta_conj = sweep.parity * complex(np.exp(-1j * sweep.phi.phi)) * sweep.z
+    xs = sweep.half_line(x_poly)
+    ys = sweep.half_line(y_poly, conj_arg=True)
     terms = zeta_conj * xs * ys
     computed = complex(blocked_fsum(terms.real), blocked_fsum(terms.imag))
-    big_t = sw.cut_height
+    big_t = sweep.cut_height
     tau = big_t / TWO_PI
-    predicted = tau * math.log(tau / math.e) * s1_predicted_coefficient(sw.phi, x_poly, y_poly)
-    return MomentReport.build(sw.phi.phi, t_max, "S1", float(x_poly.limit),
-                              computed, predicted, len(sw.points))
+    predicted = tau * math.log(tau / math.e) * s1_predicted_coefficient(sweep.phi, x_poly, y_poly)
+    return MomentReport.build(sweep, "S1", x_poly.limit, computed, predicted)
 
 
-def compute_S2(phi, t_max: float, x_poly: DirichletPolynomial,
-               sweep: GramSweep | None = None,
+def compute_S2(sweep: GramSweep, x_poly: DirichletPolynomial,
                enforce_limits: bool = True) -> MomentReport:
     """S2 = sum |X(1/2 + i t_n)|^2 against
     (T/2pi) log(T/2pi e) sum |x_n|^2 / n."""
-    _require_height(t_max, 100.0, "compute_S2")
+    _require_height(sweep, "compute_S2")
     if enforce_limits:
-        _check_limits(t_max, x_poly)
-    sw = _sweep(phi, t_max, sweep)
-    xs = sw.half_line(x_poly)
+        _check_limits(sweep, x_poly)
+    xs = sweep.half_line(x_poly)
     computed = blocked_fsum(np.abs(xs) ** 2)
     coeff = fsum([abs(v) ** 2 / n for n, v in x_poly.coefficients.items()])
-    big_t = sw.cut_height
+    big_t = sweep.cut_height
     tau = big_t / TWO_PI
     predicted = tau * math.log(tau / math.e) * coeff
-    return MomentReport.build(sw.phi.phi, t_max, "S2", float(x_poly.limit),
-                              computed, predicted, len(sw.points))
+    return MomentReport.build(sweep, "S2", x_poly.limit, computed, predicted)
 
 
 # ----------------------------------------------------------------------
@@ -362,8 +342,7 @@ class Theorem1Report:
     y_coeffs: divisor.TruncatedCoeffs   # D^r, the coefficients of Y
 
 
-def theorem1_pipeline(kexp: RationalExponent, t_max: float, phi=0.0,
-                      sweep: GramSweep | None = None) -> Theorem1Report:
+def theorem1_pipeline(sweep: GramSweep, kexp: RationalExponent) -> Theorem1Report:
     """Lower-bound construction for sum |zeta|^{2k} with k = p/q.
 
     Builds the xi-truncated kappa-divisor polynomial D with
@@ -371,51 +350,56 @@ def theorem1_pipeline(kexp: RationalExponent, t_max: float, phi=0.0,
     direct moment, and checks the Hoelder chain
         sum |zeta|^{2k} >= |S1|^{2k} / S2^{2k-1}
     (an inequality between the actually computed sums, so it must hold
-    up to 1e-9 relative slack; a violation raises).
+    up to 1e-9 relative slack; a violation raises).  A k too large for
+    the comparator of moment_abs_2k or for finite Hoelder powers raises
+    DomainError.
     """
-    _require_height(t_max, 100.0, "theorem1_pipeline")
+    _require_height(sweep, "theorem1_pipeline")
     k = kexp.k
-    xi = t_max ** (1.0 / (4.0 * kexp.p))
+    xi = sweep.t_max ** (1.0 / (4.0 * kexp.p))
     x_tr = divisor.convolve_truncated(kexp.kappa, kexp.p, xi)
     y_tr = divisor.convolve_truncated(kexp.kappa, kexp.r, xi)
     x_poly = DirichletPolynomial.from_values(x_tr.values[1:])
     y_poly = DirichletPolynomial.from_values(y_tr.values[1:])
-    sw = _sweep(phi, t_max, sweep)
-    s1 = compute_S1(phi, t_max, x_poly, y_poly, sweep=sw)
-    s2 = compute_S2(phi, t_max, x_poly, sweep=sw)
-    m2k = moment_abs_2k(phi, t_max, k, sweep=sw)
-    s1_abs = abs(s1.computed)
+    s1 = compute_S1(sweep, x_poly, y_poly)
+    s2 = compute_S2(sweep, x_poly)
+    m2k = moment_abs_2k(sweep, k)
     s2_val = s2.computed.real
-    lower = s1_abs ** (2.0 * k) / s2_val ** (2.0 * k - 1.0) if s2_val > 0 else 0.0
     moment_val = m2k.computed.real
-    holder_ok = moment_val * s2_val ** (2.0 * k - 1.0) >= s1_abs ** (2.0 * k) * (1.0 - 1e-9)
+    try:
+        s1_pow = abs(s1.computed) ** (2.0 * k)
+        s2_pow = s2_val ** (2.0 * k - 1.0)
+    except OverflowError:
+        s1_pow = s2_pow = math.inf
+    if not (math.isfinite(s1_pow) and math.isfinite(moment_val * s2_pow)):
+        raise DomainError(f"k = {k!r} is too large: its Hoelder powers overflow a double")
+    lower = s1_pow / s2_pow if s2_val > 0 else 0.0
+    holder_ok = moment_val * s2_pow >= s1_pow * (1.0 - 1e-9)
     if not holder_ok:
         raise RuntimeError("Hoelder inequality violated beyond numerical slack")
     sigma1 = _cross_sum(x_poly, y_poly).real
     sigma2 = _cross_sum(y_poly, x_poly).real
     return Theorem1Report(
-        exponent=kexp, phi=sw.phi.phi, t_max=float(t_max), xi=xi,
+        exponent=kexp, phi=sweep.phi.phi, t_max=sweep.t_max, xi=xi,
         s1=s1, s2=s2, moment=moment_val, lower_bound=lower,
         holder_satisfied=holder_ok, sigma1=sigma1, sigma2=sigma2,
-        n_points=len(sw.points), x_coeffs=x_tr, y_coeffs=y_tr)
+        n_points=len(sweep.points), x_coeffs=x_tr, y_coeffs=y_tr)
 
 
 # ----------------------------------------------------------------------
 # Signed odd moments and maxima
 # ----------------------------------------------------------------------
 
-def signed_odd_moment(phi, t_max: float, ell: int,
-                      sweep: GramSweep | None = None) -> tuple:
+def signed_odd_moment(sweep: GramSweep, ell: int) -> tuple:
     """(plus, minus): sums of |zeta|^{2 ell + 1} over the two sign
     classes, computed both by direct classification and through the
     identity (1/2) sum (|v|^{2l+1} +- v^{2l+1}) with v = (-1)^n Z.
     The two routes must agree to 1e-6 relative.
     """
-    _require_height(t_max, 100.0, "signed_odd_moment")
+    _require_height(sweep, "signed_odd_moment")
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    sw = _sweep(phi, t_max, sweep)
-    signed = sw.signed()
+    signed = sweep.signed()
     power = 2 * ell + 1
     absv = np.abs(signed.value) ** power
     plus_direct = blocked_fsum(absv[signed.plus_mask])
@@ -464,8 +448,7 @@ def class_maxima(sweep: GramSweep, heights) -> list:
     return out
 
 
-def max_scan(phi, t_max: float, sweep: GramSweep | None = None) -> MaxScanResult:
+def max_scan(sweep: GramSweep) -> MaxScanResult:
     """Running maxima of |zeta| over each sign class with abscissas."""
-    _require_height(t_max, 100.0, "max_scan")
-    sw = _sweep(phi, t_max, sweep)
-    return class_maxima(sw, (sw.t_max,))[0]
+    _require_height(sweep, "max_scan")
+    return class_maxima(sweep, (sweep.t_max,))[0]

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divisor import ConfigurationError, primes_up_to
-from .moments import (DirichletPolynomial, GramSweep, MomentReport, _sweep, compute_S1,
-                      compute_S2)
+from .moments import DirichletPolynomial, GramSweep, MomentReport, compute_S1, compute_S2
 from .summation import fsum
 
 __all__ = [
@@ -137,30 +136,28 @@ class CertificateReport:
     cutoff_warning: bool
 
 
-def certify_lower_bound(phi, t_max: float, res: Resonator,
-                        sweep: GramSweep | None = None) -> CertificateReport:
+def certify_lower_bound(sweep: GramSweep, res: Resonator) -> CertificateReport:
     """Large-value certificate: |S1| <= S2 * max |zeta(1/2 + i t_n)|
     with X = Y = the resonator polynomial, so the scanned maximum must
     dominate |S1|/S2 up to 1e-9 relative slack (raises otherwise).
     """
-    sw = _sweep(phi, t_max, sweep)
     poly = res.coefficient_polynomial()
-    limit_ok = res.config.X <= t_max ** (0.25 - EPSILON)
+    limit_ok = res.config.X <= sweep.t_max ** (0.25 - EPSILON)
     if not limit_ok:
         warnings.warn("resonator cutoff exceeds t_max^(1/4 - eps); the bound "
                       "is still computed but the prediction is untrusted",
                       RuntimeWarning)
-    s1 = compute_S1(phi, t_max, poly, poly, sweep=sw, enforce_limits=False)
-    s2 = compute_S2(phi, t_max, poly, sweep=sw, enforce_limits=False)
+    s1 = compute_S1(sweep, poly, poly, enforce_limits=False)
+    s2 = compute_S2(sweep, poly, enforce_limits=False)
     s2_val = s2.computed.real
     if s2_val <= 0.0:
         raise DegenerateResonatorError("S2 vanished")
     bound = abs(s1.computed) / s2_val
-    scanned = float(np.max(np.abs(sw.z))) if len(sw.points) else 0.0
+    scanned = float(np.max(np.abs(sweep.z))) if len(sweep.points) else 0.0
     if scanned < bound * (1.0 - 1e-9):
         raise RuntimeError("certificate inequality |S1| <= S2 max|zeta| failed")
-    degenerate = abs(1.0 + complex(np.exp(-2j * sw.phi.phi))) < 1e-12
+    degenerate = abs(1.0 + complex(np.exp(-2j * sweep.phi.phi))) < 1e-12
     return CertificateReport(
-        phi=sw.phi.phi, t_max=float(t_max), cutoff=res.config.X,
+        phi=sweep.phi.phi, t_max=sweep.t_max, cutoff=res.config.X,
         s1=s1, s2=s2, certified_bound=bound, scanned_max=scanned,
         degenerate_direction=degenerate, cutoff_warning=not limit_ok)

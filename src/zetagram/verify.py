@@ -38,17 +38,18 @@ class CriterionResult:
 
 
 class SweepCache:
-    """Shares GramSweep objects across checks within one run."""
+    """One GramSweep per direction at the run's height t_max, shared across checks."""
 
-    def __init__(self, threads: int = 1, cache_dir: str | None = None):
+    def __init__(self, t_max: float, threads: int = 1, cache_dir: str | None = None):
+        self.t_max = float(t_max)
         self.threads = threads
         self.cache_dir = cache_dir
         self._sweeps: dict = {}
 
-    def get(self, phi: float, t_max: float) -> GramSweep:
-        key = (round(float(phi), 12), float(t_max))
+    def get(self, phi: float) -> GramSweep:
+        key = round(float(phi), 12)
         if key not in self._sweeps:
-            self._sweeps[key] = GramSweep(phi, t_max, cache_dir=self.cache_dir,
+            self._sweeps[key] = GramSweep(phi, self.t_max, cache_dir=self.cache_dir,
                                           threads=self.threads)
         return self._sweeps[key]
 
@@ -63,26 +64,26 @@ def _main_scale(t_max: float) -> float:
     return t_max / (2 * math.pi) * math.log(t_max / (2 * math.pi * math.e))
 
 
-def check_prop1(cache: SweepCache, phi: float, t_max: float) -> list:
+def check_prop1(cache: SweepCache, phi: float) -> list:
     """Mean-value formulas for S2 (two coefficient sets) and S1 (three
     example configurations, including the cancelling direction)."""
-    scale = _tol_scale(t_max)
+    scale = _tol_scale(cache.t_max)
     out = []
     one = DirichletPolynomial({1: 1.0}, 1)
     one_one = DirichletPolynomial({1: 1.0, 2: 1.0}, 2)
 
     for poly, tol, tag in ((one, 0.02 * scale, "S2[1]"),
                            (one_one, 0.05 * scale, "S2[1,1]")):
-        rep = moments.compute_S2(phi, t_max, poly, sweep=cache.get(phi, t_max))
+        rep = moments.compute_S2(cache.get(phi), poly)
         out.append(CriterionResult(
             f"prop1:{tag}:phi={phi:.6g}", rep.rel_error <= tol,
             {"computed": rep.computed.real, "predicted": rep.predicted.real,
              "rel_error": rep.rel_error, "tolerance": tol}))
 
     s1_tol = 0.05 * scale
-    yardstick = _main_scale(t_max)
+    yardstick = _main_scale(cache.t_max)
     for x_poly, tag in ((one, "S1[1|1]"), (one_one, "S1[1,1|1]")):
-        rep = moments.compute_S1(phi, t_max, x_poly, one, sweep=cache.get(phi, t_max))
+        rep = moments.compute_S1(cache.get(phi), x_poly, one)
         if abs(rep.predicted) > 1e-9 * yardstick:
             passed = rep.rel_error <= s1_tol
         else:
@@ -94,8 +95,7 @@ def check_prop1(cache: SweepCache, phi: float, t_max: float) -> list:
             {"computed_abs": abs(rep.computed), "predicted_abs": abs(rep.predicted),
              "rel_error": rep.rel_error, "tolerance": s1_tol}))
     # cancelling direction: coefficient (1 + e^{-2 i phi}) = 0 at phi = pi/2
-    rep_c = moments.compute_S1(math.pi / 2, t_max, one, one,
-                               sweep=cache.get(math.pi / 2, t_max))
+    rep_c = moments.compute_S1(cache.get(math.pi / 2), one, one)
     out.append(CriterionResult(
         "prop1:S1-degenerate:phi=pi/2",
         abs(rep_c.computed) <= s1_tol * yardstick,
@@ -104,13 +104,13 @@ def check_prop1(cache: SweepCache, phi: float, t_max: float) -> list:
     return out
 
 
-def check_thm2(cache: SweepCache, phi: float, t_max: float) -> list:
+def check_thm2(cache: SweepCache, phi: float) -> list:
     """Cubic moment against its closed-form main term, plus the
     vanishing direction phi = pi/2."""
-    tol = 0.05 if t_max >= REFERENCE_T else 0.10
-    frac = 0.01 if t_max >= REFERENCE_T else 0.03
-    rep = moments.moment_cubed(phi, t_max, sweep=cache.get(phi, t_max))
-    rep_0 = moments.moment_cubed(0.0, t_max, sweep=cache.get(0.0, t_max))
+    tol = 0.05 if cache.t_max >= REFERENCE_T else 0.10
+    frac = 0.01 if cache.t_max >= REFERENCE_T else 0.03
+    rep = moments.moment_cubed(cache.get(phi))
+    rep_0 = moments.moment_cubed(cache.get(0.0))
     if abs(rep.predicted) > 1e-6 * abs(rep_0.predicted):
         main_ok = rep.rel_error <= tol
     else:
@@ -122,7 +122,7 @@ def check_thm2(cache: SweepCache, phi: float, t_max: float) -> list:
         {"computed_re": rep.computed.real, "computed_im": rep.computed.imag,
          "predicted_re": rep.predicted.real, "rel_error": rep.rel_error,
          "tolerance": tol, "n_points": rep.n_points})]
-    rep_v = moments.moment_cubed(math.pi / 2, t_max, sweep=cache.get(math.pi / 2, t_max))
+    rep_v = moments.moment_cubed(cache.get(math.pi / 2))
     out.append(CriterionResult(
         "thm2:vanishing:phi=pi/2",
         abs(rep_v.computed) <= frac * abs(rep_0.predicted),
@@ -134,14 +134,13 @@ def check_thm2(cache: SweepCache, phi: float, t_max: float) -> list:
 DEFAULT_EXPONENTS = ((1, 1), (3, 2), (2, 1))
 
 
-def check_thm1(cache: SweepCache, phi: float, t_max: float,
-               exponents=DEFAULT_EXPONENTS) -> list:
+def check_thm1(cache: SweepCache, phi: float, exponents=DEFAULT_EXPONENTS) -> list:
     """Rational lower-bound pipeline (default k in {1, 3/2, 2}): Hoelder
     chain, coefficient-sum ordering, truncated-convolution invariants."""
     out = []
     for p, q in exponents:
         kexp = RationalExponent(p, q)
-        rep = moments.theorem1_pipeline(kexp, t_max, phi, sweep=cache.get(phi, t_max))
+        rep = moments.theorem1_pipeline(cache.get(phi), kexp)
         ok = rep.holder_satisfied and rep.sigma2 >= rep.sigma1 and rep.lower_bound > 0.0
         out.append(CriterionResult(
             f"thm1:k={p}/{q}", ok,
@@ -163,28 +162,28 @@ def check_thm1(cache: SweepCache, phi: float, t_max: float,
     return out
 
 
-def check_cor1(cache: SweepCache, phi: float, t_max: float) -> list:
+def check_cor1(cache: SweepCache, phi: float) -> list:
     """Sign classes: both non-empty, maxima growing with T, and the
     signed-odd-moment identity (the exponent comparisons are reported,
     never asserted)."""
-    sw = cache.get(phi, t_max)
+    sw = cache.get(phi)
     signed = sw.signed()
     n_plus = int(signed.plus_mask.sum())
     n_minus = int(signed.minus_mask.sum())
     out = [CriterionResult(
         f"cor1:classes:phi={phi:.6g}", n_plus > 0 and n_minus > 0,
         {"n_plus": n_plus, "n_minus": n_minus})]
-    t_small = max(1e3, t_max / 100.0)
-    scan_big = moments.max_scan(phi, t_max, sweep=sw)
-    if t_small < 0.9 * t_max:
-        scan_small = moments.max_scan(phi, t_small, sweep=cache.get(phi, t_small))
+    t_small = max(1e3, sw.t_max / 100.0)
+    scan_big = moments.max_scan(sw)
+    if t_small < 0.9 * sw.t_max:
+        scan_small = moments.class_maxima(sw, (t_small,))[0]
         grown = (scan_big.max_plus or 0.0) > (scan_small.max_plus or 0.0) and \
                 (scan_big.max_minus or 0.0) > (scan_small.max_minus or 0.0)
     else:
         # not enough headroom between the two heights to compare maxima
         scan_small = scan_big
         grown = True
-    logt = math.log(t_max)
+    logt = math.log(sw.t_max)
     out.append(CriterionResult(
         f"cor1:max-growth:phi={phi:.6g}", grown,
         {"max_plus_small": scan_small.max_plus, "max_plus_big": scan_big.max_plus,
@@ -192,7 +191,7 @@ def check_cor1(cache: SweepCache, phi: float, t_max: float) -> list:
          "ratio_plus_log54": (scan_big.max_plus or 0.0) / logt ** 1.25,
          "ratio_plus_log32": (scan_big.max_plus or 0.0) / logt ** 1.5}))
     try:
-        plus, minus = moments.signed_odd_moment(phi, t_max, 1, sweep=sw)
+        plus, minus = moments.signed_odd_moment(sw, 1)
         ident_ok = True
     except RuntimeError:
         plus = minus = float("nan")
@@ -206,7 +205,7 @@ def check_cor1(cache: SweepCache, phi: float, t_max: float) -> list:
 RESONATOR_GRID = (1e3, 1e4, 1e5, 1e6)
 
 
-def check_cor2(cache: SweepCache, phi: float, t_max: float) -> list:
+def check_cor2(cache: SweepCache, phi: float) -> list:
     """Resonator ratio growth over the cutoff grid, the diagonal-weight
     bound < e, and the certificate inequality at (phi, t_max)."""
     ratios = []
@@ -227,13 +226,12 @@ def check_cor2(cache: SweepCache, phi: float, t_max: float) -> list:
         CriterionResult(
         "cor2:weight-bound", bounds_ok,
         {f"sum_f2@{x:.0e}": s for x, s in zip(RESONATOR_GRID, sums)})]
-    cutoff = max(1e3, t_max ** 0.2)
+    cutoff = max(1e3, cache.t_max ** 0.2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         res = resonator.build_resonator(cutoff)
         try:
-            cert = resonator.certify_lower_bound(phi, t_max, res,
-                                                 sweep=cache.get(phi, t_max))
+            cert = resonator.certify_lower_bound(cache.get(phi), res)
             ok = cert.scanned_max >= cert.certified_bound * (1 - 1e-9)
             detail = {"certified_bound": cert.certified_bound,
                       "scanned_max": cert.scanned_max,
@@ -249,7 +247,7 @@ DIVISOR_REGRESSION_GRID = (1e4, 1e5, 1e6, 1e7)
 DIVISOR_EXPONENT_CASES = ((1.0, 1.0), (2.0, 1.0), (0.5, 0.5))
 
 
-def check_divisor(cache: SweepCache, phi: float, t_max: float) -> list:
+def check_divisor(cache: SweepCache, phi: float) -> list:
     """Partial-sum asymptotics, log-log regression of the ratio sums,
     and the cubic-polynomial coefficient identities."""
     total, pred = divisor.divisor_partial_sum(3, 1e6)
@@ -303,12 +301,11 @@ def run_checks(which: str, phi: float, t_max: float, threads: int = 1,
         if name not in _CHECKS:
             raise ValueError(f"unknown check {name!r}; choose from "
                              f"{', '.join(CHECK_NAMES)} or 'all'")
-    cache = SweepCache(threads, cache_dir)
+    cache = SweepCache(t_max, threads, cache_dir)
     results = []
     for name in names:
         if name == "thm1":
-            results.extend(check_thm1(cache, phi, t_max,
-                                      exponents or DEFAULT_EXPONENTS))
+            results.extend(check_thm1(cache, phi, exponents or DEFAULT_EXPONENTS))
         else:
-            results.extend(_CHECKS[name](cache, phi, t_max))
+            results.extend(_CHECKS[name](cache, phi))
     return results

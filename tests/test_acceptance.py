@@ -100,9 +100,9 @@ def test_criterion_03_gram_point_residuals(phi):
 
 def test_criterion_04_cubic_moment_main_term(sweep_1e5_phi0, sweep_1e4_phi0):
     start = time.perf_counter()
-    rep5 = moment_cubed(0.0, 1e5, sweep=sweep_1e5_phi0.sweep)
+    rep5 = moment_cubed(sweep_1e5_phi0.sweep)
     elapsed = sweep_1e5_phi0.build_seconds + (time.perf_counter() - start)
-    rep4 = moment_cubed(0.0, 1e4, sweep=sweep_1e4_phi0.sweep)
+    rep4 = moment_cubed(sweep_1e4_phi0.sweep)
     report(4, "cubic moment vs main term",
            rep4.rel_error <= 0.10 and rep5.rel_error <= 0.05
            and rep5.rel_error < rep4.rel_error and elapsed < 120.0,
@@ -112,8 +112,8 @@ def test_criterion_04_cubic_moment_main_term(sweep_1e5_phi0, sweep_1e4_phi0):
 
 
 def test_criterion_05_cubic_moment_vanishing_direction(sweep_1e5_phi0, sweep_1e5_pi2):
-    rep_0 = moment_cubed(0.0, 1e5, sweep=sweep_1e5_phi0.sweep)
-    rep_v = moment_cubed(math.pi / 2, 1e5, sweep=sweep_1e5_pi2.sweep)
+    rep_0 = moment_cubed(sweep_1e5_phi0.sweep)
+    rep_v = moment_cubed(sweep_1e5_pi2.sweep)
     frac = abs(rep_v.computed) / abs(rep_0.predicted)
     report(5, "cubic moment vanishing direction",
            frac <= 0.01,
@@ -125,18 +125,17 @@ def test_criterion_05_cubic_moment_vanishing_direction(sweep_1e5_phi0, sweep_1e5
                                               ("pi/3", "sweep_1e5_pi3")])
 def test_criterion_06_mean_square_main_term(phi_name, phi_fix, request):
     holder = request.getfixturevalue(phi_fix)
-    phi = holder.sweep.phi.phi
-    rep1 = compute_S2(phi, 1e5, ONE, sweep=holder.sweep)
-    rep2 = compute_S2(phi, 1e5, ONE_ONE, sweep=holder.sweep)
+    rep1 = compute_S2(holder.sweep, ONE)
+    rep2 = compute_S2(holder.sweep, ONE_ONE)
     report(6, f"mean square main term phi={phi_name}",
            rep1.rel_error <= 0.02 and rep2.rel_error <= 0.05,
            f"rel[1]={rep1.rel_error:.2e}<=0.02, rel[1,1]={rep2.rel_error:.2e}<=0.05")
 
 
 def test_criterion_07_twisted_mean_value(sweep_1e5_phi0, sweep_1e5_pi2):
-    rep_a = compute_S1(0.0, 1e5, ONE, ONE, sweep=sweep_1e5_phi0.sweep)
-    rep_b = compute_S1(0.0, 1e5, ONE_ONE, ONE, sweep=sweep_1e5_phi0.sweep)
-    rep_c = compute_S1(math.pi / 2, 1e5, ONE, ONE, sweep=sweep_1e5_pi2.sweep)
+    rep_a = compute_S1(sweep_1e5_phi0.sweep, ONE, ONE)
+    rep_b = compute_S1(sweep_1e5_phi0.sweep, ONE_ONE, ONE)
+    rep_c = compute_S1(sweep_1e5_pi2.sweep, ONE, ONE)
     degenerate_frac = abs(rep_c.computed) / abs(rep_a.computed)
     report(7, "twisted mean value",
            rep_a.rel_error <= 0.05 and rep_b.rel_error <= 0.05
@@ -150,7 +149,7 @@ def test_criterion_08_rational_lower_bound_pipeline(sweep_1e5_phi0):
     ok = True
     for p, q in ((1, 1), (3, 2), (2, 1)):
         kexp = RationalExponent(p, q)
-        rep = theorem1_pipeline(kexp, 1e5, 0.0, sweep=sweep_1e5_phi0.sweep)
+        rep = theorem1_pipeline(sweep_1e5_phi0.sweep, kexp)
         holder_margin = rep.moment * rep.s2.computed.real ** (2 * kexp.k - 1) \
             / max(abs(rep.s1.computed) ** (2 * kexp.k), 1e-300)
         case_ok = rep.holder_satisfied and rep.sigma2 >= rep.sigma1
@@ -174,12 +173,12 @@ def test_criterion_09_sign_classes(sweep_1e4_phi0, sweep_1e5_phi0, sweep_1e3_phi
     signed4 = sweep_1e4_phi0.sweep.signed()
     n_plus = int(signed4.plus_mask.sum())
     n_minus = int(signed4.minus_mask.sum())
-    scan3 = max_scan(0.0, 1e3, sweep=sweep_1e3_phi0.sweep)
-    scan5 = max_scan(0.0, 1e5, sweep=sweep_1e5_phi0.sweep)
+    scan3 = max_scan(sweep_1e3_phi0.sweep)
+    scan5 = max_scan(sweep_1e5_phi0.sweep)
     grown = scan5.max_plus > scan3.max_plus and scan5.max_minus > scan3.max_minus
     # identity route vs direct route, relative agreement
     sw = sweep_1e4_phi0.sweep
-    plus, minus = signed_odd_moment(0.0, 1e4, 1, sweep=sw)
+    plus, minus = signed_odd_moment(sw, 1)
     value = sw.parity * sw.z
     absv = np.abs(value) ** 3
     plus_ident = 0.5 * (blocked_fsum(absv) + blocked_fsum(value ** 3))
@@ -207,7 +206,7 @@ def test_criterion_10_resonator_certificate(sweep_1e5_phi0):
         margins = []
         for cutoff in (1e3, 1e4):
             res = build_resonator(cutoff)
-            cert = certify_lower_bound(0.0, 1e5, res, sweep=sweep_1e5_phi0.sweep)
+            cert = certify_lower_bound(sweep_1e5_phi0.sweep, res)
             cert_ok &= cert.scanned_max >= cert.certified_bound * (1 - 1e-9)
             margins.append(f"X={cutoff:.0e}: bound={cert.certified_bound:.3f}"
                            f"<=max={cert.scanned_max:.3f}")

@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from zetagram import cli
+from zetagram import cli, divisor
 from zetagram.moments import GramSweep
 from zetagram.special import hardy_z, theta
 from zetagram.verify import CriterionResult
@@ -132,6 +133,45 @@ def test_verify_exponent_flags(tmp_path):
         == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("args, message", (
+    (["--k", "inf"], "error: --k must be a finite rational >= 1"),
+    (["--k", "nan"], "error: --k must be a finite rational >= 1"),
+    (["--k", "1e300"], "error: k = 1e+300 is too large"),
+    (["--p", "18", "--q", "1", "--t-max", "1e4"], "error: k = 18.0 is too large"),
+), ids=("k-inf", "k-nan", "k-1e300", "p18"))
+def test_out_of_range_exponent_is_a_usage_error(args, message, capsys):
+    start = time.perf_counter()
+    assert cli.main(["verify", "thm1"] + args) == cli.EXIT_USAGE
+    assert time.perf_counter() - start < 10.0
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert "Traceback" not in err
+
+
+def test_exponent_of_one_term_polynomials_is_quick(tmp_path):
+    # xi = T^(1/(4p)) < 2, so X = Y = 1 and no power needs folding
+    start = time.perf_counter()
+    code, data = run_cli(["verify", "thm1", "--p", "100000001", "--q", "100000000"], tmp_path)
+    assert time.perf_counter() - start < 10.0
+    assert code == 0
+    assert "thm1:k=100000001/100000000,1," in data.decode()
+
+
+@pytest.mark.parametrize("phi, directions", (("0.3", 3), ("0", 2)))
+def test_verify_all_builds_one_sweep_per_direction(tmp_path, monkeypatch, phi, directions):
+    built = []
+    init = GramSweep.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GramSweep, "__init__", counting)
+    code, _ = run_cli(["verify", "all", "--t-max", "2000", "--phi", phi], tmp_path)
+    assert code == 0
+    assert len(built) == directions
+
+
 def test_verify_determinism_two_runs(tmp_path):
     args = ["verify", "cor1", "--phi", "0", "--t-max", "2000", "--format", "json"]
     _, a = run_cli(args, tmp_path, "r1.json")
@@ -235,6 +275,22 @@ def test_divisor_table_dump(tmp_path):
     assert lines[0] == "n,d_kappa"
     values = [float(line.split(",")[1]) for line in lines[1:]]
     assert values == [1, 2, 2, 3, 2, 4, 2, 4, 3, 4]
+
+
+@pytest.mark.parametrize("limit", (1, divisor.SEG, divisor.SEG + 1), ids=("1", "SEG", "SEG+1"))
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_divisor_dump_equals_the_whole_table(tmp_path, fmt, limit):
+    code, data = run_cli(["divisor", "--kappa", "0.5", "--limit", str(limit),
+                          "--format", fmt], tmp_path)
+    assert code == 0
+    values = divisor.build_table(0.5, limit).values[1:].tolist()
+    if fmt == "json":
+        meta = json.loads(data)["metadata"]
+        want = json.dumps({"metadata": meta, "kappa": 0.5, "values": values},
+                          sort_keys=True, indent=2) + "\n"
+    else:
+        want = "n,d_kappa\n" + "".join(f"{n},{v!r}\n" for n, v in enumerate(values, 1))
+    assert data.decode() == want
 
 
 def test_divisor_partial_sum_report(tmp_path):
@@ -375,6 +431,21 @@ def test_divisor_partial_sum_streams_its_table():
         ["divisor", "--kappa", "3", "--partial-sum", "1e7"], 48)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("kappa,x,sum,predicted\n3.0,10000000.0,")
+
+
+@pytest.mark.parametrize("fmt, tail", (("csv", b"\n2000000,"), ("json", b"\n  ]\n}\n")),
+                         ids=("csv", "json"))
+def test_divisor_dump_streams_its_table(tmp_path, fmt, tail):
+    # limit = 2e6 with 64 MiB of headroom: the table as one list of rows
+    # or of floats takes over 100 MB, so holding one ends in a MemoryError
+    out = tmp_path / f"d.{fmt}"
+    proc = run_under_address_space_headroom(
+        ["divisor", "--kappa", "0.5", "--limit", "2000000", "--format", fmt,
+         "--output", str(out)], 64)
+    assert proc.returncode == 0, proc.stderr
+    with open(out, "rb") as fh:
+        fh.seek(-64, 2)
+        assert tail in fh.read()
 
 
 def test_divisor_partial_sum_beyond_budget_fails_before_allocating():

@@ -224,6 +224,14 @@ def test_convolve_m0_is_identity():
     assert tr.values.sum() == 1.0
 
 
+def test_convolve_power_of_one_term_is_immediate():
+    # floor(xi) = 1: every power of the polynomial 1 is 1, so a huge m
+    # returns at once; m = 3 still takes the folding path's answer
+    for m in (3, 10 ** 300):
+        tr = convolve_truncated(0.5, m, 1.9)
+        assert (tr.m, tr.values.tolist()) == (m, [0.0, 1.0])
+
+
 def test_convolve_square_example():
     tr = convolve_truncated(1.0, 2, 3.0)
     assert np.allclose(tr.values[1:10], [1, 2, 2, 1, 0, 2, 0, 0, 1])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetagram import special
+from zetagram import moments, special
 from zetagram.grampoints import bulk_hardy_z, classify
 from zetagram.moments import (
     DirichletPolynomial,
@@ -15,6 +15,7 @@ from zetagram.moments import (
     MomentReport,
     PreconditionError,
     RationalExponent,
+    class_maxima,
     compute_S1,
     compute_S2,
     max_scan,
@@ -132,11 +133,11 @@ def test_sweep_evaluates_each_polynomial_once(monkeypatch):
     sweep = GramSweep(0.0, 2000.0)
     real = DirichletPolynomial({1: 1.0, 2: -0.5, 5: 0.25}, 5)
     cplx = DirichletPolynomial({1: 1.0, 3: 0.5j}, 5)
-    compute_S1(0.0, 2000.0, real, real, sweep=sweep, enforce_limits=False)
-    compute_S2(0.0, 2000.0, real, sweep=sweep, enforce_limits=False)
+    compute_S1(sweep, real, real, enforce_limits=False)
+    compute_S2(sweep, real, enforce_limits=False)
     assert calls == [(real, False)]
-    compute_S1(0.0, 2000.0, real, cplx, sweep=sweep, enforce_limits=False)
-    compute_S2(0.0, 2000.0, cplx, sweep=sweep, enforce_limits=False)
+    compute_S1(sweep, real, cplx, enforce_limits=False)
+    compute_S2(sweep, cplx, enforce_limits=False)
     assert calls == [(real, False), (cplx, True), (cplx, False)]
     ts = sweep.points.t
     for poly in (real, cplx):
@@ -216,24 +217,24 @@ def test_s1_coefficient_resonator_bit_for_bit():
 # ----------------------------------------------------------------------
 
 def test_moment_abs_2k_zero_is_count(sweep_2k):
-    rep = moment_abs_2k(0.0, 2000.0, 0.0, sweep=sweep_2k)
+    rep = moment_abs_2k(sweep_2k, 0.0)
     assert rep.computed.real == len(sweep_2k.points)
 
 
 def test_moment_abs_2k_monotone_in_height(sweep_2k):
-    small = moment_abs_2k(0.0, 1000.0, 1.0)
-    large = moment_abs_2k(0.0, 2000.0, 1.0, sweep=sweep_2k)
+    small = moment_abs_2k(GramSweep(0.0, 1000.0), 1.0)
+    large = moment_abs_2k(sweep_2k, 1.0)
     assert large.computed.real > small.computed.real
 
 
 def test_moment_abs2k_band(sweep_2k):
-    rep = moment_abs_2k(0.0, 2000.0, 1.0, sweep=sweep_2k)
+    rep = moment_abs_2k(sweep_2k, 1.0)
     ratio = rep.computed.real / rep.predicted.real
     assert 0.05 <= ratio <= 20.0
 
 
 def test_moment_abs2k_band_at_1e4(sweep_1e4_phi0):
-    rep = moment_abs_2k(0.0, 1e4, 1.0, sweep=sweep_1e4_phi0.sweep)
+    rep = moment_abs_2k(sweep_1e4_phi0.sweep, 1.0)
     ratio = rep.computed.real / rep.predicted.real
     assert 0.05 <= ratio <= 20.0
 
@@ -241,7 +242,7 @@ def test_moment_abs2k_band_at_1e4(sweep_1e4_phi0):
 def test_moment_cubed_identity_route_vs_direct(sweep_2k):
     """Direct zeta^3 sum through e^{-3 i theta} Z^3 against the exact
     parity form; validates the solver-residual propagation."""
-    rep = moment_cubed(0.0, 2000.0, sweep=sweep_2k)
+    rep = moment_cubed(sweep_2k)
     pts = sweep_2k.points
     zetas = np.exp(-1j * theta(pts.t)) * sweep_2k.z
     direct = cfsum(zetas ** 3)
@@ -249,45 +250,52 @@ def test_moment_cubed_identity_route_vs_direct(sweep_2k):
 
 
 def test_moment_cubed_real_at_phi_zero(sweep_2k):
-    rep = moment_cubed(0.0, 2000.0, sweep=sweep_2k)
+    rep = moment_cubed(sweep_2k)
     assert rep.computed.imag == 0.0
     assert rep.rel_error < 0.10
 
 
 def test_moment_requires_height():
     with pytest.raises(DomainError):
-        moment_cubed(0.0, 50.0)
+        moment_cubed(GramSweep(0.0, 50.0))
+
+
+@pytest.mark.parametrize("k", [19.0, 1e300, math.inf, math.nan])
+def test_moment_abs_2k_rejects_k_whose_comparator_overflows(sweep_2k, k):
+    # (log 2000)^(k^2+1) exceeds the largest double from k = 18.6 on
+    with pytest.raises(DomainError, match="too large"):
+        moment_abs_2k(sweep_2k, k)
 
 
 def test_s2_single_coefficient_is_count(sweep_2k):
-    rep = compute_S2(0.0, 2000.0, ONE, sweep=sweep_2k)
+    rep = compute_S2(sweep_2k, ONE)
     assert rep.computed.real == len(sweep_2k.points)
     assert rep.rel_error < 0.05
 
 
 def test_s2_nonnegative_and_two_coefficients(sweep_2k):
-    rep = compute_S2(0.0, 2000.0, ONE_ONE, sweep=sweep_2k)
+    rep = compute_S2(sweep_2k, ONE_ONE)
     assert rep.computed.real >= 0.0
     assert rep.rel_error < 0.10
 
 
 def test_s1_single(sweep_2k):
-    rep = compute_S1(0.0, 2000.0, ONE, ONE, sweep=sweep_2k)
+    rep = compute_S1(sweep_2k, ONE, ONE)
     assert rep.rel_error < 0.10
     # computed = sum (-1)^n Z; the imaginary part vanishes identically at phi=0
     assert rep.computed.imag == 0.0
 
 
-def test_s1_limit_precondition():
+def test_s1_limit_precondition(sweep_2k):
     big = DirichletPolynomial({1: 1.0, 50: 1.0}, 50)
     with pytest.raises(PreconditionError):
-        compute_S1(0.0, 2000.0, big, ONE)
+        compute_S1(sweep_2k, big, ONE)
     with pytest.raises(PreconditionError):
-        compute_S2(0.0, 2000.0, big)
+        compute_S2(sweep_2k, big)
 
 
 def test_report_fields(sweep_2k):
-    rep = compute_S2(0.0, 2000.0, ONE, sweep=sweep_2k)
+    rep = compute_S2(sweep_2k, ONE)
     assert isinstance(rep, MomentReport)
     assert rep.n_points == len(sweep_2k.points)
     expected_rel = abs(rep.computed - rep.predicted) / abs(rep.predicted)
@@ -299,7 +307,7 @@ def test_report_fields(sweep_2k):
 # ----------------------------------------------------------------------
 
 def test_pipeline_integer_k_degenerates_to_unit_y(sweep_2k):
-    rep = theorem1_pipeline(RationalExponent(1, 1), 2000.0, sweep=sweep_2k)
+    rep = theorem1_pipeline(sweep_2k, RationalExponent(1, 1))
     assert rep.holder_satisfied
     assert rep.lower_bound > 0.0
     assert rep.moment >= rep.lower_bound * (1 - 1e-9)
@@ -308,7 +316,7 @@ def test_pipeline_integer_k_degenerates_to_unit_y(sweep_2k):
 
 
 def test_pipeline_three_halves(sweep_2k):
-    rep = theorem1_pipeline(RationalExponent(3, 2), 2000.0, sweep=sweep_2k)
+    rep = theorem1_pipeline(sweep_2k, RationalExponent(3, 2))
     assert rep.holder_satisfied
     assert rep.sigma2 >= rep.sigma1
     assert rep.moment > 0.0
@@ -316,17 +324,32 @@ def test_pipeline_three_halves(sweep_2k):
 
 @pytest.mark.parametrize("p,q", [(1, 1), (3, 2), (2, 1)])
 def test_pipeline_sigmas_are_exact_cross_sums(sweep_2k, p, q):
-    rep = theorem1_pipeline(RationalExponent(p, q), 2000.0, sweep=sweep_2k)
+    rep = theorem1_pipeline(sweep_2k, RationalExponent(p, q))
     x_poly = DirichletPolynomial.from_values(rep.x_coeffs.values[1:])
     y_poly = DirichletPolynomial.from_values(rep.y_coeffs.values[1:])
     assert rep.sigma1 == _cross_sum(x_poly, y_poly).real == _double_loop(x_poly, y_poly)[0].real
     assert rep.sigma2 == _cross_sum(y_poly, x_poly).real == _double_loop(y_poly, x_poly)[0].real
 
 
+def test_pipeline_rejects_overflowing_holder_powers(sweep_2k, monkeypatch):
+    # S2 = 1e300 makes S2^(2k-1) overflow while the comparator of k = 3
+    # stays finite
+    real = moments.compute_S2
+
+    def huge(sw, x_poly, enforce_limits=True):
+        rep = real(sw, x_poly, enforce_limits)
+        rep.computed = complex(1e300)
+        return rep
+
+    monkeypatch.setattr(moments, "compute_S2", huge)
+    with pytest.raises(DomainError, match="Hoelder powers"):
+        theorem1_pipeline(sweep_2k, RationalExponent(3, 1))
+
+
 def test_pipeline_holder_tightness(sweep_2k):
     # the Hoelder chain is an inequality between computed sums: check the
     # normalized gap is sane (>= 1, and finite)
-    rep = theorem1_pipeline(RationalExponent(2, 1), 2000.0, sweep=sweep_2k)
+    rep = theorem1_pipeline(sweep_2k, RationalExponent(2, 1))
     assert rep.moment / rep.lower_bound >= 1.0 - 1e-9
     assert np.isfinite(rep.moment / rep.lower_bound)
 
@@ -336,24 +359,24 @@ def test_pipeline_holder_tightness(sweep_2k):
 # ----------------------------------------------------------------------
 
 def test_signed_moment_partition(sweep_2k):
-    plus, minus = signed_odd_moment(0.0, 2000.0, 1, sweep=sweep_2k)
-    total = moment_abs_2k(0.0, 2000.0, 1.5, sweep=sweep_2k).computed.real
+    plus, minus = signed_odd_moment(sweep_2k, 1)
+    total = moment_abs_2k(sweep_2k, 1.5).computed.real
     assert abs((plus + minus) - total) <= 1e-9 * total
 
 
 def test_signed_moment_identity_other_angle():
-    plus, minus = signed_odd_moment(math.pi / 3, 1500.0, 1)
+    plus, minus = signed_odd_moment(GramSweep(math.pi / 3, 1500.0), 1)
     assert plus > 0.0 and minus >= 0.0
 
 
 def test_signed_moment_both_classes_present(sweep_2k):
-    plus, minus = signed_odd_moment(0.0, 2000.0, 0, sweep=sweep_2k)
+    plus, minus = signed_odd_moment(sweep_2k, 0)
     assert plus > 0.0 and minus > 0.0
 
 
 def test_max_scan_nested(sweep_2k):
-    small = max_scan(0.0, 1000.0)
-    large = max_scan(0.0, 2000.0, sweep=sweep_2k)
+    small = max_scan(GramSweep(0.0, 1000.0))
+    large = max_scan(sweep_2k)
     assert large.max_plus >= small.max_plus
     assert large.max_minus >= small.max_minus
     assert large.argmax_plus <= 2000.0
@@ -362,7 +385,7 @@ def test_max_scan_nested(sweep_2k):
 def test_max_scan_empty_minus_class_at_low_height():
     # below the first violation of the classical sign pattern every
     # point is in the plus class
-    scan = max_scan(0.0, 150.0)
+    scan = max_scan(GramSweep(0.0, 150.0))
     assert scan.max_plus is not None
     assert scan.max_minus is None
     assert scan.argmax_minus is None
@@ -379,31 +402,37 @@ def test_sweep_cut_height_is_midpoint(sweep_2k):
 # One sweep pipeline
 # ----------------------------------------------------------------------
 
-def _certify(phi, t_max, sweep):
+def _certify(sweep):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return certify_lower_bound(phi, t_max, build_resonator(1e3), sweep=sweep)
+        return certify_lower_bound(sweep, build_resonator(1e3))
 
 
-SWEEP_CONSUMERS = {
-    "compute_S1": lambda phi, t, sw: compute_S1(phi, t, ONE, ONE, sweep=sw),
-    "compute_S2": lambda phi, t, sw: compute_S2(phi, t, ONE, sweep=sw),
-    "moment_abs_2k": lambda phi, t, sw: moment_abs_2k(phi, t, 1.0, sweep=sw),
-    "moment_cubed": lambda phi, t, sw: moment_cubed(phi, t, sweep=sw),
-    "theorem1_pipeline": lambda phi, t, sw: theorem1_pipeline(
-        RationalExponent(1, 1), t, phi, sweep=sw),
-    "signed_odd_moment": lambda phi, t, sw: signed_odd_moment(phi, t, 1, sweep=sw),
-    "max_scan": lambda phi, t, sw: max_scan(phi, t, sweep=sw),
+REPORTING_ENGINES = {
+    "compute_S1": lambda sw: compute_S1(sw, ONE, ONE),
+    "compute_S2": lambda sw: compute_S2(sw, ONE),
+    "moment_abs_2k": lambda sw: moment_abs_2k(sw, 1.0),
+    "moment_cubed": moment_cubed,
+    "theorem1_pipeline": lambda sw: theorem1_pipeline(sw, RationalExponent(1, 1)),
     "certify_lower_bound": _certify,
 }
 
 
-@pytest.mark.parametrize("phi, t_max", [(0.3, 2000.0), (0.0, 1500.0)],
-                         ids=["other-phi", "other-t_max"])
-@pytest.mark.parametrize("consumer", sorted(SWEEP_CONSUMERS))
-def test_sweep_for_other_request_rejected(sweep_2k, consumer, phi, t_max):
-    with pytest.raises(ValueError, match="different"):
-        SWEEP_CONSUMERS[consumer](phi, t_max, sweep_2k)
+@pytest.mark.parametrize("engine", sorted(REPORTING_ENGINES))
+def test_report_takes_its_request_from_the_sweep(engine):
+    sweep = GramSweep(0.3, 1500.0)
+    rep = REPORTING_ENGINES[engine](sweep)
+    assert (rep.phi, rep.t_max) == (0.3, 1500.0)
+    assert getattr(rep, "n_points", len(sweep.points)) == len(sweep.points)
+
+
+@settings(max_examples=20, deadline=None)
+@given(phi=st.floats(0.0, math.pi, exclude_max=True), height=st.floats(100.0, 2000.0))
+def test_class_maxima_prefix_is_max_scan_of_lower_sweep(phi, height):
+    # a lower sweep is a prefix of a higher one, so its maxima are the
+    # higher sweep's maxima below its height, field for field
+    below = class_maxima(GramSweep(phi, 2000.0), (height,))[0]
+    assert below == max_scan(GramSweep(phi, height))
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -121,7 +121,7 @@ def test_certificate_small_height():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         res = build_resonator(1e3)
-        cert = certify_lower_bound(0.0, 2000.0, res, sweep=sweep)
+        cert = certify_lower_bound(sweep, res)
     assert cert.scanned_max >= cert.certified_bound * (1 - 1e-9)
     assert cert.certified_bound >= 0.0
     assert not cert.degenerate_direction
@@ -132,7 +132,7 @@ def test_certificate_flags_quarter_turn():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         res = build_resonator(1e3)
-        cert = certify_lower_bound(math.pi / 2, 2000.0, res, sweep=sweep)
+        cert = certify_lower_bound(sweep, res)
     assert cert.degenerate_direction
 
 
@@ -140,6 +140,6 @@ def test_certificate_warns_on_oversized_cutoff():
     sweep = GramSweep(0.0, 2000.0)
     res = build_resonator(1e4)
     with pytest.warns(RuntimeWarning):
-        cert = certify_lower_bound(0.0, 2000.0, res, sweep=sweep)
+        cert = certify_lower_bound(sweep, res)
     assert cert.cutoff_warning
     assert cert.scanned_max >= cert.certified_bound * (1 - 1e-9)

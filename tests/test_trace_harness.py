@@ -32,11 +32,18 @@ json.dump({"codes": codes, "spans": tracer.dump(),
 """
 
 
+#: The span names of the sweep-driven engines and of the verify checks.
+ENGINES = tuple(f"moments.{f}" for f in (
+    "compute_S1", "compute_S2", "moment_abs_2k", "moment_cubed", "theorem1_pipeline",
+    "signed_odd_moment", "max_scan")) + ("resonator.certify_lower_bound",)
+CHECKS = tuple(f"verify.check.{c}" for c in ("prop1", "thm2", "thm1", "cor1", "cor2", "divisor"))
+
+
 def test_tracer_wraps_every_counter_without_error(tmp_path):
     cache = str(tmp_path / "cache")
     maxscan = ["maxscan", "--t-max", "2000", "--cache-dir", cache, "--threads", "2"]
     commands = [
-        ["verify", "thm1", "--t-max", "2000"],
+        ["verify", "all", "--t-max", "2000"],
         maxscan,
         maxscan,  # the second run reads the cache the first one wrote
         maxscan[:2] + ["1000"] + maxscan[3:],  # a lower height reads a prefix of it
@@ -55,6 +62,8 @@ def test_tracer_wraps_every_counter_without_error(tmp_path):
         assert spans, f"{name} was never called"
         produced = set().union(*(s["counts"] for s in spans))
         assert set(stats) <= produced, f"{name} produced {produced}, not {stats}"
+    for name in ENGINES + CHECKS:
+        assert any(s["name"] == name for s in result["spans"]), f"{name} was never called"
     metrics = result["metrics"]
     assert all(math.isfinite(v) for v in metrics.values())
     assert metrics["grampoints.cache.misses"] == 1
