@@ -19,8 +19,6 @@ from .grampoints import (
     GramPoint,
     GramPointSet,
     OutOfBranchError,
-    SignedGramPoint,
-    SignedGramPointSet,
     classify,
     count_estimate,
     enumerate_points,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -20,7 +21,7 @@ import warnings
 import numpy as np
 
 from . import __version__, divisor, moments, resonator, verify
-from .special import DomainError, theta
+from .special import BLOCK_POINTS, DomainError, theta
 from .verify import run_checks
 
 EXIT_OK = 0
@@ -126,31 +127,43 @@ def _dump_json(obj) -> str:
 # subcommands
 # ----------------------------------------------------------------------
 
+def _json_with_list(payload: dict, blocks):
+    """_dump_json(payload), a block at a time.  The key of payload that
+    sorts last holds None, which stands for the list of the items in
+    blocks: iterables of items already formatted at the list's indent."""
+    head = _dump_json(payload)
+    yield head[:-len("null\n}\n")] + "["
+    sep = "\n    "
+    for block in blocks:
+        yield sep + ",\n    ".join(block)
+        sep = ",\n    "
+    yield "\n  ]\n}\n"
+
+
+def _point_blocks(sweep: moments.GramSweep):
+    """Rows (n, t, zeta_re, zeta_im, z, sign) of the sweep, BLOCK_POINTS at a time."""
+    for a in range(0, len(sweep.points), BLOCK_POINTS):
+        block = slice(a, a + BLOCK_POINTS)
+        t, z = sweep.points.t[block], sweep.z[block]
+        zeta = np.exp(-1j * theta(t)) * z
+        sign = np.where(sweep.plus_mask[block], "+", "-")
+        yield zip(sweep.points.n[block].tolist(), t.tolist(), zeta.real.tolist(),
+                  zeta.imag.tolist(), z.tolist(), sign.tolist())
+
+
 def cmd_points(cfg: RunConfig) -> int:
     sweep = cfg.sweep()
-    points, signed = sweep.points, sweep.signed()
-    th = theta(points.t) if len(points) else np.empty(0)
-    zeta = np.exp(-1j * th) * sweep.z
-    rows = []
-    for i in range(len(points)):
-        sign = "+" if signed.sign[i] > 0 else "-"
-        rows.append((int(points.n[i]), cfg.phi, float(points.t[i]),
-                     float(zeta[i].real), float(zeta[i].imag), float(sweep.z[i]),
-                     sign))
+    phi = repr(cfg.phi)
     if cfg.format == "json":
-        payload = {
-            "metadata": _metadata(cfg),
-            "points": [
-                {"n": n, "phi": phi, "t": t, "zeta_re": zr, "zeta_im": zi,
-                 "z": z, "sign": sign}
-                for n, phi, t, zr, zi, z, sign in rows],
-        }
-        _emit(_dump_json(payload), cfg.output)
+        blocks = ([f'{{\n      "n": {n},\n      "phi": {phi},\n      "sign": "{sign}",\n'
+                   f'      "t": {t!r},\n      "z": {z!r},\n      "zeta_im": {zi!r},\n'
+                   f'      "zeta_re": {zr!r}\n    }}'
+                   for n, t, zr, zi, z, sign in rows] for rows in _point_blocks(sweep))
+        _emit(_json_with_list({"metadata": _metadata(cfg), "points": None}, blocks), cfg.output)
     else:
-        lines = ["n,phi,t,zeta_re,zeta_im,z,sign"]
-        lines += [f"{n},{phi!r},{t!r},{zr!r},{zi!r},{z!r},{sign}"
-                  for n, phi, t, zr, zi, z, sign in rows]
-        _emit("\n".join(lines) + "\n", cfg.output)
+        blocks = ("".join(f"{n},{phi},{t!r},{zr!r},{zi!r},{z!r},{sign}\n"
+                          for n, t, zr, zi, z, sign in rows) for rows in _point_blocks(sweep))
+        _emit(itertools.chain(["n,phi,t,zeta_re,zeta_im,z,sign\n"], blocks), cfg.output)
     return EXIT_OK
 
 
@@ -283,16 +296,10 @@ def cmd_divisor(cfg: RunConfig, kappa: float, limit: int, partial: float | None)
 
 
 def _divisor_dump(cfg: RunConfig, kappa: float, segments):
-    """The d_kappa table as text, one sieve segment at a time.  In the JSON
-    that _dump_json makes, "values" sorts last, so its list closes the document."""
+    """The d_kappa table as text, one sieve segment at a time."""
     if cfg.format == "json":
-        head = _dump_json({"metadata": _metadata(cfg), "kappa": kappa, "values": None})
-        yield head[:-len("null\n}\n")] + "["
-        sep = "\n    "
-        for seg in segments:
-            yield sep + ",\n    ".join(map(repr, seg.tolist()))
-            sep = ",\n    "
-        yield "\n  ]\n}\n"
+        yield from _json_with_list({"metadata": _metadata(cfg), "kappa": kappa, "values": None},
+                                   (map(repr, seg.tolist()) for seg in segments))
     else:
         yield "n,d_kappa\n"
         lo = 1

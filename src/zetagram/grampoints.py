@@ -9,7 +9,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -22,9 +21,7 @@ from .special import DomainError, theta, theta_deriv
 __all__ = [
     "Angle",
     "GramPoint",
-    "SignedGramPoint",
     "GramPointSet",
-    "SignedGramPointSet",
     "OutOfBranchError",
     "solve_gram",
     "enumerate_points",
@@ -46,8 +43,16 @@ EVALUATOR_VERSION = 2
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 60
 
-#: classification values smaller than this are flagged ambiguous
+#: classification values of smaller magnitude count as "+"
 NEAR_ZERO = 1e-9
+
+#: Most Gram points one enumeration may hold.  From T = 1e5 to 1e6 the
+#: address space of `points`, `maxscan` and `resonate --certificate`
+#: grew by about 145 bytes per point (the Newton solve), that of
+#: `verify all`, which holds three sweeps, by about 310; so each fits in
+#: 4 GiB at the budget.  A t_max above about 4.99e6 holds more points
+#: and is rejected before any array is allocated.
+POINT_BUDGET = 10_000_000
 
 
 class OutOfBranchError(ValueError):
@@ -70,14 +75,6 @@ class GramPoint:
     n: int
     phi: Angle
     t: float
-
-
-@dataclass(frozen=True)
-class SignedGramPoint:
-    point: GramPoint
-    sign: str  # "+" or "-"
-    value: float
-    ambiguous: bool = False
 
 
 def _as_angle(phi) -> Angle:
@@ -119,13 +116,14 @@ def _solve_targets(targets: np.ndarray) -> np.ndarray:
             "target below the increasing-branch cutoff "
             f"theta(2 pi) + {BRANCH_BUFFER} = {THETA_MIN + BRANCH_BUFFER:.4f}")
     lo = np.full_like(targets, TWO_PI * (1.0 + 1e-12))
-    hi = np.maximum(_initial_guess(targets) * 1.6, 24.0)
+    guess = _initial_guess(targets)
+    hi = np.maximum(guess * 1.6, 24.0)
     for _ in range(80):
         need = theta(hi) <= targets
         if not need.any():
             break
         hi[need] *= 1.7
-    t = np.clip(_initial_guess(targets), lo + 0.05, hi)
+    t = np.clip(guess, lo + 0.05, hi)
     live = np.ones(t.shape, dtype=bool)
     for _ in range(NEWTON_MAX_ITER):
         res = theta(t) - targets
@@ -169,12 +167,9 @@ def solve_gram(n: int, phi) -> GramPoint:
 # Point collections
 # ----------------------------------------------------------------------
 
-class GramPointSet(Sequence):
-    """Monotone run of Gram points with consecutive indices.
-
-    Keeps bulk (n, t) arrays for the moment engines; indexing yields
-    :class:`GramPoint` objects.
-    """
+class GramPointSet:
+    """Monotone run of Gram points with consecutive indices, as the
+    arrays n and t."""
 
     def __init__(self, phi: Angle, n: np.ndarray, t: np.ndarray):
         self.phi = phi
@@ -186,47 +181,9 @@ class GramPointSet(Sequence):
     def __len__(self) -> int:
         return int(self.n.size)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return GramPointSet(self.phi, self.n[i], self.t[i])
-        return GramPoint(n=int(self.n[i]), phi=self.phi, t=float(self.t[i]))
-
     def residuals(self) -> np.ndarray:
         """theta(t_n) - (pi n - phi) for every point."""
         return theta(self.t) - (math.pi * self.n - self.phi.phi)
-
-
-class SignedGramPointSet(Sequence):
-    """Classification of a GramPointSet: value = (-1)^n Z(t_n)."""
-
-    def __init__(self, points: GramPointSet, value: np.ndarray,
-                 sign: np.ndarray, ambiguous: np.ndarray):
-        self.points = points
-        self.value = np.asarray(value, dtype=float)
-        self.sign = np.asarray(sign, dtype=np.int8)
-        self.ambiguous = np.asarray(ambiguous, dtype=bool)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return SignedGramPointSet(self.points[i], self.value[i],
-                                      self.sign[i], self.ambiguous[i])
-        return SignedGramPoint(
-            point=self.points[i],
-            sign="+" if self.sign[i] > 0 else "-",
-            value=float(self.value[i]),
-            ambiguous=bool(self.ambiguous[i]),
-        )
-
-    @property
-    def plus_mask(self) -> np.ndarray:
-        return self.sign > 0
-
-    @property
-    def minus_mask(self) -> np.ndarray:
-        return self.sign < 0
 
 
 # ----------------------------------------------------------------------
@@ -287,13 +244,18 @@ def enumerate_points(phi, t_max: float, cache_dir: str | None = None) -> GramPoi
     are a prefix of those below any larger height.  One cache file per
     phi holds the points up to the largest height asked for: a lower
     t_max reads its prefix, a higher one solves the missing indices and
-    rewrites the file, and a damaged or foreign file is replaced.
+    rewrites the file, and a damaged or foreign file is replaced.  A
+    t_max with more than POINT_BUDGET points raises DomainError.
     """
     angle = _as_angle(phi)
     t_max = float(t_max)
     if not 20.0 <= t_max < math.inf:
         raise DomainError("enumerate_points requires a finite t_max >= 20")
-    n_max = int(math.floor((theta(t_max) + angle.phi) / math.pi))
+    estimate = count_estimate(angle, t_max)
+    if not estimate < POINT_BUDGET:
+        raise DomainError(f"t_max = {t_max!r} holds about {estimate:.4g} Gram points, "
+                          f"above the budget of {POINT_BUDGET}")
+    n_max = int(math.floor(estimate))
     height, t = -math.inf, np.empty(0)
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
@@ -316,7 +278,8 @@ def count_estimate(phi, t_max: float) -> float:
     angle = _as_angle(phi)
     if t_max < TWO_PI:
         raise DomainError("count_estimate requires t_max > 2 pi")
-    return (float(theta(t_max)) + angle.phi) / math.pi
+    with np.errstate(over="ignore"):  # huge heights overflow theta; the budgets reject them
+        return (float(theta(t_max)) + angle.phi) / math.pi
 
 
 # ----------------------------------------------------------------------
@@ -324,37 +287,38 @@ def count_estimate(phi, t_max: float) -> float:
 # ----------------------------------------------------------------------
 
 def bulk_hardy_z(t: np.ndarray, threads: int = 1) -> np.ndarray:
-    """Z(t) over an array, optionally across a thread pool.
+    """Z(t) over an array, its hardy_z blocks mapped over a thread pool.
 
-    The block layout is fixed, so results are bit-identical for every
-    thread count.
+    Each Z depends only on its own t, so the bytes are identical for
+    every thread count.
     """
     t = np.asarray(t, dtype=float)
-    if threads <= 1 or t.size < 4096:
+    block = special.BLOCK_POINTS
+    if threads <= 1 or t.size <= block:
         return special.hardy_z(t)
-    block = 1 << 14
     out = np.empty_like(t)
-    spans = [(i, min(i + block, t.size)) for i in range(0, t.size, block)]
+    starts = range(0, t.size, block)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [(a, b, pool.submit(special.hardy_z, t[a:b])) for a, b in spans]
-        for a, b, fut in futures:
-            out[a:b] = fut.result()
+        for a, z in zip(starts, pool.map(special.hardy_z, (t[a:a + block] for a in starts))):
+            out[a:a + block] = z
     return out
 
 
-def classify(points: GramPointSet, threads: int = 1) -> SignedGramPointSet:
-    """Sign classes of e^{-i phi} zeta(1/2 + i t_n) = (-1)^n Z(t_n).
+def classify(points: GramPointSet, threads: int = 1) -> tuple:
+    """The sign classes of e^{-i phi} zeta(1/2 + i t_n) = (-1)^n Z(t_n),
+    as the arrays (z, parity, value, plus): Z(t_n), (-1)^n, value =
+    parity z, and the mask of the "+" class.
 
     The identity form (-1)^n Z is exact on the canonical branch; a 1%
     stride is cross-checked against Re(e^{-i phi} e^{-i theta} Z) and a
-    mismatch raises.  Near-zero values (|value| < 1e-9) are flagged
-    ambiguous and retained with sign "+".
+    mismatch raises, as does a non-finite Z.  Near-zero values
+    (|value| < NEAR_ZERO) count as "+".
     """
     z = bulk_hardy_z(points.t, threads)
+    if not np.all(np.isfinite(z)):
+        raise RuntimeError("Hardy Z is not finite at some Gram point")
     parity = np.where(points.n % 2 == 0, 1.0, -1.0)
     value = parity * z
-    sign = np.where(value >= 0.0, 1, np.where(np.abs(value) < NEAR_ZERO, 1, -1)).astype(np.int8)
-    ambiguous = np.abs(value) < NEAR_ZERO
     if len(points):
         stride = max(1, len(points) // 100)
         samp = np.arange(0, len(points), stride)
@@ -364,4 +328,4 @@ def classify(points: GramPointSet, threads: int = 1) -> SignedGramPointSet:
             raise RuntimeError("sign-classification cross-check failed")
         if np.max(np.abs(direct.imag)) > 1e-6 * max(1.0, float(np.max(np.abs(z[samp])))):
             raise RuntimeError("e^{-i phi} zeta is not numerically real at sampled points")
-    return SignedGramPointSet(points, value, sign, ambiguous)
+    return z, parity, value, value > -NEAR_ZERO

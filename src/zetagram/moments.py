@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import divisor
-from .grampoints import Angle, SignedGramPointSet, classify, enumerate_points, solve_gram
+from .grampoints import Angle, classify, enumerate_points, solve_gram
 from .special import DomainError
 from .summation import blocked_fsum, fsum
 
@@ -162,7 +162,9 @@ class MomentReport:
 
 class GramSweep:
     """Shared enumeration + sign classification for a (phi, t_max) pair:
-    the one pipeline from a height to classified points.
+    the one pipeline from a height to classified points.  It holds the
+    points and, one entry per point, the arrays z = Z(t_n), parity =
+    (-1)^n, value = parity z and the class masks plus_mask/minus_mask.
 
     Every moment engine takes one of these as its first argument, so one
     sweep serves every verification at its (phi, t_max).
@@ -173,16 +175,9 @@ class GramSweep:
         self.phi = phi if isinstance(phi, Angle) else Angle(float(phi))
         self.t_max = float(t_max)
         self.points = enumerate_points(self.phi, self.t_max, cache_dir)
-        self._signed = classify(self.points, threads)
-        self.parity = np.where(self.points.n % 2 == 0, 1.0, -1.0)
-        # value = parity * Z with parity = +-1, so this recovers Z exactly
-        self.z = self.parity * self._signed.value
-        if not np.all(np.isfinite(self.z)):
-            raise RuntimeError("Hardy Z is not finite at some Gram point")
+        self.z, self.parity, self.value, self.plus_mask = classify(self.points, threads)
+        self.minus_mask = ~self.plus_mask
         self._half_line = {}
-
-    def signed(self) -> SignedGramPointSet:
-        return self._signed
 
     def half_line(self, poly: DirichletPolynomial, conj_arg: bool = False) -> np.ndarray:
         """poly.evaluate_half_line over the sweep's heights, evaluated once
@@ -399,12 +394,11 @@ def signed_odd_moment(sweep: GramSweep, ell: int) -> tuple:
     _require_height(sweep, "signed_odd_moment")
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    signed = sweep.signed()
     power = 2 * ell + 1
-    absv = np.abs(signed.value) ** power
-    plus_direct = blocked_fsum(absv[signed.plus_mask])
-    minus_direct = blocked_fsum(absv[signed.minus_mask])
-    vpow = signed.value ** power
+    absv = np.abs(sweep.value) ** power
+    plus_direct = blocked_fsum(absv[sweep.plus_mask])
+    minus_direct = blocked_fsum(absv[sweep.minus_mask])
+    vpow = sweep.value ** power
     plus_ident = 0.5 * (blocked_fsum(absv) + blocked_fsum(vpow))
     minus_ident = 0.5 * (blocked_fsum(absv) - blocked_fsum(vpow))
     scale = max(plus_direct + minus_direct, 1e-300)
@@ -427,8 +421,7 @@ def class_maxima(sweep: GramSweep, heights) -> list:
     """MaxScanResult over the prefix t_n <= T of the sweep for each height
     T: the largest |zeta| in each sign class and its abscissa (ties go to
     the first point), None for a class with no point below T."""
-    signed = sweep.signed()
-    absz = np.abs(signed.value)
+    absz = np.abs(sweep.value)
     t = sweep.points.t
 
     def best(mask, count):
@@ -441,8 +434,8 @@ def class_maxima(sweep: GramSweep, heights) -> list:
     out = []
     for height in heights:
         count = int(np.searchsorted(t, height, "right"))
-        mp, ap = best(signed.plus_mask, count)
-        mm, am = best(signed.minus_mask, count)
+        mp, ap = best(sweep.plus_mask, count)
+        mm, am = best(sweep.minus_mask, count)
         out.append(MaxScanResult(max_plus=mp, max_minus=mm, argmax_plus=ap,
                                  argmax_minus=am, count=count))
     return out

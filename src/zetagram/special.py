@@ -441,9 +441,10 @@ def _rs_main_sum(t: np.ndarray, th: np.ndarray) -> np.ndarray:
     return out
 
 
-#: Points per quadrature chunk, sized so the mesh stays within ~30 MB
-#: regardless of input length.
-_CHUNK_POINTS = max(1024, (1 << 21) // _RS_NODES.size)
+#: Heights per block of hardy_z: the main sum, the series and the
+#: quadrature each see one block at a time, so their scratch memory
+#: (22 MiB per quadrature temporary at most) does not grow with the input.
+BLOCK_POINTS = 1 << 14
 
 
 def hardy_z(t):
@@ -452,14 +453,20 @@ def hardy_z(t):
     Scalar or ndarray of finite t >= 0.  Heights below RS_MIN_T route
     through Euler-Maclaurin; above, the Riemann-Siegel main sum plus the
     quadrature remainder below SERIES_MIN_T and the C0..C4 series from
-    there up.  Each value is a function of its own t alone.
+    there up, in blocks of BLOCK_POINTS.  Each value is a function of
+    its own t alone.
     """
     arr = np.asarray(t, dtype=float)
     if not np.all((arr >= 0.0) & (arr < math.inf)):
         raise DomainError("hardy_z requires finite t >= 0")
-    scalar = arr.ndim == 0
-    shape = arr.shape
-    arr = arr.ravel()
+    flat = arr.ravel()
+    out = np.empty_like(flat)
+    for a in range(0, flat.size, BLOCK_POINTS):
+        out[a:a + BLOCK_POINTS] = _hardy_z_block(flat[a:a + BLOCK_POINTS])
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def _hardy_z_block(arr: np.ndarray) -> np.ndarray:
     out = np.empty_like(arr)
     low = arr < RS_MIN_T
     for i in np.nonzero(low)[0]:
@@ -467,16 +474,12 @@ def hardy_z(t):
     ts = arr[~low]
     if ts.size:
         th = theta(ts)
-        rem = np.empty_like(ts)
         series = ts >= SERIES_MIN_T
-        if series.any():
-            rem[series] = _rs_series_remainder(ts[series], 4)
-        quad = np.nonzero(~series)[0]
-        for j in range(0, quad.size, _CHUNK_POINTS):
-            idx = quad[j:j + _CHUNK_POINTS]
-            rem[idx] = _rs_quadrature_remainder(ts[idx], th[idx])
+        rem = np.empty_like(ts)
+        rem[series] = _rs_series_remainder(ts[series], 4)
+        rem[~series] = _rs_quadrature_remainder(ts[~series], th[~series])
         out[~low] = _rs_main_sum(ts, th) + rem
-    return float(out[0]) if scalar else out.reshape(shape)
+    return out
 
 
 def zeta_critical(t: float) -> ZetaSample:

@@ -167,9 +167,8 @@ def check_cor1(cache: SweepCache, phi: float) -> list:
     signed-odd-moment identity (the exponent comparisons are reported,
     never asserted)."""
     sw = cache.get(phi)
-    signed = sw.signed()
-    n_plus = int(signed.plus_mask.sum())
-    n_minus = int(signed.minus_mask.sum())
+    n_plus = int(sw.plus_mask.sum())
+    n_minus = int(sw.minus_mask.sum())
     out = [CriterionResult(
         f"cor1:classes:phi={phi:.6g}", n_plus > 0 and n_minus > 0,
         {"n_plus": n_plus, "n_minus": n_minus})]

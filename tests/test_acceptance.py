@@ -170,9 +170,8 @@ def test_criterion_08_rational_lower_bound_pipeline(sweep_1e5_phi0):
 
 
 def test_criterion_09_sign_classes(sweep_1e4_phi0, sweep_1e5_phi0, sweep_1e3_phi0):
-    signed4 = sweep_1e4_phi0.sweep.signed()
-    n_plus = int(signed4.plus_mask.sum())
-    n_minus = int(signed4.minus_mask.sum())
+    n_plus = int(sweep_1e4_phi0.sweep.plus_mask.sum())
+    n_minus = int(sweep_1e4_phi0.sweep.minus_mask.sum())
     scan3 = max_scan(sweep_1e3_phi0.sweep)
     scan5 = max_scan(sweep_1e5_phi0.sweep)
     grown = scan5.max_plus > scan3.max_plus and scan5.max_minus > scan3.max_minus

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -80,6 +81,23 @@ def test_points_json_values_are_hardy_z(tmp_path):
     for row, z_i, zeta_i in zip(rows, z, zeta):
         assert row["z"] == z_i
         assert complex(row["zeta_re"], row["zeta_im"]) == zeta_i
+
+
+#: sha256 of `points --t-max T --phi 0.3` as written when the rows were
+#: built as Python lists before output; streaming keeps these bytes.
+POINTS_SHA256 = {
+    ("1e4", "csv"): "eab4952e1c7dfd5caa06d18d371b5a17aad2ff754ecae2565cd5c9c4c12d2e8c",
+    ("1e4", "json"): "232c7627adfc01b236ae76d211083fbd9dee81a5bda78377973b3cc1a42a9f78",
+    ("1e5", "csv"): "47cef879bd765025b1d5f79c00ba8a2c075f8d65a4a7d8f206afe059a3671b31",
+    ("1e5", "json"): "998cdd446e78b0b544ad7ead46a5492ba11f14985c08dc069b8f68c9f0771cff",
+}
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_points_bytes_are_pinned(tmp_path, fmt):
+    code, data = run_cli(["points", "--t-max", "1e4", "--phi", "0.3", "--format", fmt], tmp_path)
+    assert code == 0
+    assert hashlib.sha256(data).hexdigest() == POINTS_SHA256[("1e4", fmt)]
 
 
 def test_points_stamp_adds_timestamp(tmp_path):
@@ -210,12 +228,11 @@ def test_maxscan_rows_are_masked_argmax(tmp_path):
                           "--format", "json"], tmp_path, "m.json")
     assert code == 0
     sweep = GramSweep(0.0, 2000.0)
-    signed = sweep.signed()
-    absz = np.abs(signed.value)
+    absz = np.abs(sweep.value)
     for row in json.loads(data)["scan"]:
         below = sweep.points.t <= row["T"]
         assert row["count"] == int(below.sum())
-        for label, mask in (("plus", signed.plus_mask), ("minus", signed.minus_mask)):
+        for label, mask in (("plus", sweep.plus_mask), ("minus", sweep.minus_mask)):
             idx = np.nonzero(below & mask)[0]
             if idx.size:
                 j = idx[np.argmax(absz[idx])]
@@ -453,6 +470,25 @@ def test_divisor_partial_sum_beyond_budget_fails_before_allocating():
         ["divisor", "--kappa", "3", "--partial-sum", "1.5e8"], 48)
     assert proc.returncode == cli.EXIT_USAGE, proc.stderr
     assert proc.stderr.startswith("error: table of size 150000000 exceeds budget")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_points_streams_its_rows(tmp_path, fmt):
+    # T = 1e5 (138,068 points) with 64 MiB of headroom: the rows held as
+    # Python lists before writing take more than that in either format
+    out = tmp_path / f"p.{fmt}"
+    proc = run_under_address_space_headroom(
+        ["points", "--t-max", "1e5", "--phi", "0.3", "--format", fmt, "--output", str(out)], 64)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == POINTS_SHA256[("1e5", fmt)]
+
+
+def test_point_budget_fails_before_allocating():
+    # t_max = 1e9 holds about 2.8e9 points, 23 GB per float64 array
+    proc = run_under_address_space_headroom(["maxscan", "--t-max", "1e9"], 64)
+    assert proc.returncode == cli.EXIT_USAGE, proc.stderr
+    assert proc.stderr.startswith("error: t_max = 1000000000.0 holds about 2.847e+09 ")
     assert "Traceback" not in proc.stderr
 
 

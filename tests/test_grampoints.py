@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetagram import grampoints
 from zetagram.grampoints import (
     EVALUATOR_VERSION,
+    NEAR_ZERO,
+    POINT_BUDGET,
     Angle,
-    GramPoint,
     OutOfBranchError,
     classify,
     count_estimate,
@@ -139,43 +141,55 @@ def test_count_estimate_just_past_first_point():
 
 def test_classify_first_point_positive():
     pts = enumerate_points(0.0, 50.0)
-    signed = classify(pts)
-    assert signed[0].sign == "+"
+    plus = classify(pts)[3]
+    assert plus[0]
     em_val = hardy_z(float(pts.t[0]))
     assert em_val > 0
 
 
 def test_classify_partition_and_identity():
     pts = enumerate_points(0.3, 3000.0)
-    signed = classify(pts)
-    n_plus = int(signed.plus_mask.sum())
-    n_minus = int(signed.minus_mask.sum())
+    z_cls, parity_cls, value, plus = classify(pts)
+    n_plus = int(plus.sum())
+    n_minus = int((~plus).sum())
     assert n_plus + n_minus == len(pts)
     # value = (-1)^n Z(t_n) and e^{-i phi} zeta is real at the points
     z = hardy_z(pts.t)
     parity = np.where(pts.n % 2 == 0, 1.0, -1.0)
-    assert np.max(np.abs(signed.value - parity * z)) == 0.0
+    assert z_cls.tobytes() == z.tobytes() and parity_cls.tobytes() == parity.tobytes()
+    assert np.max(np.abs(value - parity * z)) == 0.0
     direct = np.exp(-1j * (0.3 + theta(pts.t))) * z
     assert np.max(np.abs(direct.imag)) <= 1e-6
-    assert np.all((signed.value >= 0) == (signed.sign > 0))
-    assert not signed.ambiguous.any()
+    assert np.all((value >= 0) == plus)
+    assert not np.any(np.abs(value) < NEAR_ZERO)
 
 
 def test_classify_threads_deterministic():
-    pts = enumerate_points(0.0, 5000.0)
+    # 22,491 points: more than one hardy_z block, so four threads use the pool
+    pts = enumerate_points(0.0, 2e4)
     a = classify(pts, threads=1)
     b = classify(pts, threads=4)
-    assert np.array_equal(a.value, b.value)
-    assert np.array_equal(a.sign, b.sign)
+    for x, y in zip(a, b):
+        assert x.tobytes() == y.tobytes()
 
 
-def test_getitem_scalar_and_slice():
-    pts = enumerate_points(0.0, 100.0)
-    assert isinstance(pts[0], GramPoint)
-    assert pts[0].n == 0
-    sub = pts[2:5]
-    assert len(sub) == 3
-    assert sub[0].n == 2
+def test_solve_targets_guesses_once(monkeypatch):
+    calls = []
+    real = grampoints._initial_guess
+    monkeypatch.setattr(grampoints, "_initial_guess",
+                        lambda targets: calls.append(targets.size) or real(targets))
+    pts = enumerate_points(0.3, 1000.0)
+    assert len(calls) == 1 and len(pts) > 100
+
+
+def test_enumeration_beyond_the_point_budget_raises():
+    t_max = 1e6
+    while count_estimate(0.0, t_max) < POINT_BUDGET:
+        t_max *= 1.01
+    with pytest.raises(DomainError, match="above the budget"):
+        enumerate_points(0.0, t_max)
+    with pytest.raises(DomainError, match="above the budget"):
+        enumerate_points(0.0, 1e300)
 
 
 def test_cache_roundtrip(tmp_path):

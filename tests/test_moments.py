@@ -437,13 +437,15 @@ def test_class_maxima_prefix_is_max_scan_of_lower_sweep(phi, height):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sweep_is_classify_bit_for_bit(threads):
-    # 5,597 points: above the 4,096 at which bulk_hardy_z uses its pool
-    sweep = GramSweep(0.3, 6000.0, threads=threads)
-    ref = classify(sweep.points, threads=threads)
-    got = sweep.signed()
-    for name in ("value", "sign", "ambiguous"):
-        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+    # 22,491 points: more than one BLOCK_POINTS block, so two threads use the pool
+    sweep = GramSweep(0.3, 2e4, threads=threads)
+    assert len(sweep.points) > special.BLOCK_POINTS
+    z, parity, value, plus = classify(sweep.points, threads=threads)
+    for got, ref in ((sweep.z, z), (sweep.parity, parity), (sweep.value, value),
+                     (sweep.plus_mask, plus), (sweep.minus_mask, ~plus)):
+        assert got.tobytes() == ref.tobytes()
     assert sweep.z.tobytes() == bulk_hardy_z(sweep.points.t, threads=threads).tobytes()
+    assert sweep.value.tobytes() == (sweep.parity * sweep.z).tobytes()
 
 
 def test_sweep_rejects_non_finite_z(monkeypatch):

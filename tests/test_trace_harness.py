@@ -49,6 +49,8 @@ def test_tracer_wraps_every_counter_without_error(tmp_path):
         maxscan[:2] + ["1000"] + maxscan[3:],  # a lower height reads a prefix of it
         ["resonate", "--x", "1e4", "--certificate", "--t-max", "2000"],
         ["divisor", "--kappa", "3", "--partial-sum", "1e4"],
+        ["points", "--t-max", "2000"],
+        ["points", "--t-max", "2000", "--format", "json"],
     ]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
                                                        str(ROOT / "perfbench")]))
