@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .summation import BLOCK, blocked_prefix_fsums
+from .summation import prefix_fsums
 
 __all__ = [
     "DivisorTable",
@@ -36,9 +36,9 @@ __all__ = [
 #: hard cap on convolution output length (entries)
 INDEX_BUDGET = 100_000_000
 
-#: Entries per sieve segment; a multiple of BLOCK, so that each block
-#: of a blocked sum lies in one segment.
-SEG = 4 * BLOCK
+#: Entries per sieve segment (2 MiB of values).  The sums over n take
+#: the segments as chunks and round each prefix once whatever SEG is.
+SEG = 1 << 18
 
 
 class SizeBudgetError(ValueError):
@@ -165,21 +165,6 @@ def _sieve_segments(kappa: float, limit: int):
     return segments()
 
 
-def _blocked_segment_sums(segments, ends) -> list:
-    """blocked_prefix_fsums over the concatenation of the SEG-long
-    segments, which it asks for a block at a time in index order: SEG is
-    a multiple of BLOCK, so each block lies in one segment."""
-    seg = None
-
-    def block(a, b):
-        nonlocal seg
-        if a % SEG == 0:
-            seg = next(segments)
-        return seg[a % SEG:a % SEG + b - a]
-
-    return blocked_prefix_fsums(block, ends)
-
-
 def build_table(kappa: float, limit: int) -> DivisorTable:
     """d_kappa(0..limit) in one array, with d_kappa(0) = 0, filled from
     the sieve segment by segment (see _sieve_segments).  It holds the
@@ -263,7 +248,7 @@ def divisor_partial_sum(lam: float, x: float):
     if not 2 <= x < math.inf:
         raise ValueError(f"x must be finite and >= 2, got {x!r}")
     n = int(math.floor(x))
-    total = _blocked_segment_sums(_sieve_segments(float(lam), n), (n,))[0]
+    total = prefix_fsums(_sieve_segments(float(lam), n), (n,))[0]
     if lam == 3:
         prediction = x * p2_polynomial()(math.log(x))
     else:
@@ -272,14 +257,14 @@ def divisor_partial_sum(lam: float, x: float):
 
 
 def divisor_ratio_sum(lam: float, mu: float, x: float) -> float:
-    """sum_{n<=x} d_lam(n) d_mu(n) / n, by blocked exact sums."""
+    """sum_{n<=x} d_lam(n) d_mu(n) / n, exactly rounded."""
     return divisor_ratio_sums_at(lam, mu, (x,))[0]
 
 
 def divisor_ratio_sums_at(lam: float, mu: float, checkpoints) -> list:
     """sum_{n<=x} d_lam(n) d_mu(n) / n at several checkpoints x, in one
-    pass of the sieve: each checkpoint is the blocked sum over its whole
-    prefix, so it equals divisor_ratio_sum(lam, mu, x) bit for bit.  The
+    pass of the sieve: each checkpoint is the exact sum over its whole
+    prefix, rounded once, so it equals divisor_ratio_sum(lam, mu, x) bit for bit.  The
     terms are formed one sieve segment at a time.  Every checkpoint must
     be finite and >= 2, and there must be at least one.
     """
@@ -296,7 +281,7 @@ def divisor_ratio_sums_at(lam: float, mu: float, checkpoints) -> list:
             db = da if seg_b is None else next(seg_b)
             yield da * db / np.arange(lo, lo + da.size, dtype=float)
 
-    return _blocked_segment_sums(terms(), xs)
+    return prefix_fsums(terms(), xs)
 
 
 # ----------------------------------------------------------------------
@@ -312,19 +297,20 @@ def stieltjes() -> tuple:
 
     Accelerated by the Euler-Maclaurin half-term plus dyadic Richardson
     extrapolation; the three top levels must agree to 1e-10 or a
-    ConfigurationError is raised.  The terms are formed one block at a
-    time inside the blocked sums, so no 2^22-entry array is held.
+    ConfigurationError is raised.  The terms are formed SEG at a time
+    inside the prefix sums, so no 2^22-entry array is held.
     Computed once per process.
     """
     exps = (20, 21, 22)
     ends = [1 << e for e in exps]
 
-    def recip(a, b):  # 1/n for a < n <= b
-        return 1.0 / np.arange(a + 1, b + 1, dtype=float)
+    def terms(a, log):  # (log(n) if log else 1) / n for a <= n < a + SEG
+        ns = np.arange(a, a + SEG, dtype=float)
+        recip = 1.0 / ns
+        return np.multiply(np.log(ns, out=ns), recip, out=ns) if log else recip
 
-    hs = blocked_prefix_fsums(recip, ends)
-    s1s = blocked_prefix_fsums(
-        lambda a, b: np.log(np.arange(a + 1, b + 1, dtype=float)) * recip(a, b), ends)
+    hs, s1s = (prefix_fsums((terms(a, log) for a in range(1, ends[-1], SEG)), ends)
+               for log in (False, True))
     g_seq, g1_seq = [], []
     for n, h, s1 in zip(ends, hs, s1s):
         ln = math.log(n)

@@ -10,6 +10,7 @@ reductions, so reports are bit-identical across runs and worker counts.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -70,6 +71,11 @@ class DirichletPolynomial:
         ns = np.array(sorted(self.coefficients), dtype=np.int64)
         cs = np.array([self.coefficients[n] for n in ns.tolist()], dtype=complex)
         return ns, cs
+
+    @cached_property
+    def _half_line(self):
+        """GramSweep.half_line's values, per sweep and then conj_arg."""
+        return weakref.WeakKeyDictionary()
 
     def evaluate_half_line(self, t: np.ndarray, conj_arg: bool = False) -> np.ndarray:
         """X(1/2 + it), or X(1/2 - it) when conj_arg (no coefficient
@@ -177,24 +183,20 @@ class GramSweep:
         self.points = enumerate_points(self.phi, self.t_max, cache_dir)
         self.z, self.parity, self.value, self.plus_mask = classify(self.points, threads)
         self.minus_mask = ~self.plus_mask
-        self._half_line = {}
 
     def half_line(self, poly: DirichletPolynomial, conj_arg: bool = False) -> np.ndarray:
         """poly.evaluate_half_line over the sweep's heights, evaluated once
         per polynomial.  With real coefficients X(1/2 - it) is conj(X(1/2 + it))
         bit for bit, so the reflected values cost no second evaluation.
-
-        The memo holds each polynomial it has seen, so an id in it is
-        never reused by another object.
+        The values are kept on the polynomial, so the sweep holds none.
         """
         if conj_arg and not np.any(poly._arrays[1].imag):
             return np.conj(self.half_line(poly))
-        key = (id(poly), conj_arg)
-        if key not in self._half_line:
-            values = poly.evaluate_half_line(self.points.t, conj_arg)
-            values.flags.writeable = False
-            self._half_line[key] = (poly, values)
-        return self._half_line[key][1]
+        memo = poly._half_line.setdefault(self, {})
+        if conj_arg not in memo:
+            memo[conj_arg] = poly.evaluate_half_line(self.points.t, conj_arg)
+            memo[conj_arg].flags.writeable = False
+        return memo[conj_arg]
 
     @cached_property
     def cut_height(self) -> float:

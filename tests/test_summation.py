@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetagram import summation
-from zetagram.summation import BLOCK, _CHUNK, _exact_sum, blocked_fsum, blocked_prefix_fsums, fsum
+from zetagram.summation import _CHUNK, blocked_fsum, fsum, prefix_fsums
 
 
 def test_fsum_exact_on_cancellation():
@@ -17,46 +17,60 @@ def test_fsum_exact_on_cancellation():
 def test_blocked_matches_fsum():
     rng = np.random.default_rng(11)
     vals = rng.standard_normal(200_001) * 10.0 ** rng.integers(-8, 8, 200_001)
-    a = fsum(vals)
-    b = blocked_fsum(vals)
-    assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+    assert blocked_fsum(vals) == fsum(vals) == math.fsum(vals.tolist())
 
 
 def test_empty():
     assert fsum([]) == 0.0
 
 
-def block_partials_sum(values) -> float:
-    """Exact partial of each BLOCK-long run in index order, then fsum."""
-    return math.fsum([math.fsum(values[i:i + BLOCK].tolist())
-                      for i in range(0, len(values), BLOCK)])
-
-
-SEAMS = (0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1, 150_000)
+SEAMS = (0, 1, 2, 65_535, 65_536, 65_537, 131_072, 131_073, 150_000)
 
 
 @pytest.mark.parametrize("n", SEAMS)
 def test_blocked_fsum_equals_block_partials(n):
+    """blocked_fsum is fsum: one rounding over the whole array, on both
+    sides of 2^16 and 2^17 elements."""
     vals = np.random.default_rng(n).standard_normal(n) * 1e6
-    assert blocked_fsum(vals) == block_partials_sum(vals)
+    assert blocked_fsum(vals) == math.fsum(vals.tolist())
 
 
 def test_prefix_fsums_equal_blocked_fsum_of_each_prefix():
     vals = np.random.default_rng(5).standard_normal(150_000) * 1e6
     held = []
 
-    def block_values(a, b):
-        held.append(b - a)
-        return vals[a:b]
+    def chunks(size):
+        for a in range(0, vals.size, size):
+            held.append(min(size, vals.size - a))
+            yield vals[a:a + size]
 
     ends = SEAMS[::-1]  # any order
-    assert blocked_prefix_fsums(block_values, ends) == [blocked_fsum(vals[:e]) for e in ends]
-    # one pass over the longest prefix, never more than a block at a time
-    assert sum(held) == max(ends) and max(held) <= BLOCK
+    expected = [math.fsum(vals[:e].tolist()) for e in ends]
+    assert expected == [blocked_fsum(vals[:e]) for e in ends]
+    for size in (1000, 1 << 16, 1 << 20):
+        held.clear()
+        assert prefix_fsums(chunks(size), ends) == expected
+        # one pass, and no chunk past the one that reaches the largest end
+        assert sum(held) - held[-1] < max(ends) <= sum(held)
+    # an end past the stream gets its total
+    assert prefix_fsums([vals[:5], vals[5:10]], (3, 10, 99)) == \
+        [math.fsum(vals[:3].tolist()), *[math.fsum(vals[:10].tolist())] * 2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 3000), max_size=6), st.lists(st.integers(0, 12_000), max_size=5),
+       st.integers(0, 2 ** 32 - 1))
+def test_prefix_fsums_are_fsum_of_each_prefix(lengths, ends, seed):
+    rng = np.random.default_rng(seed)
+    chunks = [rng.standard_normal(n) * 10.0 ** rng.uniform(-200, 200, n) for n in lengths]
+    vals = np.concatenate(chunks) if chunks else np.empty(0)
+    got = prefix_fsums(iter(chunks), ends)
+    assert [np.float64(g).tobytes() for g in got] == \
+        [np.float64(math.fsum(vals[:e].tolist())).tobytes() for e in ends]
 
 
 # ----------------------------------------------------------------------
-# _exact_sum against math.fsum, bit for bit
+# fsum against math.fsum, bit for bit
 # ----------------------------------------------------------------------
 
 def outcome(sum_fn, values):
@@ -69,7 +83,7 @@ def outcome(sum_fn, values):
 
 
 def assert_same_as_fsum(arr):
-    assert outcome(_exact_sum, arr) == outcome(math.fsum, arr.tolist())
+    assert outcome(fsum, arr) == outcome(math.fsum, arr.tolist())
 
 
 _doubles = st.one_of(
@@ -92,7 +106,7 @@ def test_exact_sum_is_fsum_bit_for_bit(xs, cancel, repeat, rnd):
     assert_same_as_fsum(np.array(vals, dtype=float))
 
 
-@pytest.mark.parametrize("n", (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7, BLOCK))
+@pytest.mark.parametrize("n", (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7, 4 * _CHUNK))
 def test_exact_sum_across_chunks(n):
     rng = np.random.default_rng(n)
     spread = rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 280, n)
@@ -127,25 +141,44 @@ def test_non_finite_and_overflow_as_fsum(vals):
     assert_same_as_fsum(arr[::-1])
 
 
-def test_blocked_prefix_fsums_non_finite_as_fsum():
-    vals = np.ones(BLOCK + 10)
-    vals[BLOCK + 3] = math.inf
+def test_prefix_fsums_non_finite_as_fsum():
+    vals = np.ones(70_000)
+    vals[65_539] = math.inf
+
+    def stream():
+        return (vals[a:a + 4096] for a in range(0, vals.size, 4096))
+
+    assert prefix_fsums(stream(), (65_539, 65_540, vals.size)) == [65_539.0, math.inf, math.inf]
     assert blocked_fsum(vals) == math.inf
     vals[5] = -math.inf
     with pytest.raises(ValueError):
+        prefix_fsums(stream(), (vals.size,))
+    with pytest.raises(ValueError):
         blocked_fsum(vals)
+    vals[5] = math.nan
+    assert math.isnan(prefix_fsums(stream(), (vals.size,))[0])
+    # finite values past the buckets' range, after chunks that went to them
+    vals[5], vals[65_539], vals[65_540] = 1.0, 1e300, -1e300
+    assert prefix_fsums(stream(), (65_539, vals.size)) == [65_539.0, 69_998.0]
 
 
-def test_length_fallback(monkeypatch):
-    """Arrays of _MAX_EXACT_LEN elements or more never reach the buckets,
-    whose exactness needs fewer than 2**26 halves per bucket."""
-    def no_buckets(*args, **kwargs):
-        raise AssertionError("bucket path taken")
-
-    vals = np.random.default_rng(9).standard_normal(40) * 1e10
-    monkeypatch.setattr(summation, "_MAX_EXACT_LEN", 20)
-    monkeypatch.setattr(summation.np, "bincount", no_buckets)
+def test_carry_keeps_sums_exact(monkeypatch):
+    """A bucket of more than 2**26 halves could round, so every _FILL
+    elements the bucket sums move to the carry list; with _FILL = 20 an
+    array of 1,000 carries many times and its sums stay exact."""
+    monkeypatch.setattr(summation, "_FILL", 20)
+    monkeypatch.setattr(summation, "_CHUNK", 7)
+    rng = np.random.default_rng(9)
+    vals = rng.standard_normal(1000) * 10.0 ** rng.uniform(-20, 20, 1000)
+    acc = summation._ExactSum()
+    acc.add(vals)
+    assert acc.held <= 20 and len(acc.carry) > 100
+    assert acc.value() == math.fsum(vals.tolist())
     assert_same_as_fsum(vals)
-    assert_same_as_fsum(vals[::2])
-    with pytest.raises(AssertionError, match="bucket path"):
-        _exact_sum(vals[:19])
+    assert_same_as_fsum(vals[::3])
+    ends = (0, 19, 20, 21, 333, 1000)
+    chunks = (vals[a:a + 45] for a in range(0, 1000, 45))
+    assert prefix_fsums(chunks, ends) == [math.fsum(vals[:e].tolist()) for e in ends]
+    # a value out of the buckets' range after many carries
+    for bad in (math.inf, math.nan, 1e300):
+        assert_same_as_fsum(np.append(vals, [bad, -bad]))
