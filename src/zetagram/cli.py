@@ -273,6 +273,9 @@ def cmd_resonate(cfg: RunConfig, cutoff: float, with_certificate: bool) -> int:
         lines = ["n,f"]
         lines += [f"{int(n)},{float(w)!r}" for n, w in zip(res.support, res.weights)]
         lines.append(f"# ratio={ratio!r} sum_f_squared={res.sum_f_squared!r}")
+        if with_certificate:
+            lines.append("# " + " ".join(f"{key}={_fmt_detail(value)}"
+                                         for key, value in summary["certificate"].items()))
         _emit("\n".join(lines) + "\n", cfg.output)
     return EXIT_OK
 

@@ -124,20 +124,24 @@ def _solve_targets(targets: np.ndarray) -> np.ndarray:
             break
         hi[need] *= 1.7
     t = np.clip(guess, lo + 0.05, hi)
-    live = np.ones(t.shape, dtype=bool)
+    # each pass works on the still-live elements only: live indexes t,
+    # and lo, hi and tau hold the brackets and targets of those elements
+    live, tau = np.arange(t.size), targets
     for _ in range(NEWTON_MAX_ITER):
-        res = theta(t) - targets
+        tl = t[live]
+        res = theta(tl) - tau
         above = res > 0.0
-        hi = np.where(above, np.minimum(hi, t), hi)
-        lo = np.where(~above, np.maximum(lo, t), lo)
-        live &= np.abs(res) > NEWTON_TOL
-        step = res / theta_deriv(t)
-        tn = t - step
+        hi = np.where(above, np.minimum(hi, tl), hi)
+        lo = np.where(~above, np.maximum(lo, tl), lo)
+        tn = tl - res / theta_deriv(tl)
         bad = ~((tn > lo) & (tn < hi)) | ~np.isfinite(tn)
         tn = np.where(bad, 0.5 * (lo + hi), tn)
-        t, live = np.where(live, tn, t), live & (np.abs(tn - t) > 2.0 * np.spacing(t))
-        if not live.any():
+        moving = np.abs(res) > NEWTON_TOL
+        t[live[moving]] = tn[moving]
+        keep = moving & (np.abs(tn - tl) > 2.0 * np.spacing(tl))
+        if not keep.any():
             break
+        live, tau, lo, hi = live[keep], tau[keep], lo[keep], hi[keep]
     # ulp polish: among the 5 neighbouring representables, keep the one
     # with the smallest computed residual.
     ulp = np.spacing(t)

@@ -272,6 +272,18 @@ def test_resonate_json_with_certificate(tmp_path):
     assert doc["certificate"]["scanned_max"] >= doc["certificate"]["certified_bound"]
 
 
+def test_resonate_csv_prints_the_certificate(tmp_path):
+    args = ["resonate", "--x", "1e4", "--certificate", "--phi", "0.3", "--t-max", "2000"]
+    code, data = run_cli(args, tmp_path, "r.csv")
+    assert code == 0
+    lines = data.decode().strip().split("\n")
+    assert lines[-2].startswith("# ratio=")
+    _, doc = run_cli(args + ["--format", "json"], tmp_path, "r.json")
+    cert = json.loads(doc)["certificate"]
+    assert lines[-1] == (f"# certified_bound={cert['certified_bound']!r} "
+                         f"scanned_max={cert['scanned_max']!r} degenerate_direction=False")
+
+
 def test_resonate_certificate_uses_threads_and_cache(tmp_path):
     args = ["resonate", "--x", "1e3", "--certificate", "--t-max", "2000",
             "--format", "json"]

@@ -1,0 +1,103 @@
+"""The gridded exponential-sum path against the term-by-term loop."""
+
+import math
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from zetagram import expsum
+from zetagram.moments import DirichletPolynomial, GramSweep
+from zetagram.resonator import build_resonator
+
+
+def _freqs_weights(poly):
+    ns, cs = poly._arrays
+    return np.log(ns), cs / np.sqrt(ns)
+
+
+def _scale(poly):
+    """sum |x_n| n^{-1/2}: the error unit of the gridded path."""
+    return float(np.sum(np.abs(_freqs_weights(poly)[1])))
+
+
+def _random_poly(rng, terms, limit, complex_coefficients):
+    ns = rng.choice(np.arange(1, limit + 1), terms, replace=False)
+    xs = rng.standard_normal(terms)
+    if complex_coefficients:
+        xs = xs + 1j * rng.standard_normal(terms)
+    return DirichletPolynomial(dict(zip(ns.tolist(), xs.tolist())), limit)
+
+
+def _term_loop(poly, t, conj_arg=False):
+    """The reference: one term per pass, the reflected phase for conj_arg."""
+    ns, cs = poly._arrays
+    phase = 1j if conj_arg else -1j
+    out = np.zeros(t.shape, dtype=complex)
+    for logn, w in zip(np.log(ns).tolist(), (cs / np.sqrt(ns)).tolist()):
+        out += w * np.exp(phase * (t * logn))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), terms=st.integers(300, 1500),
+       spread=st.integers(1, 4), lo=st.floats(0.0, 1e5), width=st.floats(1.0, 5e3),
+       points=st.integers(1500, 3000), complex_coefficients=st.booleans())
+def test_gridded_matches_direct(seed, terms, spread, lo, width, points,
+                                complex_coefficients):
+    rng = np.random.default_rng(seed)
+    poly = _random_poly(rng, terms, spread * terms, complex_coefficients)
+    t = rng.uniform(lo, lo + width, points)
+    freqs, weights = _freqs_weights(poly)
+    assume(expsum.grid_is_cheaper(freqs, t))
+    tol = 1e-10 * _scale(poly)
+    for conj_arg in (False, True):
+        got = poly.evaluate_half_line(t, conj_arg)
+        want = _term_loop(poly, t, conj_arg)
+        assert np.max(np.abs(got - want)) <= tol
+
+
+def test_gridded_resonator_certificate_size():
+    # the resonate --x 5e4 --certificate --t-max 1e4 evaluation, every point
+    poly = build_resonator(5e4).coefficient_polynomial()
+    t = GramSweep(0.0, 1e4).points.t
+    freqs, weights = _freqs_weights(poly)
+    assert expsum.grid_is_cheaper(freqs, t)
+    got = poly.evaluate_half_line(t)
+    assert np.max(np.abs(got - expsum.direct(freqs, weights, t))) <= 1e-10 * _scale(poly)
+
+
+def test_gridded_value_does_not_depend_on_the_batch():
+    rng = np.random.default_rng(5)
+    poly = _random_poly(rng, 1000, 3000, complex_coefficients=True)
+    t = np.sort(rng.uniform(0.0, 3e4, 6000))
+    freqs = _freqs_weights(poly)[0]
+    whole = poly.evaluate_half_line(t)
+    prefix = t[:2500]
+    shuffle = rng.permutation(t.size)
+    for part, expected in ((prefix, whole[:2500]), (t[shuffle], whole[shuffle])):
+        assert expsum.grid_is_cheaper(freqs, part)
+        assert np.array_equal(poly.evaluate_half_line(part), expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), terms=st.integers(1, expsum.COST_POINT),
+       lo=st.floats(0.0, 1e6), points=st.integers(1, 400))
+def test_small_supports_keep_the_direct_bits(seed, terms, lo, points):
+    rng = np.random.default_rng(seed)
+    poly = _random_poly(rng, terms, 4 * terms, complex_coefficients=bool(seed % 2))
+    t = rng.uniform(lo, 2.0 * lo + 1.0, points)
+    for conj_arg in (False, True):
+        assert np.array_equal(poly.evaluate_half_line(t, conj_arg),
+                              _term_loop(poly, t, conj_arg))
+
+
+def test_cost_model_leaves_odd_inputs_to_the_direct_loop():
+    freqs = np.log(np.arange(1.0, 2001.0))
+    dense = np.linspace(100.0, 1e4, 5000)
+    assert expsum.grid_is_cheaper(freqs, dense)
+    assert not expsum.grid_is_cheaper(freqs, dense[:20])           # few points
+    assert not expsum.grid_is_cheaper(freqs[:40], dense)           # few terms
+    assert not expsum.grid_is_cheaper(freqs, np.empty(0))
+    for bad in (math.inf, math.nan, 1e300):
+        assert not expsum.grid_is_cheaper(freqs, np.append(dense, bad))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetagram import moments, special
+from zetagram import expsum, moments, special
 from zetagram.grampoints import bulk_hardy_z, classify
 from zetagram.moments import (
     DirichletPolynomial,
@@ -72,17 +72,20 @@ def test_polynomial_evaluation_against_loop():
 
 
 def test_polynomial_evaluation_memory_is_bounded():
-    # a dense points x support phase matrix would take 160 MB here
+    # a dense points x support phase matrix would take 160 MB here; both
+    # sizes take the gridded path
     rng = np.random.default_rng(7)
     poly = DirichletPolynomial.from_values(rng.standard_normal(2000))
-    ts = np.linspace(100.0, 1e4, 5000)
-    tracemalloc.start()
-    try:
-        poly.evaluate_half_line(ts)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 * ts.size * 16
+    for t_max, points in ((1e4, 5000), (1e5, 50000)):
+        ts = np.linspace(100.0, t_max, points)
+        assert expsum.grid_is_cheaper(np.log(poly._arrays[0]), ts)
+        tracemalloc.start()
+        try:
+            poly.evaluate_half_line(ts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * ts.size * 16
 
 
 COEFFS = st.dictionaries(
@@ -119,6 +122,7 @@ def test_real_polynomial_reflection_is_conjugate(coeffs, ts):
 def test_resonator_reflection_is_conjugate(sweep_2k):
     poly = build_resonator(5e4).coefficient_polynomial()
     ts = sweep_2k.points.t
+    assert expsum.grid_is_cheaper(np.log(poly._arrays[0]), ts)
     assert np.array_equal(poly.evaluate_half_line(ts, conj_arg=True),
                           np.conj(poly.evaluate_half_line(ts)))
 
