@@ -75,7 +75,7 @@ def grid_is_cheaper(freqs: np.ndarray, t: np.ndarray) -> bool:
     below that of `direct`.  Heights beyond 2^40 grid steps are left to
     `direct`, since a tile's anchor would lose its phase to rounding."""
     terms, points = freqs.size, t.size
-    if terms <= COST_POINT or not points:
+    if terms <= COST_POINT or not points:   # the taps alone cost COST_POINT a point
         return False
     tile, owned, step = _layout(freqs)
     lo, hi = float(t.min()), float(t.max())

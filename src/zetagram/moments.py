@@ -95,7 +95,6 @@ class DirichletPolynomial:
         and memory is O(len(t) + support).
         """
         ns, cs = self._arrays
-        t = np.asarray(t, dtype=float)
         if conj_arg:
             return np.conj(expsum.evaluate(np.log(ns), cs.conj() / np.sqrt(ns), t))
         return expsum.evaluate(np.log(ns), cs / np.sqrt(ns), t)

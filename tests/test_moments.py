@@ -72,13 +72,13 @@ def test_polynomial_evaluation_against_loop():
 
 
 def test_polynomial_evaluation_memory_is_bounded():
-    # a dense points x support phase matrix would take 160 MB here; both
-    # sizes take the gridded path
+    # a dense points x support phase matrix would take 160 MB here; the
+    # two 2000-term cases take the gridded path, the 40-term one the loop
     rng = np.random.default_rng(7)
-    poly = DirichletPolynomial.from_values(rng.standard_normal(2000))
-    for t_max, points in ((1e4, 5000), (1e5, 50000)):
+    for terms, t_max, points in ((2000, 1e4, 5000), (2000, 1e5, 50000), (40, 1e4, 5000)):
+        poly = DirichletPolynomial.from_values(rng.standard_normal(terms))
         ts = np.linspace(100.0, t_max, points)
-        assert expsum.grid_is_cheaper(np.log(poly._arrays[0]), ts)
+        assert expsum.grid_is_cheaper(np.log(poly._arrays[0]), ts) == (terms > 40)
         tracemalloc.start()
         try:
             poly.evaluate_half_line(ts)
