@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from zetagram.grampoints import bulk_hardy_z, solve_gram
 from zetagram.special import (
+    QUAD_GROUP,
     RS_MIN_T,
     SERIES_MIN_T,
     THETA_SWITCH_T,
@@ -25,6 +27,8 @@ from zetagram.special import (
     theta_deriv,
     zeta_critical,
     zeta_euler_maclaurin,
+    _RS_NODES,
+    _RS_WEIGHTS,
     _rs_main_sum,
     _rs_quadrature_remainder,
     _rs_series_remainder,
@@ -392,6 +396,89 @@ def test_hardy_z_keeps_the_shape_of_2d_input():
     assert z.tobytes() == hardy_z(arr.ravel()).reshape(arr.shape).tobytes()
 
 
+def _whole_array_quadrature(t, th):
+    """Oracle: the quadrature remainder as one (points x nodes) expression."""
+    n_main = np.floor(np.sqrt(t / TWO_PI))
+    x = (n_main + 0.5)[:, None] + _RS_NODES[None, :]
+    s = 0.5 + 1j * t
+    expo = (1j * math.pi) * x * x - s[:, None] * np.log(x) + 1j * th[:, None]
+    integral = (np.exp(expo) * _RS_WEIGHTS).sum(axis=1)
+    return np.where(np.mod(n_main, 2.0) == 0.0, -2.0, 2.0) * integral.real
+
+
+def _assert_quadrature_bits(ts, perm):
+    """Grouped quadrature == whole-array oracle, bit for bit, for ts, a
+    prefix of ts and ts permuted by perm."""
+    th = theta(ts)
+    got = _rs_quadrature_remainder(ts, th)
+    assert got.tobytes() == _whole_array_quadrature(ts, th).tobytes()
+    half = ts.size // 2
+    assert _rs_quadrature_remainder(ts[:half], th[:half]).tobytes() == got[:half].tobytes()
+    assert _rs_quadrature_remainder(ts[perm], th[perm]).tobytes() == got[perm].tobytes()
+
+
+# the quadrature's range, both sides of the RS_MIN_T seam and the
+# breakpoints t = 2 pi k^2 below SERIES_MIN_T, where N(t) steps
+_QUAD_SEAMS = (RS_MIN_T, SERIES_MIN_T) + tuple(TWO_PI * k * k for k in range(2, 29))
+_quad_heights = st.one_of(
+    st.floats(RS_MIN_T, SERIES_MIN_T, exclude_max=True),
+    st.builds(lambda seam, off: min(seam + off, SERIES_MIN_T - 1e-9),
+              st.sampled_from(_QUAD_SEAMS), st.floats(-1e-3, 1e-3)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_quad_heights, min_size=1, max_size=40), st.randoms(use_true_random=False))
+def test_grouped_quadrature_keeps_the_whole_array_bits(ts, rnd):
+    perm = list(range(len(ts)))
+    rnd.shuffle(perm)
+    _assert_quadrature_bits(np.array(ts), np.array(perm))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 28), st.integers(1, 3 * QUAD_GROUP), st.booleans(), st.integers(0, 2 ** 32))
+def test_grouped_quadrature_bits_over_many_groups(n, size, one_n, seed):
+    # one N (several groups of it when size > QUAD_GROUP), or all 28 N
+    # below SERIES_MIN_T; in random order
+    rng = np.random.default_rng(seed)
+    lo, hi = (max(RS_MIN_T, TWO_PI * n * n), min(SERIES_MIN_T, TWO_PI * (n + 1) ** 2)) \
+        if one_n else (RS_MIN_T, SERIES_MIN_T)
+    ts = rng.uniform(lo, hi, size)
+    if one_n:
+        assert np.all(np.floor(np.sqrt(ts / TWO_PI)) == n)
+    _assert_quadrature_bits(ts, rng.permutation(size))
+
+
+def test_quadrature_and_hardy_z_take_empty_input():
+    empty = np.empty(0)
+    assert _rs_quadrature_remainder(empty, empty).shape == (0,)
+    assert hardy_z(empty).shape == (0,)
+    # blocks with no height in [RS_MIN_T, SERIES_MIN_T): series only,
+    # Euler-Maclaurin only, and both
+    for ts in ([SERIES_MIN_T, 6000.0, 9e4], [0.0, 3.5, 9.9], [5.0, 2e4]):
+        arr = np.array(ts)
+        z = hardy_z(arr)
+        assert np.all(np.isfinite(z))
+        assert z.tobytes() == np.array([hardy_z(t) for t in arr]).tobytes()
+
+
+@pytest.mark.parametrize("lo, hi", [(RS_MIN_T, SERIES_MIN_T),
+                                    (TWO_PI * 20 ** 2, TWO_PI * 21 ** 2)])
+def test_hardy_z_quadrature_memory_is_bounded(lo, hi):
+    # 2^14 heights, one block, all on the quadrature: across every N, and
+    # all of one N.  The whole-array expression peaks near 90 MiB here,
+    # the groups of at most QUAD_GROUP points near 5.6 MiB (four complex
+    # temporaries of QUAD_GROUP x 89 entries, 1.4 MiB each)
+    ts = np.random.default_rng(59).uniform(lo, hi, 1 << 14)
+    tracemalloc.start()
+    try:
+        hardy_z(ts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
+
+
 def test_bulk_hardy_z_same_bytes_at_one_and_two_threads():
     # three blocks of bulk_hardy_z, unsorted, on both sides of the switch
     ts = np.random.default_rng(47).uniform(SERIES_MIN_T - 3000.0, SERIES_MIN_T + 3000.0, 40_000)
@@ -446,6 +533,21 @@ def test_hardy_z_matches_mpmath_siegelz(t):
 @pytest.mark.parametrize("t", ORACLE_HEIGHTS)
 def test_theta_matches_mpmath_siegeltheta(t):
     assert abs(theta(t) - float(mpmath.siegeltheta(t))) <= 2e-11
+
+
+# three fixed random heights in [0.9 T, T] for each T
+_ERROR_MODEL_HEIGHTS = tuple(
+    float(t) for T in (1e3, 1e4, 1e5)
+    for t in np.random.default_rng(int(T)).uniform(0.9 * T, T, 3))
+
+
+@pytest.mark.parametrize("t", _ERROR_MODEL_HEIGHTS)
+def test_hardy_z_within_its_error_model(t):
+    # the binary64 phases theta - t log n carry errors of about t 2^-53,
+    # so the stated bound grows with t: |error| <= 1e-14 t (1 + |Z|)
+    with mpmath.workdps(30):
+        ref = float(mpmath.siegelz(t))
+    assert abs(float(hardy_z(t)) - ref) <= 1e-14 * t * (1.0 + abs(ref))
 
 
 @pytest.mark.parametrize("n", (0, 1, 100, 10_000))
