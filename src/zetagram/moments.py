@@ -65,6 +65,20 @@ class DirichletPolynomial:
         coeff = {n: complex(v) for n, v in enumerate(seq, start=1) if v != 0}
         return cls(coefficients=coeff, limit=max(len(seq), 1))
 
+    @classmethod
+    def from_arrays(cls, ns, cs, limit: int) -> "DirichletPolynomial":
+        """The polynomial with x_n = cs[i] at n = ns[i], taking ns strictly
+        increasing in [1, limit] as its sorted support arrays."""
+        ns = np.asarray(ns, dtype=np.int64)
+        cs = np.asarray(cs, dtype=complex)
+        if ns.size and not (1 <= ns[0] and ns[-1] <= limit and np.all(ns[1:] > ns[:-1])):
+            raise ValueError(f"coefficient indices must increase strictly within [1, {limit}]")
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coefficients", dict(zip(ns.tolist(), cs.tolist())))
+        object.__setattr__(poly, "limit", limit)
+        poly.__dict__["_arrays"] = ns, cs
+        return poly
+
     @cached_property
     def _arrays(self):
         """(n, x_n) over the support, sorted by n; built once."""
@@ -100,12 +114,25 @@ class DirichletPolynomial:
         return expsum.evaluate(np.log(ns), cs / np.sqrt(ns), t)
 
 
+#: Candidate pairs per pass of _cross_sum: about 56 bytes of work arrays
+#: each, so a pass holds under 4 MiB beside the dense copy of b.
+CROSS_CHUNK = 1 << 16
+
+
 def _cross_sum(a: DirichletPolynomial, b: DirichletPolynomial) -> complex:
     """sum_{m in supp a, mn in supp b} a_m b_{mn} / (mn), exactly rounded.
 
-    Each term is (a_m b_k) / k with the real and imaginary parts divided
-    by k separately, which rounds as Python's complex / int does (numpy's
-    complex / real multiplies by a reciprocal instead).
+    The candidate pairs (m, k) with m in supp a and m k <= max supp b are
+    numbered m by m, k ascending, and read CROSS_CHUNK at a time, so a
+    long run of one m (m = 1 has max supp b of them) is split too.  Each
+    pass looks m k up in a dense copy of b and keeps the nonzero hits.
+    Each term is (a_m b_{mk}) / (mk) with the real and imaginary parts
+    divided by mk separately, which rounds as Python's complex / int does
+    (numpy's complex / real multiplies by a reciprocal instead); numpy's
+    complex product of two arrays rounds as that of a scalar and an
+    array, and fsum is exact, so neither the passes nor their order move
+    a bit.  Memory is O(max supp b + CROSS_CHUNK) besides the kept terms,
+    of which the resonator has two per coefficient.
     """
     an, ac = a._arrays
     bn, bc = b._arrays
@@ -113,12 +140,23 @@ def _cross_sum(a: DirichletPolynomial, b: DirichletPolynomial) -> complex:
         return 0j
     dense = np.zeros(int(bn[-1]) + 1, dtype=complex)
     dense[bn] = bc
-    re, im = [], []
-    for m, am in zip(an.tolist(), ac.tolist()):
-        ks = np.arange(m, dense.size, m)
-        prod = am * dense[ks]
-        re.append(prod.real / ks)
-        im.append(prod.imag / ks)
+    counts = (dense.size - 1) // an   # the k with m k <= max supp b
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    total = int(ends[-1])
+    re, im = [np.empty(0)], [np.empty(0)]
+    for lo in range(0, total, CROSS_CHUNK):
+        hi = min(lo + CROSS_CHUNK, total)
+        # the m-groups that meet [lo, hi), and how many of their pairs do
+        g0, g1 = int(np.searchsorted(ends, lo, "right")), int(np.searchsorted(starts, hi))
+        span = np.minimum(ends[g0:g1], hi) - np.maximum(starts[g0:g1], lo)
+        group = np.repeat(np.arange(g0, g1), span)
+        mk = an[group] * (np.arange(lo, hi) - starts[group] + 1)
+        hit = np.flatnonzero(dense[mk])
+        mk, group = mk[hit], group[hit]
+        prod = ac[group] * dense[mk]
+        re.append(prod.real / mk)
+        im.append(prod.imag / mk)
     return complex(fsum(np.concatenate(re)), fsum(np.concatenate(im)))
 
 

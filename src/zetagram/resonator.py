@@ -81,9 +81,9 @@ class Resonator:
 
     def coefficient_polynomial(self) -> DirichletPolynomial:
         """x_n = sqrt(n) f(n) as a DirichletPolynomial."""
-        coeff = {int(n): complex(math.sqrt(float(n)) * w)
-                 for n, w in zip(self.support, self.weights) if n >= 1}
-        return DirichletPolynomial(coefficients=coeff, limit=int(self.config.X))
+        return DirichletPolynomial.from_arrays(
+            self.support, np.sqrt(self.support.astype(float)) * self.weights,
+            int(self.config.X))
 
     @property
     def sum_f_squared(self) -> float:

@@ -235,6 +235,97 @@ def test_s1_coefficient_resonator_bit_for_bit():
         assert s1_predicted_coefficient(phi, poly, poly) == want
 
 
+def reference_cross_sum(a: DirichletPolynomial, b: DirichletPolynomial) -> complex:
+    """The per-m loop: for each m in supp a, ascending, every multiple k
+    of m up to max supp b, one scalar times array product and one
+    division per part, then one exactly rounded sum per part."""
+    an, ac = a._arrays
+    bn, bc = b._arrays
+    if not (an.size and bn.size):
+        return 0j
+    dense = np.zeros(int(bn[-1]) + 1, dtype=complex)
+    dense[bn] = bc
+    re, im = [], []
+    for m, am in zip(an.tolist(), ac.tolist()):
+        ks = np.arange(m, dense.size, m)
+        prod = am * dense[ks]
+        re.append(prod.real / ks)
+        im.append(prod.imag / ks)
+    return complex(math.fsum(np.concatenate(re).tolist()),
+                   math.fsum(np.concatenate(im).tolist()))
+
+
+def _same_bits(u: complex, v: complex) -> bool:
+    return np.array([u]).tobytes() == np.array([v]).tobytes()
+
+
+_VALUE = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _support_pairs(draw):
+    """Two coefficient dicts on [1, 400]: free, disjoint, nested, {1},
+    empty, or the second wholly above the first's maximum; either order."""
+    index_sets = st.sets(st.integers(1, 400), max_size=80)
+    a = draw(index_sets)
+    shape = draw(st.sampled_from(("free", "disjoint", "nested", "one", "empty", "above")))
+    if shape == "free":
+        b = draw(index_sets)
+    elif shape == "disjoint":
+        b = draw(index_sets) - a
+    elif shape == "nested":
+        b = {n for n in sorted(a) if draw(st.booleans())}
+    elif shape == "one":
+        b = {1}
+    elif shape == "empty":
+        b = set()
+    else:
+        b = draw(st.sets(st.integers(max(a, default=0) + 1, 401), max_size=40)) - {401}
+    if draw(st.booleans()):
+        a, b = b, a
+    return ({n: draw(_VALUE) for n in sorted(a)}, {n: draw(_VALUE) for n in sorted(b)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_support_pairs())
+def test_cross_sum_equals_reference_loop_bit_for_bit(pair):
+    a, b = (DirichletPolynomial(c, 400) for c in pair)
+    assert _same_bits(_cross_sum(a, b), reference_cross_sum(a, b))
+
+
+def test_cross_sum_resonators_equal_reference_loop_bit_for_bit():
+    small = build_resonator(5e4).coefficient_polynomial()
+    large = build_resonator(1e6).coefficient_polynomial()
+    for a, b in ((small, small), (large, large), (small, large), (large, small)):
+        assert _same_bits(_cross_sum(a, b), reference_cross_sum(a, b))
+
+
+def test_cross_sum_memory_is_bounded():
+    # the per-m loop peaks at 58 MiB here, and the dense copy of b is 16 MB
+    poly = build_resonator(1e6).coefficient_polynomial()
+    poly._arrays
+    tracemalloc.start()
+    try:
+        _cross_sum(poly, poly)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2**20
+
+
+def test_from_arrays_is_the_dict_polynomial():
+    ns, cs = np.array([1, 3, 8]), np.array([1.0, -0.5 + 2j, 0.25])
+    poly = DirichletPolynomial.from_arrays(ns, cs, 9)
+    want = DirichletPolynomial({1: 1.0, 3: -0.5 + 2j, 8: 0.25}, 9)
+    assert poly == want
+    for got, ref in zip(poly._arrays, want._arrays):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    assert DirichletPolynomial.from_arrays(ns[:0], cs[:0], 1).coefficients == {}
+    for bad_ns, limit in (([0, 3, 8], 9), ([1, 3, 8], 7), ([1, 8, 3], 9), ([1, 3, 3], 9)):
+        with pytest.raises(ValueError):
+            DirichletPolynomial.from_arrays(np.array(bad_ns), cs, limit)
+
+
 # ----------------------------------------------------------------------
 # moments at moderate height (smoke level; acceptance runs 1e5)
 # ----------------------------------------------------------------------
