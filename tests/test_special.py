@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zetagram.grampoints import bulk_hardy_z, solve_gram
@@ -568,8 +568,9 @@ STIRLING_BAND_END = 70.0
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.one_of(st.floats(10.0, THETA_SWITCH_T), st.floats(STIRLING_BAND_END, 1e5)))
+@given(st.floats(10.0, 1e5))
 def test_hardy_z_within_its_error_model_at_random_heights(t):
+    assume(not THETA_SWITCH_T < t < STIRLING_BAND_END)
     assert _within_error_model(t)
 
 
