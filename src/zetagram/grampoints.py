@@ -13,10 +13,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lambertw
 
 from . import special
-from .special import DomainError, theta, theta_deriv
+from .special import DomainError, _c99, _cevalpoly, theta, theta_deriv
 
 __all__ = [
     "Angle",
@@ -85,17 +84,69 @@ def _as_angle(phi) -> Angle:
 # Root solving
 # ----------------------------------------------------------------------
 
+#: Constants of scipy.special.lambertw: W(1), 1/e, the series of W at
+#: the branch point -1/e (Corless et al. 1996, 4.22) and the (3, 2) Pade
+#: approximant of W at 0, coefficients highest degree first.
+_OMEGA = 0.56714329040978387299997
+_EXPN1 = 0.36787944117144232159553
+_W_BRANCH = (-1.0 / 3.0, 1.0, -1.0)
+_W_PADE_NUM = (12.85106382978723404255, 12.34042553191489361902, 1.0)
+_W_PADE_DEN = (32.53191489361702127660, 14.34042553191489361702, 1.0)
+
+
+def _lambertw(b: np.ndarray) -> np.ndarray:
+    """The principal branch W0(b) for real b > -1/e.
+
+    A port of scipy.special.lambertw (BSD-3-Clause) at its default tol
+    1e-8 that gives its real part bit for bit, with the operations and
+    C-library calls of special.log_gamma: the seed is the branch-point
+    series within 0.3 of -1/e, the Pade approximant on (-0.2, 1.5) and
+    log b - log log b above; then Halley's iteration (Corless et al.
+    1996, 5.9), written with e^-w for w >= 0, until a step is at most
+    1e-8 of the iterate.
+    """
+    w = np.empty_like(b)
+    near = np.abs(b + _EXPN1) < 0.3
+    pade = ~near & (b > -0.2) & (b < 1.5)
+    asy = ~(near | pade)
+    p = np.sqrt(2.0 * (math.e * b[near] + 1.0))
+    w[near] = _cevalpoly(_W_BRANCH, p, 0.0)[0]
+    bp = b[pade]
+    w[pade] = bp * _cevalpoly(_W_PADE_NUM, bp, 0.0)[0] / _cevalpoly(_W_PADE_DEN, bp, 0.0)[0]
+    lb = _c99(np.log, b[asy])[0]
+    w[asy] = lb - _c99(np.log, lb)[0]
+    out = np.where(b == 0.0, b, _OMEGA)
+    live = np.flatnonzero((b != 0.0) & (b != 1.0))
+    b, w = b[live], w[live]
+    up = w >= 0.0
+    for _ in range(100):
+        if not live.size:
+            break
+        ew = _c99(np.exp, np.where(up, -w, w))[0]
+        f = np.where(up, w - b * ew, w * ew - b)
+        wn = w - f / (np.where(up, w + 1.0, w * ew + ew) - (w + 2.0) * f / (2.0 * w + 2.0))
+        done = np.abs(wn - w) <= 1e-8 * np.abs(wn)
+        out[live[done]] = wn[done]
+        live, b, w, up = live[~done], b[~done], wn[~done], up[~done]
+    out[live] = np.nan  # no convergence in 100 steps, as scipy
+    return out
+
+
 def _initial_guess(targets: np.ndarray) -> np.ndarray:
     """Invert the leading asymptotic (t/2) log(t/(2 pi e)) = tau + pi/8.
 
     With y = t/(2 pi e) the equation reads y log y = beta, solved by
-    y = beta / W0(beta); the fixed point of the equivalent iteration.
+    y = beta / W0(beta).  Newton's result depends on the seed's last
+    bit, so W0 is _lambertw, a port of scipy.special.lambertw (Corless
+    et al. 1996) that repeats scipy's bits.
     """
     beta = (targets + math.pi / 8.0) / (math.pi * math.e)
     guess = np.full_like(targets, 8.5)
     ok = beta > -0.3555  # W0 well-conditioned above the -1/e fold
     b = beta[ok]
-    y = np.where(np.abs(b) < 1e-12, 1.0, b / np.real(lambertw(b)))
+    y = np.ones_like(b)
+    big = np.abs(b) >= 1e-12  # y -> 1 as beta -> 0; no 0/0 at beta = 0
+    y[big] = b[big] / _lambertw(b[big])
     guess[ok] = TWO_PI * math.e * np.maximum(y, 0.2)
     return np.maximum(guess, TWO_PI + 0.05)
 

@@ -24,6 +24,10 @@ critical line:
   t = 65, where theta's Stirling series, stopped at its t^-3 term, puts
   errors of up to 2.6e-11 into Z.
 
+log_gamma, behind theta below THETA_SWITCH_T, is a port of
+scipy.special.loggamma (BSD-3-Clause; Hare 1997) that repeats its
+results bit for bit, so the package needs numpy alone at run time.
+
 Everything is plain binary64; long sums are compensated.  All functions
 are pure, and the array entry points are safe to call from multiple
 threads.
@@ -32,12 +36,13 @@ threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
-from scipy.special import loggamma as _sc_loggamma
 
 from .summation import fsum
 
@@ -104,16 +109,207 @@ class ZetaSample:
 # ----------------------------------------------------------------------
 # log-Gamma and the theta function
 # ----------------------------------------------------------------------
+#
+# log_gamma is a port of scipy.special.loggamma (BSD-3-Clause), after
+# Hare (1997), that reproduces its results bit for bit: the Gram points
+# are Newton roots of theta, and a change in the last bit of theta moves
+# some of them.  So each step is the operation that scipy's C++ compiles
+# to: complex products as (ac - bd, ad + bc), quotients by libgcc's
+# __divdc3, fused multiply-adds rounded once, and clog, exp, sin, ...
+# from the C library.
 
-def log_gamma(s: complex) -> complex:
-    """Principal branch of log Gamma(s).
+_DBL_MIN, _EPS = sys.float_info.min, sys.float_info.epsilon
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter
+
+#: log(2 pi)/2 and log(pi), as scipy spells them.
+_HLOG2PI = 0.918938533204672742
+_LOGPI = 1.1447298858494001741434262
+
+#: The Stirling coefficients B_2n / (2n (2n - 1)), n = 8 down to 1, and
+#: the Taylor coefficients of log Gamma(1 + z), (-1)^n zeta(n)/n for
+#: n = 23 down to 2 and then -(Euler's gamma), each to 20 digits as
+#: scipy's _precompute/loggamma.py prints them.
+_STIRLING = (-2.955065359477124183e-2, 6.4102564102564102564e-3, -1.9175269175269175269e-3,
+             8.4175084175084175084e-4, -5.952380952380952381e-4, 7.9365079365079365079e-4,
+             -2.7777777777777777778e-3, 8.3333333333333333333e-2)
+_TAYLOR = (-4.3478266053040259361e-2, 4.5454556293204669442e-2, -4.7619070330142227991e-2,
+           5.000004769810169364e-2, -5.2631679379616660734e-2, 5.5555767627403611102e-2,
+           -5.8823978658684582339e-2, 6.2500955141213040742e-2, -6.6668705882420468033e-2,
+           7.1432946295361336059e-2, -7.6932516411352191473e-2, 8.3353840546109004025e-2,
+           -9.0954017145829042233e-2, 1.0009945751278180853e-1, -1.1133426586956469049e-1,
+           1.2550966952474304242e-1, -1.4404989676884611812e-1, 1.6955717699740818995e-1,
+           -2.0738555102867398527e-1, 2.7058080842778454788e-1, -4.0068563438653142847e-1,
+           8.2246703342411321824e-1, -5.7721566490153286061e-1)
+
+
+def _c99(fn, zr, zi=0.0):
+    """fn(zr + i zi) as (Re, Im), for fn one of numpy's exp, log, sin,
+    cosh, sinh.  On complex input numpy calls the C library's cexp, clog,
+    csin, ..., as scipy does, and on the real axis these give exp, sin,
+    ... exactly.  (numpy's real exp, log, cosh, ... and its complex
+    products are SIMD code that differs in the last bit of some results.)
+    """
+    z = np.empty(np.broadcast(zr, zi).shape, dtype=complex)
+    z.real, z.imag = zr, zi
+    z = fn(z)
+    return z.real, z.imag
+
+
+def _fsum(*terms) -> float:
+    return math.fsum(terms)
+
+
+def _fma(a, b, c) -> np.ndarray:
+    """a b + c rounded once, per element: math.fsum of c and the exact
+    product p + e (Dekker 1971)."""
+    p = a * b
+    ah, bh = a * _SPLIT, b * _SPLIT
+    ah, bh = ah - (ah - a), bh - (bh - b)
+    al, bl = a - ah, b - bh
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    c = c.tolist() if isinstance(c, np.ndarray) else repeat(c)
+    return np.fromiter(map(_fsum, p.tolist(), e.tolist(), c), float, p.size)
+
+
+def _cevalpoly(coef, zr, zi):
+    """The real polynomial coef (highest degree first) at z = zr + i zi,
+    by Knuth's recurrence (TAOCP 4.6.4, eq. 3) as scipy runs it: with
+    r = 2 Re z and s = |z|^2, each step a, b = r a + b, c - s a is fused,
+    and the result is z a + b."""
+    a, b = np.full_like(zr, coef[0]), np.full_like(zr, coef[1])
+    r, s = 2.0 * zr, zr * zr + zi * zi
+    for c in coef[2:]:
+        a, b = _fma(r, a, b), _fma(-s, a, c)
+    return zr * a + b, zi * a
+
+
+def _cdiv(a, b, c, d):
+    """(a + ib) / (c + id) as libgcc's __divdc3 (Smith 1962, with its other
+    order for a subnormal ratio), less the power-of-two rescalings that
+    act only where a step would overflow or underflow.  For |c| < |d| it
+    divides (b - ia) by (d - ic), which takes the same steps."""
+    flip = np.abs(c) < np.abs(d)
+    a, b, c, d = (np.where(flip, b, a), np.where(flip, -a, b),
+                  np.where(flip, d, c), np.where(flip, -c, d))
+    ratio = d / c
+    denom = d * ratio + c
+    tiny = np.abs(ratio) <= _DBL_MIN
+    return (np.where(tiny, a + d * (b / c), b * ratio + a) / denom,
+            np.where(tiny, b - d * (a / c), b - a * ratio) / denom)
+
+
+def _lg_stirling(x, y):
+    """Stirling's series of log Gamma(x + iy), for x > 7 or |y| > 7."""
+    rr, ri = _cdiv(np.ones_like(x), np.zeros_like(x), x, y)
+    pr, pi_ = _cevalpoly(_STIRLING, *_cdiv(rr, ri, x, y))
+    lr, li = _c99(np.log, x, y)
+    return ((x - 0.5) * lr - y * li - x + _HLOG2PI + (rr * pr - ri * pi_),
+            (x - 0.5) * li + y * lr - y + (rr * pi_ + ri * pr))
+
+
+def _lg_shift(x, y):
+    """The upward recurrence for log Gamma(x + iy), y >= +0: the first
+    x + k > 7, and log|p|, arg p and the 2 pi turns of log p for the
+    product p = z (z + 1) ... (z + k - 1), one turn per crossing of the
+    negative real axis."""
+    pr, pi_, flips = x, y, np.zeros_like(x)
+    x = x + 1.0
+    live = x <= 7.0
+    while live.any():
+        below = np.signbit(pi_)
+        pr, pi_ = (np.where(live, pr * x - pi_ * y, pr), np.where(live, pr * y + pi_ * x, pi_))
+        flips += live & np.signbit(pi_) & ~below
+        x = np.where(live, x + 1.0, x)
+        live = x <= 7.0
+    return (x, *_c99(np.log, pr, pi_), 2.0 * flips * math.pi)
+
+
+def _lg_taylor(x, y):
+    """log Gamma(1 + x + iy) by its Taylor series, for |x + iy| < 0.2."""
+    pr, pi_ = _cevalpoly(_TAYLOR, x, y)
+    return x * pr - y * pi_, x * pi_ + y * pr
+
+
+def _log_near_one(x, y):
+    """log(x + iy) as scipy's zlog1: the series of log(1 + u) within 0.1
+    of 1, clog elsewhere."""
+    lr, li = _c99(np.log, x, y)
+    live = np.flatnonzero(np.hypot(x - 1.0, y) <= 0.1)
+    ur, ui = x[live] - 1.0, y[live]
+    cr, ci, rr, ri = -np.ones(live.size), np.zeros(live.size), np.zeros(live.size), np.zeros(live.size)
+    for n in range(1, 17):  # coefficient c = -(-u)^n; stop where |sum / c| < eps
+        cr, ci = -cr * ur + ci * ui, -cr * ui - ci * ur
+        rr, ri = rr + cr / n, ri + ci / n
+        lr[live], li[live] = rr, ri
+        with np.errstate(divide="ignore", invalid="ignore"):  # c = 0 runs on to n = 16
+            keep = ~(np.hypot(*_cdiv(rr, ri, cr, ci)) < _EPS)
+        live, ur, ui, cr, ci, rr, ri = (v[keep] for v in (live, ur, ui, cr, ci, rr, ri))
+    return lr, li
+
+
+def _sin_pi(x, y):
+    """sin(pi (x + iy)) as scipy's sinpi for |pi y| < 700: sin and cos of
+    pi x, as sines after reducing x mod 2, times cosh and sinh of pi y."""
+    r = np.fmod(np.abs(x), 2.0)
+    sign = np.where(x < 0.0, -1.0, 1.0) * np.where((r < 0.5) | (r > 1.5), 1.0, -1.0)
+    sin = sign * _c99(np.sin, math.pi * (r - np.where(r < 0.5, 0.0, np.where(r > 1.5, 2.0, 1.0))))[0]
+    cos = np.where(r < 1.0, -1.0, 1.0) * _c99(np.sin, math.pi * (r - np.where(r < 1.0, 0.5, 1.5)))[0]
+    cos[r == 0.5] = 0.0
+    py = math.pi * y
+    return sin * _c99(np.cosh, py)[0], cos * _c99(np.sinh, py)[0]
+
+
+def _log_gamma(x, y):
+    """(Re, Im) of the principal log Gamma(x + iy), off the poles."""
+    re, im = np.empty_like(x), np.empty_like(x)
+    small = (x <= 7.0) & (np.abs(y) <= 7.0)
+    near1 = small & (np.hypot(x - 1.0, y) < 0.2)
+    near2 = small & ~near1 & (np.hypot(x - 2.0, y) < 0.2)
+    refl = small & ~(near1 | near2) & (x < 0.1)
+    rec = small & ~(near1 | near2 | refl)
+    if near1.any():
+        re[near1], im[near1] = _lg_taylor(x[near1] - 1.0, y[near1])
+    if near2.any():  # log Gamma(z) = log(z - 1) + log Gamma(z - 1)
+        lr, li = _log_near_one(x[near2] - 1.0, y[near2])
+        tr, ti = _lg_taylor(x[near2] - 1.0 - 1.0, y[near2])
+        re[near2], im[near2] = lr + tr, li + ti
+    if refl.any():  # log pi - log sin(pi z) - log Gamma(1 - z), on the principal branch
+        xr, yr = x[refl], y[refl]
+        sr, si = _sin_pi(xr, yr)
+        gr, gi = _log_gamma(1.0 - xr, -yr)
+        turns = np.copysign(2.0 * math.pi, yr) * np.floor(0.5 * xr + 0.25)
+        lr, li = _c99(np.log, sr, si)
+        re[refl], im[refl] = _LOGPI - lr - gr, turns - li - gi
+    st = ~small | rec
+    if st.any():  # Stirling, after the recurrence for rec; Gamma(conj z) = conj Gamma(z)
+        r, lower = rec[st], np.signbit(y[st])
+        sx, sy = x[st], np.where(r, np.abs(y[st]), y[st])
+        sx[r], lr, li, turns = _lg_shift(sx[r], sy[r])
+        sr, si = _lg_stirling(sx, sy)
+        sr[r], si[r] = sr[r] - lr, si[r] - li - turns
+        re[st], im[st] = sr, np.where(r & lower, -si, si)
+    return re, im
+
+
+def log_gamma(s):
+    """Principal branch of log Gamma(s), for a scalar (returns complex)
+    or an array (returns a complex ndarray).
+
+    A port of scipy.special.loggamma (BSD-3-Clause) that gives its
+    results bit for bit, after Hare (1997): Stirling's series for Re s > 7 or |Im s| > 7; Taylor
+    series about 1 and, by one recurrence step, about 2 within 0.2 of
+    them; the reflection formula for Re s < 0.1; otherwise the upward
+    recurrence to Re s > 7 and Stirling there.
 
     Raises :class:`PoleError` at the poles s = 0, -1, -2, ...
     """
-    s = complex(s)
-    if s.imag == 0.0 and s.real <= 0.0 and s.real == int(s.real):
+    arr = np.asarray(s, dtype=complex)
+    x, y = arr.real.ravel(), arr.imag.ravel()
+    if np.any((y == 0.0) & (x <= 0.0) & (x == np.floor(x))):
         raise PoleError(f"log_gamma pole at s={s}")
-    return complex(_sc_loggamma(s))
+    out = np.empty(x.size, dtype=complex)
+    out.real, out.imag = _log_gamma(x, y)
+    return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def _theta_stirling(t):
@@ -140,8 +336,8 @@ def theta(t):
     out = np.empty_like(arr)
     low = arr <= THETA_SWITCH_T
     if low.any():
-        out[low] = np.imag(_sc_loggamma(0.25 + 0.5j * arr[low])) \
-            - 0.5 * arr[low] * math.log(math.pi)
+        tl = arr[low]
+        out[low] = _log_gamma(np.full_like(tl, 0.25), 0.5 * tl)[1] - 0.5 * tl * math.log(math.pi)
     high = ~low
     if high.any():
         out[high] = _theta_stirling(arr[high])
@@ -177,8 +373,7 @@ def log_delta(s: complex) -> complex:
     for arg in ((1.0 - s) / 2.0, s / 2.0):
         if arg.imag == 0.0 and arg.real <= 0.0 and arg.real == int(arg.real):
             raise PoleError(f"Delta has a pole/zero at s={s}")
-    return (s - 0.5) * math.log(math.pi) + complex(_sc_loggamma((1.0 - s) / 2.0)) \
-        - complex(_sc_loggamma(s / 2.0))
+    return (s - 0.5) * math.log(math.pi) + log_gamma((1.0 - s) / 2.0) - log_gamma(s / 2.0)
 
 
 def delta(s: complex) -> complex:
@@ -199,7 +394,7 @@ def delta_critical(t):
     """Delta(1/2 + it) for an array of heights (vectorized)."""
     arr = np.atleast_1d(np.asarray(t, dtype=float))
     s = 0.5 + 1j * arr
-    ld = (s - 0.5) * math.log(math.pi) + _sc_loggamma((1.0 - s) / 2.0) - _sc_loggamma(s / 2.0)
+    ld = (s - 0.5) * math.log(math.pi) + log_gamma((1.0 - s) / 2.0) - log_gamma(s / 2.0)
     return np.exp(ld)
 
 

@@ -511,6 +511,18 @@ def test_semantic_hash_ignores_threads():
     assert a.semantic_hash() != c.semantic_hash()
 
 
+def test_commands_run_without_scipy():
+    # numpy is the only run-time dependency: neither the import nor a
+    # certificate op (Gram-point seeds, theta below t = 30) loads scipy
+    script = ("import contextlib, io, sys; from zetagram import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    rc = cli.main(['resonate', '--x', '5e4', '--certificate', '--t-max', '1e4'])\n"
+              "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.stdout.split() == ["0", "[]"], proc.stderr
+
+
 def test_entry_point_runs_as_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "zetagram.cli", "points", "--phi", "0",

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from zetagram.grampoints import (
     POINT_BUDGET,
     Angle,
     OutOfBranchError,
+    _initial_guess,
+    _lambertw,
     classify,
     count_estimate,
     enumerate_points,
@@ -74,6 +77,22 @@ def test_solve_quarter_turn():
     pt = solve_gram(0, math.pi / 2)
     assert abs(theta(pt.t) + math.pi / 2) < 1e-10
     assert abs(delta(0.5 + 1j * pt.t) - np.exp(1j * math.pi)) < 1e-8
+
+
+def test_solve_at_a_zero_seed_argument_is_silent():
+    # pi n - phi = -pi/8 makes the Lambert W argument exactly 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pt = solve_gram(0, math.pi / 8)
+        _initial_guess(np.array([-math.pi / 8, 1.0, 50.0]))
+    assert abs(theta(pt.t) + math.pi / 8) < 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=-0.3555, max_value=1e7))
+def test_lambertw_inverts_w_exp_w(b):
+    w = float(_lambertw(np.array([b]))[0])
+    assert abs(w * math.exp(w) - b) <= 1e-12 * max(1.0, abs(b))
 
 
 def test_solve_below_branch_raises():

@@ -15,7 +15,8 @@ change/parent, the bound, and the number of pairs the change won.
 With --claim, the named metric is tested against the rule for a gain:
 the change wins at least nine tenths of the pairs, and the medians
 differ by more than the parent's interquartile range.  With --trace,
-one `--trace 1` run per side adds its per-layer metrics.
+one `--trace 1` run per side adds its per-layer metrics.  The entry also
+records the cost of `import zetagram` on each side (see import_cost).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 
@@ -55,6 +57,28 @@ def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     if workload != "all":  # one workload's metrics carry no workload prefix
         record["metrics"] = {f"{workload}/{k}": v for k, v in record["metrics"].items()}
     return record
+
+
+#: Fresh interpreters per side that time `import zetagram`.
+IMPORT_RUNS = 5
+
+
+def import_cost(checkouts: dict) -> dict:
+    """Per side, the median wall time and ru_maxrss of IMPORT_RUNS fresh
+    `python -c "import zetagram"` processes, the sides alternating.  No
+    per-layer metric covers the import, which every command pays once."""
+    code = "import resource, zetagram; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    samples = {side: {"wall_s": [], "peak_rss_mb": []} for side in checkouts}
+    for _ in range(IMPORT_RUNS):
+        for side, checkout in checkouts.items():
+            env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+            start = time.perf_counter()
+            out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                 capture_output=True, text=True).stdout
+            samples[side]["wall_s"].append(time.perf_counter() - start)
+            samples[side]["peak_rss_mb"].append(int(out) / 1024.0)
+    return {"command": f'python -c "import zetagram", {IMPORT_RUNS} fresh processes per side',
+            **{side: {k: statistics.median(v) for k, v in m.items()} for side, m in samples.items()}}
 
 
 def quartiles(values) -> tuple:
@@ -134,6 +158,7 @@ def main(argv=None) -> int:
             for side in order:
                 runs[side].append(run_bench(sides[side], args.workload, seed, 0))
                 print(f"pair {seed} {side}: done", file=sys.stderr)
+        imports = import_cost(sides)
         layer = None
         if args.trace:
             traced = {side: run_bench(path, args.workload, 0, 1)["metrics"]
@@ -161,6 +186,7 @@ def main(argv=None) -> int:
         "claim": claim_check(summary, args.claim, args.pairs) if args.claim
         else "none: no gain is claimed",
         "summary": summary,
+        "import": imports,
         "layer": layer,
         "parent_runs": runs["parent"],
         "change_runs": runs["change"],
