@@ -155,10 +155,6 @@ def _c99(fn, zr, zi=0.0):
     return z.real, z.imag
 
 
-def _fsum(*terms) -> float:
-    return math.fsum(terms)
-
-
 def _fma(a, b, c) -> np.ndarray:
     """a b + c rounded once, per element: math.fsum of c and the exact
     product p + e (Dekker 1971)."""
@@ -168,7 +164,7 @@ def _fma(a, b, c) -> np.ndarray:
     al, bl = a - ah, b - bh
     e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
     c = c.tolist() if isinstance(c, np.ndarray) else repeat(c)
-    return np.fromiter(map(_fsum, p.tolist(), e.tolist(), c), float, p.size)
+    return np.fromiter(map(math.fsum, zip(p.tolist(), e.tolist(), c)), float, p.size)
 
 
 def _cevalpoly(coef, zr, zi):
