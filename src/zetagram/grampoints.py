@@ -37,7 +37,7 @@ THETA_MIN = float(theta(TWO_PI))
 BRANCH_BUFFER = 0.25
 
 #: Bump when the solver or the theta evaluation changes; invalidates caches.
-EVALUATOR_VERSION = 2
+EVALUATOR_VERSION = 3
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 60
@@ -46,9 +46,9 @@ NEWTON_MAX_ITER = 60
 NEAR_ZERO = 1e-9
 
 #: Most Gram points one enumeration may hold.  From T = 1e5 to 1e6 the
-#: address space of `points`, `maxscan` and `resonate --certificate`
-#: grew by about 145 bytes per point (the Newton solve), that of
-#: `verify all`, which holds three sweeps, by about 310; so each fits in
+#: address space (VmPeak) of `points` and `maxscan` grew by at most 42
+#: bytes per point, that of `resonate --certificate` by 106 and that of
+#: `verify all`, which holds three sweeps, by about 190; so each fits in
 #: 4 GiB at the budget.  A t_max above about 4.99e6 holds more points
 #: and is rejected before any array is allocated.
 POINT_BUDGET = 10_000_000
@@ -152,47 +152,43 @@ def _initial_guess(targets: np.ndarray) -> np.ndarray:
 
 
 def _solve_targets(targets: np.ndarray) -> np.ndarray:
-    """Vectorized safeguarded Newton for theta(t) = tau on t > 2 pi.
+    """Vectorized Newton for theta(t) = tau on t > 2 pi.
 
-    theta' >= (1/2) log(t/2pi) > 0 there, so a bracket plus Newton with
-    bisection fallback always converges.  Each element stops on its own
-    test (|residual| <= NEWTON_TOL, or a step of at most 2 ulps), so its
-    result does not depend on the other targets of the batch.  A final
-    ulp-level polish picks the representable t minimizing
-    |theta(t) - tau|, which is the best achievable residual in binary64.
+    theta''(t) = -(1/4) Im psi'(1/4 + it/2) > 0 for t > 0, so theta is
+    convex, and it increases on t > 2 pi: from a start right of the
+    root Newton's iterates fall monotonically onto it, and from one left
+    of it one step lands right of it.  _initial_guess never seeds below
+    2 pi + 0.05, so no bracket or fallback is needed; theta and
+    theta_deriv raise DomainError should an iterate leave their domain.
+    Each element stops on its own test, so its result does not depend
+    on the other targets of the batch: |residual| <= NEWTON_TOL, a step
+    of at most 2 ulps, or a step no smaller than the one before.  That
+    step is rounding noise: near t = 1e6 one ulp of theta spans about 3
+    ulps of t, and Newton would 2-cycle there, as across theta's
+    1.6e-11 jump at THETA_SWITCH_T.  A final ulp-level polish picks the
+    representable t minimizing |theta(t) - tau|, which is the best
+    achievable residual in binary64.
     """
     targets = np.asarray(targets, dtype=float)
     if np.any(targets < THETA_MIN + BRANCH_BUFFER):
         raise OutOfBranchError(
             "target below the increasing-branch cutoff "
             f"theta(2 pi) + {BRANCH_BUFFER} = {THETA_MIN + BRANCH_BUFFER:.4f}")
-    lo = np.full_like(targets, TWO_PI * (1.0 + 1e-12))
-    guess = _initial_guess(targets)
-    hi = np.maximum(guess * 1.6, 24.0)
-    for _ in range(80):
-        need = theta(hi) <= targets
-        if not need.any():
-            break
-        hi[need] *= 1.7
-    t = np.clip(guess, lo + 0.05, hi)
+    t = _initial_guess(targets)
     # each pass works on the still-live elements only: live indexes t,
-    # and lo, hi and tau hold the brackets and targets of those elements
-    live, tau = np.arange(t.size), targets
+    # and tau and last hold the targets and previous step sizes of those
+    live, tau, last = np.arange(t.size), targets, np.full(t.size, math.inf)
     for _ in range(NEWTON_MAX_ITER):
         tl = t[live]
         res = theta(tl) - tau
-        above = res > 0.0
-        hi = np.where(above, np.minimum(hi, tl), hi)
-        lo = np.where(~above, np.maximum(lo, tl), lo)
         tn = tl - res / theta_deriv(tl)
-        bad = ~((tn > lo) & (tn < hi)) | ~np.isfinite(tn)
-        tn = np.where(bad, 0.5 * (lo + hi), tn)
-        moving = np.abs(res) > NEWTON_TOL
+        step = np.abs(tn - tl)
+        moving = (np.abs(res) > NEWTON_TOL) & (step < last)
         t[live[moving]] = tn[moving]
-        keep = moving & (np.abs(tn - tl) > 2.0 * np.spacing(tl))
+        keep = moving & (step > 2.0 * np.spacing(tl))
         if not keep.any():
             break
-        live, tau, lo, hi = live[keep], tau[keep], lo[keep], hi[keep]
+        live, tau, last = live[keep], tau[keep], step[keep]
     # ulp polish: among the 5 neighbouring representables, keep the one
     # with the smallest computed residual.
     ulp = np.spacing(t)
@@ -317,8 +313,11 @@ def enumerate_points(phi, t_max: float, cache_dir: str | None = None) -> GramPoi
         path = _cache_path(cache_dir, angle)
         height, t = _load_cache(path, angle) or (height, t)
     if t_max > height:
-        t = np.concatenate([t, _solve_targets(math.pi * np.arange(t.size, n_max + 1) - angle.phi)])
-        if np.any(np.diff(t) <= 0.0):
+        known, t = t.size, np.concatenate([t, np.empty(n_max + 1 - t.size)])
+        for a in range(known, t.size, special.BLOCK_POINTS):
+            b = min(a + special.BLOCK_POINTS, t.size)
+            t[a:b] = _solve_targets(math.pi * np.arange(a, b) - angle.phi)
+        if np.any(t[1:] <= t[:-1]):
             raise RuntimeError("enumerated abscissas are not strictly increasing")
         if cache_dir:
             _store_cache(path, angle, t_max, t)

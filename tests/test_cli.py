@@ -87,8 +87,8 @@ def test_points_json_values_are_hardy_z(tmp_path):
 POINTS_SHA256 = {
     ("1e4", "csv"): "a610b22a64b6498ed64f4c56959b7d0b8e2847e4832c83de0c99a4cd7a7fe058",
     ("1e4", "json"): "5469c5c72619be1810a2c6bcaa5a6a1843abd358b9762503c53eae8edf35d7db",
-    ("1e5", "csv"): "facd8782677416cd9bf297b3529d48badac1854e91e9018bbc756066c8dfde03",
-    ("1e5", "json"): "18cc6f383eca5cc52a3d5a3f36bf3d9f84f29bd58269c87e47cfb5d5e6de055b",
+    ("1e5", "csv"): "e92d63f8fe75238ba766cbcfe2102e463b795965a973987b9de67d12487c948c",
+    ("1e5", "json"): "9fb18d24e9a5d87e715f938366c63fce4dec312672d641b8e768e01ee49700e0",
 }
 
 

@@ -1,7 +1,9 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -199,6 +201,42 @@ def test_solve_targets_guesses_once(monkeypatch):
                         lambda targets: calls.append(targets.size) or real(targets))
     pts = enumerate_points(0.3, 1000.0)
     assert len(calls) == 1 and len(pts) > 100
+
+
+@pytest.mark.parametrize("phi, lo, hi", ((0.3, 39000, 42000), (0.0, 1733600, 1733625)))
+def test_newton_takes_at_most_three_passes(monkeypatch, phi, lo, hi):
+    # at most 3 Newton passes, then 5 polish passes, where steps are at
+    # the rounding level: just above t = 2^15 (n = 39424 to 41721 at
+    # phi = 0.3) and at n = 1,733,612, which 2-cycles by +-3 ulps unless
+    # a step that does not shrink stops it
+    calls = []
+    real = grampoints.theta
+    monkeypatch.setattr(grampoints, "theta", lambda t: calls.append(t.size) or real(t))
+    grampoints._solve_targets(math.pi * np.arange(lo, hi) - phi)
+    assert len(calls) <= 9
+
+
+def test_gram_points_match_mpmath_grampoint():
+    # n = 3 to about 20 lie where theta is off by up to 1.6e-11 (its
+    # Stirling series stops at t^-3 above THETA_SWITCH_T), so not here
+    ns = [0, 1, 2, 30, 100, 1000, 10_000]
+    ns += np.random.default_rng(18).integers(39300, 41800, 100).tolist()
+    with mpmath.workdps(30):
+        for n in ns:
+            t = solve_gram(n, 0.0).t
+            assert abs(mpmath.mpf(t) - mpmath.grampoint(n)) <= 2 * math.ulp(t), n
+
+
+def test_enumeration_memory_is_bounded():
+    # t and n hold 16 bytes per point; the solve runs in blocks of
+    # BLOCK_POINTS targets, so its temporaries do not grow with t_max
+    tracemalloc.start()
+    try:
+        pts = enumerate_points(0.3, 3e5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * len(pts)
 
 
 def test_enumeration_beyond_the_point_budget_raises():

@@ -16,7 +16,8 @@ With --claim, the named metric is tested against the rule for a gain:
 the change wins at least nine tenths of the pairs, and the medians
 differ by more than the parent's interquartile range.  With --trace,
 one `--trace 1` run per side adds its per-layer metrics.  The entry also
-records the cost of `import zetagram` on each side (see import_cost).
+records the cost of `import zetagram` on each side (see import_cost) and
+the size of each side's src/ (see src_lines).
 """
 
 from __future__ import annotations
@@ -79,6 +80,11 @@ def import_cost(checkouts: dict) -> dict:
             samples[side]["peak_rss_mb"].append(int(out) / 1024.0)
     return {"command": f'python -c "import zetagram", {IMPORT_RUNS} fresh processes per side',
             **{side: {k: statistics.median(v) for k, v in m.items()} for side, m in samples.items()}}
+
+
+def src_lines(checkout: Path) -> int:
+    """The line count of `cat src/zetagram/*.py | wc -l` in checkout."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "zetagram").glob("*.py"))
 
 
 def quartiles(values) -> tuple:
@@ -151,6 +157,8 @@ def main(argv=None) -> int:
     work = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         sides = {side: export(rev, work / side) for side, rev in revisions.items()}
+        lines = {"command": "cat src/zetagram/*.py | wc -l",
+                 **{side: src_lines(path) for side, path in sides.items()}}
         runs = {"parent": [], "change": []}
         seeds = list(range(1, args.pairs + 1))
         for seed in seeds:
@@ -187,6 +195,7 @@ def main(argv=None) -> int:
         else "none: no gain is claimed",
         "summary": summary,
         "import": imports,
+        "src_lines": lines,
         "layer": layer,
         "parent_runs": runs["parent"],
         "change_runs": runs["change"],
