@@ -204,9 +204,9 @@ def test_solve_targets_guesses_once(monkeypatch):
 
 
 @pytest.mark.parametrize("phi, lo, hi", ((0.3, 39000, 42000), (0.0, 1733600, 1733625)))
-def test_newton_takes_at_most_three_passes(monkeypatch, phi, lo, hi):
-    # at most 3 Newton passes, then 5 polish passes, where steps are at
-    # the rounding level: just above t = 2^15 (n = 39424 to 41721 at
+def test_solve_takes_at_most_nine_theta_calls(monkeypatch, phi, lo, hi):
+    # 3 or 4 Newton passes, then 5 polish passes, where steps are at the
+    # rounding level: just above t = 2^15 (n = 39424 to 41721 at
     # phi = 0.3) and at n = 1,733,612, which 2-cycles by +-3 ulps unless
     # a step that does not shrink stops it
     calls = []
