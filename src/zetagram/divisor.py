@@ -2,8 +2,10 @@
 zeta^kappa), truncated convolution powers, partial-sum asymptotics, and
 the cubic-moment polynomials built from Stieltjes constants.
 
-Bulk d_kappa values come from one segmented sieve, _sieve_segments; the
-sums over n reduce its segments as they come and hold no whole table.
+Bulk d_kappa values come from one segmented sieve, _sieve_segments,
+which serves several kappa in one pass; the sums over n reduce its
+segments as they come and hold no whole table, and every ratio sum that
+the divisor check needs comes out of one such pass.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .summation import prefix_fsums
+from .summation import prefix_fsums, prefix_fsums_side_by_side
 
 __all__ = [
     "DivisorTable",
@@ -28,6 +30,7 @@ __all__ = [
     "convolve_truncated",
     "divisor_partial_sum",
     "divisor_ratio_sum",
+    "divisor_ratio_sums_by_case",
     "stieltjes",
     "p2_polynomial",
     "p3_polynomial",
@@ -39,6 +42,14 @@ INDEX_BUDGET = 100_000_000
 #: Entries per sieve segment (2 MiB of values).  The sums over n take
 #: the segments as chunks and round each prefix once whatever SEG is.
 SEG = 1 << 18
+
+#: The ratio sums form their terms this many at a time: a block is still
+#: in cache when it is summed, and the term arrays stay small however
+#: many cases share the pass.
+TERM_BLOCK = 1 << 14
+
+#: The sieve's rough-number mark weighs a prime p as round(_MARK_SCALE log2 p).
+_MARK_SCALE = 4
 
 
 class SizeBudgetError(ValueError):
@@ -84,7 +95,8 @@ def _prime_power_coeff(kappa: float, j: int) -> float:
 
 def d_kappa(n: int, kappa: float) -> float:
     """Multiplicative extension of the prime-power formula, by trial
-    factorization.  Kept simple; bulk work goes through build_table."""
+    factorization, one n at a time.  Tables and sums over n take their
+    values from the sieve, _sieve_segments, instead."""
     if n < 1:
         raise ValueError("d_kappa requires n >= 1")
     _check_kappa(kappa)
@@ -116,22 +128,40 @@ class DivisorTable:
         return float(self.values[n])
 
 
-def _sieve_segments(kappa: float, limit: int):
-    """d_kappa(1..limit) as consecutive arrays of SEG entries (the last
-    may be shorter): segment j holds n = j SEG + 1 .. (j + 1) SEG.
+def _sieve_segments(kappas, limit: int):
+    """d_kappa(1..limit) for every kappa in kappas, one segment at a time:
+    segment j is a list of one array per kappa, each holding n = j SEG + 1
+    .. (j + 1) SEG (the last may be shorter).  One loop over the prime
+    powers serves every kappa, and a repeated kappa is sieved once.
 
     Each n gets the prime-power ratio d_kappa(p^e)/d_kappa(p^{e-1}) =
     (kappa + e - 1)/e for every p^e dividing it, primes ascending, then
-    exponents ascending.  Only primes p <= sqrt(limit) are sieved, and
-    the part of n they make up is multiplied alongside.  An n that part
-    does not reach has one prime factor above sqrt(limit), its largest,
-    so that prime's ratio, rounded as at e = 1: (kappa + 1 - 1.0) / 1,
+    exponents ascending.  Only primes p <= sqrt(limit) are sieved.  An n
+    they do not make up whole has one prime factor q above sqrt(limit),
+    its largest, so q's ratio, rounded as at e = 1: (kappa + 1 - 1.0) / 1,
     which is not always kappa, comes last.
 
-    The arguments are checked at the call, not at the first next().
-    Each segment is a new array.
+    Such a rough n is found by a mark, not by forming the sieved part s
+    of n: each p^e dividing n adds w(p) = round(S log2 p), S = _MARK_SCALE,
+    to a uint8 count A.  As |w(p) - S log2 p| <= 1/2 <= (log2 p)/2,
+        (S - 1/2) log2 s <= A <= (S + 1/2) log2 s.
+    A smooth n (s = n) has A >= (S - 1/2) log2 n; a rough one has
+    log2 s = log2 n - log2 q < log2 n - (log2 limit)/2, so
+    A < (S + 1/2)(log2 n - (log2 limit)/2).  The two bounds are
+    (S + 1/2)(log2 limit)/2 - log2 n >= (5/4) log2 limit apart, and n is
+    rough when A is below their midpoint.  Past the first segment one
+    threshold serves the whole segment: the smooth bound at its lowest n
+    exceeds the rough bound at its highest by more than 1 there (by 20
+    or more at SEG = 2^18).  A stays at most (S + 1/2) log2 INDEX_BUDGET
+    < 120, so the uint8 cannot overflow.
+
+    The arrays are reused: a segment is valid until the next is asked
+    for, so a caller copies what it keeps.  The arguments are checked at
+    the call, not at the first next().
     """
-    _check_kappa(kappa)
+    kappas = list(kappas)
+    for kappa in kappas:
+        _check_kappa(kappa)
     limit = int(limit)
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -140,39 +170,59 @@ def _sieve_segments(kappa: float, limit: int):
 
     def segments():
         small = primes_up_to(math.isqrt(limit)).tolist()
-        large = (kappa + 1 - 1.0) / 1
+        weights = [round(_MARK_SCALE * math.log2(p)) for p in small]
+        bufs = {kappa: np.ones(min(SEG, limit)) for kappa in kappas}
+        mark, rough = np.empty(min(SEG, limit), np.uint8), np.empty(min(SEG, limit), bool)
         for lo in range(1, limit + 1, SEG):
-            hi = min(lo + SEG - 1, limit)
-            vals = np.ones(hi - lo + 1)
-            if kappa == 1.0:
-                yield vals
-                continue
-            # smooth[i]: the part of n = lo + i made of the sieved primes
-            # (int32 holds every n under INDEX_BUDGET)
-            smooth = np.ones(hi - lo + 1, dtype=np.int32)
-            for p in small:
-                pe, e = p, 1
-                while pe <= hi:
-                    first = -lo % pe
-                    vals[first::pe] *= (kappa + e - 1.0) / e
-                    smooth[first::pe] *= p
-                    pe *= p
-                    e += 1
-            # times 1.0 leaves the rest as it is, and needs no branch
-            vals *= np.where(smooth != np.arange(lo, hi + 1, dtype=np.int32), large, 1.0)
-            yield vals
+            size = min(SEG, limit - lo + 1)
+            vals = {kappa: buf[:size] for kappa, buf in bufs.items()}
+            sieved = [(v, kappa) for kappa, v in vals.items() if kappa != 1.0]
+            if sieved:
+                a, r = mark[:size], rough[:size]
+                a[:] = 0
+                for v, _ in sieved:
+                    v[:] = 1.0
+                for p, w in zip(small, weights):
+                    pe, e = p, 1
+                    # no multiple of p^e in the segment means none of p^(e+1)
+                    while (first := -lo % pe) < size:
+                        for v, kappa in sieved:
+                            v[first::pe] *= (kappa + e - 1.0) / e
+                        a[first::pe] += w
+                        pe *= p
+                        e += 1
+                np.less(a, _rough_threshold(lo, size, limit), out=r)
+                for v, kappa in sieved:
+                    np.multiply(v, (kappa + 1 - 1.0) / 1, out=v, where=r)
+            yield [vals[kappa] for kappa in kappas]
 
     return segments()
+
+
+def _rough_threshold(lo: int, size: int, limit: int):
+    """n = lo .. lo + size - 1 is rough when its mark is below this (see
+    _sieve_segments): one int for the whole segment where the smooth
+    bound at lo clears the rough bound at lo + size - 1 by more than 1,
+    else the midpoint of the two bounds at each n."""
+    half_log_limit = math.log2(limit) / 2
+    smooth_least = (_MARK_SCALE - 0.5) * math.log2(lo)
+    rough_most = (_MARK_SCALE + 0.5) * (math.log2(lo + size - 1) - half_log_limit)
+    if smooth_least - rough_most > 1:
+        return max(math.ceil((smooth_least + rough_most) / 2), 0)
+    mid = np.log2(np.arange(lo, lo + size, dtype=float))
+    mid *= _MARK_SCALE
+    mid -= (_MARK_SCALE + 0.5) / 2 * half_log_limit
+    return mid
 
 
 def build_table(kappa: float, limit: int) -> DivisorTable:
     """d_kappa(0..limit) in one array, with d_kappa(0) = 0, filled from
     the sieve segment by segment (see _sieve_segments).  It holds the
     whole table; sums over n go through the segments instead."""
-    segments = _sieve_segments(kappa, limit)
+    segments = _sieve_segments((kappa,), limit)
     limit = int(limit)
     vals = np.zeros(limit + 1)
-    for lo, seg in zip(range(1, limit + 1, SEG), segments):
+    for lo, (seg,) in zip(range(1, limit + 1, SEG), segments):
         vals[lo:lo + seg.size] = seg
     return DivisorTable(kappa=kappa, limit=limit, values=vals)
 
@@ -248,7 +298,7 @@ def divisor_partial_sum(lam: float, x: float):
     if not 2 <= x < math.inf:
         raise ValueError(f"x must be finite and >= 2, got {x!r}")
     n = int(math.floor(x))
-    total = prefix_fsums(_sieve_segments(float(lam), n), (n,))[0]
+    total = prefix_fsums((seg for seg, in _sieve_segments((float(lam),), n)), (n,))[0]
     if lam == 3:
         prediction = x * p2_polynomial()(math.log(x))
     else:
@@ -262,26 +312,42 @@ def divisor_ratio_sum(lam: float, mu: float, x: float) -> float:
 
 
 def divisor_ratio_sums_at(lam: float, mu: float, checkpoints) -> list:
-    """sum_{n<=x} d_lam(n) d_mu(n) / n at several checkpoints x, in one
-    pass of the sieve: each checkpoint is the exact sum over its whole
-    prefix, rounded once, so it equals divisor_ratio_sum(lam, mu, x) bit for bit.  The
-    terms are formed one sieve segment at a time.  Every checkpoint must
-    be finite and >= 2, and there must be at least one.
+    """sum_{n<=x} d_lam(n) d_mu(n) / n at several checkpoints x: the one
+    case (lam, mu) of divisor_ratio_sums_by_case."""
+    return divisor_ratio_sums_by_case(((lam, mu),), checkpoints)[0]
+
+
+def divisor_ratio_sums_by_case(cases, checkpoints) -> list:
+    """For each case (lam, mu), sum_{n<=x} d_lam(n) d_mu(n) / n at every
+    checkpoint x, all in one pass of the sieve over every exponent the
+    cases name.  Each sum is the exact sum over its whole prefix, rounded
+    once, so it equals divisor_ratio_sum(lam, mu, x) bit for bit.  The
+    terms are formed TERM_BLOCK at a time, into arrays reused from block
+    to block.  Every checkpoint must be finite and >= 2, and there must
+    be at least one.  Returns one list per case.
     """
     checkpoints = list(checkpoints)
     if not checkpoints or not all(2 <= c < math.inf for c in checkpoints):
         raise ValueError(f"checkpoints must be finite and >= 2, got {checkpoints!r}")
     xs = [int(c) for c in checkpoints]
-    n = max(xs)
-    seg_a = _sieve_segments(lam, n)
-    seg_b = None if mu == lam else _sieve_segments(mu, n)
+    top = max(xs)
+    cases = list(cases)
+    kappas = list(dict.fromkeys(k for case in cases for k in case))
+    pairs = [(kappas.index(lam), kappas.index(mu)) for lam, mu in cases]
+    segments = _sieve_segments(kappas, top)
 
-    def terms():  # d_lam(n) d_mu(n) / n, one segment at a time
-        for lo, da in zip(range(1, n + 1, SEG), seg_a):
-            db = da if seg_b is None else next(seg_b)
-            yield da * db / np.arange(lo, lo + da.size, dtype=float)
+    def terms():  # d_lam(n) d_mu(n) / n for every case, TERM_BLOCK n at a time
+        block = min(TERM_BLOCK, top)
+        base = np.arange(1.0, block + 1)
+        ns, bufs = np.empty(block), [np.empty(block) for _ in cases]
+        for lo, vals in zip(range(1, top + 1, SEG), segments):
+            for a in range(0, vals[0].size, block):
+                m = min(block, vals[0].size - a)
+                n = np.add(base[:m], lo + a - 1, out=ns[:m])
+                yield [np.divide(np.multiply(vals[i][a:a + m], vals[j][a:a + m], out=t[:m]), n,
+                                 out=t[:m]) for (i, j), t in zip(pairs, bufs)]
 
-    return prefix_fsums(terms(), xs)
+    return prefix_fsums_side_by_side(len(cases), terms(), xs)
 
 
 # ----------------------------------------------------------------------

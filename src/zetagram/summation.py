@@ -111,18 +111,29 @@ def prefix_fsums(chunks, ends) -> list:
     the 1-d float arrays in the iterable chunks, read in order, one at a
     time and none past the one that reaches the largest end.  An end in a
     chunk is read there, and one past the stream gets the total."""
+    return prefix_fsums_side_by_side(1, ((c,) for c in chunks), ends)[0]
+
+
+def prefix_fsums_side_by_side(width, chunks, ends) -> list:
+    """prefix_fsums of width streams read together: each item of chunks
+    holds one 1-d float array per stream, all of one length.  Returns one
+    list per stream, each as prefix_fsums gives it.  A chunk is done with
+    before the next is asked for, so its arrays may be reused for the
+    next one."""
     ends = [int(e) for e in ends]
-    chunks, rest, a, acc, read = iter(chunks), np.empty(0), 0, _ExactSum(), {}
+    chunks, rest, a, read = iter(chunks), [np.empty(0)] * width, 0, {}
+    accs = [_ExactSum() for _ in range(width)]
     for cut in sorted(set(ends)):
         while a < cut:
-            if not rest.size:
+            if not rest[0].size:
                 rest = next(chunks, None)
                 if rest is None:
-                    rest = np.empty(0)
+                    rest = [np.empty(0)] * width
                     break
-                rest = np.asarray(rest, dtype=float)
-            n = min(cut - a, rest.size)
-            acc.add(rest[:n])
-            a, rest = a + n, rest[n:]
-        read[cut] = acc.value()
-    return [read[e] for e in ends]
+                rest = [np.asarray(r, dtype=float) for r in rest]
+            n = min(cut - a, rest[0].size)
+            for acc, r in zip(accs, rest):
+                acc.add(r[:n])
+            a, rest = a + n, [r[n:] for r in rest]
+        read[cut] = [acc.value() for acc in accs]
+    return [[read[e][i] for e in ends] for i in range(width)]

@@ -255,8 +255,8 @@ def check_divisor(cache: SweepCache, phi: float) -> list:
         "divisor:d3-partial-sum", rel <= 0.005,
         {"sum": total, "predicted": pred, "rel_error": rel, "tolerance": 0.005})]
     loglog = np.log(np.log(np.array(DIVISOR_REGRESSION_GRID)))
-    for lam, mu in DIVISOR_EXPONENT_CASES:
-        sums = divisor.divisor_ratio_sums_at(lam, mu, DIVISOR_REGRESSION_GRID)
+    all_sums = divisor.divisor_ratio_sums_by_case(DIVISOR_EXPONENT_CASES, DIVISOR_REGRESSION_GRID)
+    for (lam, mu), sums in zip(DIVISOR_EXPONENT_CASES, all_sums):
         slope = float(np.polyfit(loglog, np.log(np.array(sums)), 1)[0])
         target = lam * mu
         out.append(CriterionResult(

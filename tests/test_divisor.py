@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetagram import divisor
+from zetagram.verify import DIVISOR_EXPONENT_CASES, DIVISOR_REGRESSION_GRID
 from zetagram.divisor import (
     SEG,
     SizeBudgetError,
@@ -17,6 +18,7 @@ from zetagram.divisor import (
     divisor_partial_sum,
     divisor_ratio_sum,
     divisor_ratio_sums_at,
+    divisor_ratio_sums_by_case,
     p2_polynomial,
     p3_polynomial,
     primes_up_to,
@@ -73,7 +75,7 @@ def reference_ratio_sums(lam: float, mu: float, xs) -> list:
     n = max(xs)
     ns = np.arange(0, n + 1, dtype=float)
     ns[0] = 1.0
-    terms = build_table(lam, n).values * build_table(mu, n).values / ns
+    terms = reference_table(lam, n) * reference_table(mu, n) / ns
     return [math.fsum(terms[1:1 + x].tolist()) for x in xs]
 
 
@@ -179,8 +181,78 @@ def test_table_equals_reference_sieve_short_segments(kappa, limit, seg):
 
 
 def test_sieve_segments_layout():
-    sizes = [seg.size for seg in divisor._sieve_segments(0.5, 2 * SEG + 1)]
-    assert sizes == [SEG, SEG, 1]
+    sizes = [[v.size for v in vals] for vals in divisor._sieve_segments((0.5, 1.0), 2 * SEG + 1)]
+    assert sizes == [[SEG, SEG], [SEG, SEG], [1, 1]]
+
+
+def sieved_tables(kappas, limit) -> list:
+    """One whole table per kappa from the multi-kappa sieve, each segment
+    copied before the next is asked for."""
+    tables = [[np.zeros(1)] for _ in kappas]
+    for vals in divisor._sieve_segments(kappas, limit):
+        for table, v in zip(tables, vals):
+            table.append(v.copy())
+    return [np.concatenate(t) for t in tables]
+
+
+PRIME_SQUARES = tuple(p * p for p in primes_up_to(700).tolist())
+KAPPA_SETS = ((1.0,), (1.0, 2.0), (2.0, 2.0), (3.0, 0.5), (0.5, 1.0, 0.5, 3.0), (1.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from(KAPPA_SETS),
+                 st.lists(st.one_of(st.sampled_from((1.0, 3.0, 0.5)),
+                                    st.floats(0.0, 4.0, exclude_min=True)),
+                          min_size=1, max_size=4)),
+       st.one_of(st.integers(2, 300), st.sampled_from(PRIME_SQUARES),
+                 st.sampled_from((SEG - 1, SEG, SEG + 1, 2 * SEG + 1))))
+def test_multi_kappa_sieve_equals_reference_property(kappas, limit):
+    for kappa, got in zip(kappas, sieved_tables(kappas, limit)):
+        assert np.array_equal(got, reference_table(kappa, limit)), (kappa, limit)
+
+
+@pytest.mark.parametrize("kappas", KAPPA_SETS)
+def test_multi_kappa_sieve_equals_reference_at_seams(kappas):
+    for limit in (2, 300, 10_201, SEG - 1, SEG, SEG + 1, 2 * SEG + 1):
+        for kappa, got in zip(kappas, sieved_tables(kappas, limit)):
+            assert np.array_equal(got, reference_table(kappa, limit)), (kappa, limit)
+
+
+def mark_and_smooth(lo: int, size: int, limit: int):
+    """The sieve's uint8 mark of n = lo .. lo + size - 1 and, as its
+    oracle, the int32 product of the prime powers p^e | n, p <= sqrt(limit)."""
+    mark = np.zeros(size, np.uint8)
+    smooth = np.ones(size, np.int32)
+    for p in primes_up_to(math.isqrt(limit)).tolist():
+        pe = p
+        while pe < lo + size:
+            mark[-lo % pe::pe] += round(divisor._MARK_SCALE * math.log2(p))
+            smooth[-lo % pe::pe] *= p
+            pe *= p
+    return mark, smooth
+
+
+@pytest.mark.parametrize("limit", (1, 2, 3, 4, 8, 9, 10, 300, 10_200, 10_201, 65_537,
+                                   SEG - 1, SEG + 1, 2 * SEG + 1, 10 ** 6))
+@pytest.mark.parametrize("seg", (1, 7, 300, SEG))
+def test_rough_mark_equals_exact_smoothness(limit, seg):
+    # tiny segments put the per-n midpoints past the first segment too
+    for lo in range(1, limit + 1, seg)[:40]:
+        size = min(seg, limit - lo + 1)
+        mark, smooth = mark_and_smooth(lo, size, limit)
+        rough = mark < divisor._rough_threshold(lo, size, limit)
+        assert np.array_equal(rough, smooth != np.arange(lo, lo + size)), (lo, size)
+
+
+def test_rough_mark_has_one_threshold_past_the_first_segment():
+    limit = 10 ** 7
+    for lo in range(SEG + 1, limit + 1, SEG):
+        threshold = divisor._rough_threshold(lo, min(SEG, limit - lo + 1), limit)
+        assert isinstance(threshold, int) and 0 < threshold < 120
+    mark, smooth = mark_and_smooth(limit - 999, 1000, limit)
+    rough = smooth != np.arange(limit - 999, limit + 1)
+    assert rough.any() and not rough.all()
+    assert np.array_equal(mark < divisor._rough_threshold(limit - 999, 1000, limit), rough)
 
 
 BAD_KAPPAS = (0.0, -1.0, math.nan, math.inf, -math.inf)
@@ -192,9 +264,9 @@ BAD_KAPPAS = (0.0, -1.0, math.nan, math.inf, -math.inf)
     (2.0, 200_000_000, SizeBudgetError, "table of size 200000000 exceeds budget"),
 ))
 def test_sieve_segments_checks_at_the_call(kappa, limit, error, message):
-    # a generator body would run only at the first next()
+    # a generator body would run only at the first next(); every kappa is checked
     with pytest.raises(error, match=message):
-        divisor._sieve_segments(kappa, limit)
+        divisor._sieve_segments((2.0, kappa), limit)
 
 
 @pytest.mark.parametrize("kappa", BAD_KAPPAS)
@@ -369,6 +441,50 @@ def test_ratio_sums_at_keeps_checkpoint_order():
         divisor_ratio_sums_at(2.0, 1.0, (100, 1000))[::-1]
 
 
+RATIO_CASES = DIVISOR_EXPONENT_CASES + ((1 / 3, 2.7), (2.0, 1.0), (0.5, 2.0))
+
+
+def test_ratio_sums_by_case_equal_reference():
+    # inside the first segment, on both sides of its end, repeated and unsorted
+    xs = (SEG + 1, 100, SEG, 150_000, 100, 2 * SEG + 1, SEG - 1, 2)
+    got = divisor_ratio_sums_by_case(RATIO_CASES, xs)
+    assert len(got) == len(RATIO_CASES)
+    for (lam, mu), sums in zip(RATIO_CASES, got):
+        assert sums == reference_ratio_sums(lam, mu, xs), (lam, mu)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from((1.0, 2.0, 0.5, 3.0)),
+                          st.floats(0.0, 4.0, exclude_min=True)), min_size=1, max_size=4),
+       st.lists(st.integers(2, 70_000), min_size=1, max_size=4))
+def test_ratio_sums_by_case_equal_reference_property(cases, xs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(divisor, "SEG", 1 << 14)  # several segments, and term blocks across them
+        mp.setattr(divisor, "TERM_BLOCK", 5_000)
+        got = divisor_ratio_sums_by_case(cases, xs)
+    assert got == [reference_ratio_sums(lam, mu, xs) for lam, mu in cases]
+
+
+#: The regression grid's ratio sums and the d3 partial sum at x = 1e6, as
+#: float.hex, from the three-pass code that the one-pass sieve replaced.
+PINNED_RATIO_SUMS = {
+    (1.0, 1.0): ["0x1.39341192de2b9p+3", "0x1.82e27a22f3fb0p+3",
+                 "0x1.cc9137a1df274p+3", "0x1.0b1ffecf8e7b8p+4"],
+    (2.0, 1.0): ["0x1.ac3ac86c3bc73p+5", "0x1.402c9a9f8cbd5p+6",
+                 "0x1.bf72d113a9582p+6", "0x1.29f711c082d00p+7"],
+    (0.5, 0.5): ["0x1.e8af5a7a2a11cp+0", "0x1.02189044a5925p+1",
+                 "0x1.0df3b9628d8a0p+1", "0x1.186d7bfeaa60ep+1"],
+}
+PINNED_D3_SUM = "0x1.9479808000000p+26"
+
+
+def test_divisor_check_sums_are_pinned():
+    got = divisor_ratio_sums_by_case(DIVISOR_EXPONENT_CASES, DIVISOR_REGRESSION_GRID)
+    assert {case: [s.hex() for s in sums]
+            for case, sums in zip(DIVISOR_EXPONENT_CASES, got)} == PINNED_RATIO_SUMS
+    assert divisor_partial_sum(3, 1e6)[0].hex() == PINNED_D3_SUM
+
+
 def test_ratio_sum_exponent_band():
     xs = (1e4, 1e5, 1e6)
     sums = divisor_ratio_sums_at(2.0, 1.0, xs)
@@ -478,6 +594,8 @@ def traced_peak_mb(fn, *args) -> float:
 def test_ratio_sums_memory_is_bounded():
     # two whole tables at 4e6 take 64 MB
     assert traced_peak_mb(divisor_ratio_sums_at, 2.0, 0.5, (4_000_000,)) <= 24
+    assert traced_peak_mb(divisor_ratio_sums_by_case, DIVISOR_EXPONENT_CASES,
+                          (4_000_000,)) <= 24
 
 
 def test_stieltjes_memory_is_bounded():
