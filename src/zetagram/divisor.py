@@ -43,10 +43,10 @@ INDEX_BUDGET = 100_000_000
 #: the segments as chunks and round each prefix once whatever SEG is.
 SEG = 1 << 18
 
-#: The ratio sums form their terms this many at a time: a block is still
-#: in cache when it is summed, and the term arrays stay small however
-#: many cases share the pass.
-TERM_BLOCK = 1 << 14
+#: The sieve's last multiply and the ratio sums' terms are formed this
+#: many entries at a time, so that their work arrays stay small and in
+#: cache however many kappa and cases share the pass.
+BLOCK = 1 << 14
 
 #: The sieve's rough-number mark weighs a prime p as round(_MARK_SCALE log2 p).
 _MARK_SCALE = 4
@@ -149,11 +149,13 @@ def _sieve_segments(kappas, limit: int):
     log2 s = log2 n - log2 q < log2 n - (log2 limit)/2, so
     A < (S + 1/2)(log2 n - (log2 limit)/2).  The two bounds are
     (S + 1/2)(log2 limit)/2 - log2 n >= (5/4) log2 limit apart, and n is
-    rough when A is below their midpoint.  Past the first segment one
-    threshold serves the whole segment: the smooth bound at its lowest n
-    exceeds the rough bound at its highest by more than 1 there (by 20
-    or more at SEG = 2^18).  A stays at most (S + 1/2) log2 INDEX_BUDGET
-    < 120, so the uint8 cannot overflow.
+    rough when A is below their midpoint.  The mark is read BLOCK n at a
+    time, and past the first block one threshold serves a whole block:
+    the smooth bound at its lowest n exceeds the rough bound at its
+    highest by more than 1 there (by 15 or more at BLOCK = 2^14).  A
+    stays at most (S + 1/2) log2 INDEX_BUDGET < 120, so the uint8
+    cannot overflow.  The rough n are multiplied by the ratio, and the
+    others by 1.0, through an exact 0/1 blend with no branch per n.
 
     The arrays are reused: a segment is valid until the next is asked
     for, so a caller copies what it keeps.  The arguments are checked at
@@ -172,13 +174,14 @@ def _sieve_segments(kappas, limit: int):
         small = primes_up_to(math.isqrt(limit)).tolist()
         weights = [round(_MARK_SCALE * math.log2(p)) for p in small]
         bufs = {kappa: np.ones(min(SEG, limit)) for kappa in kappas}
-        mark, rough = np.empty(min(SEG, limit), np.uint8), np.empty(min(SEG, limit), bool)
+        mark = np.empty(min(SEG, limit), np.uint8)
+        rough, smooth, factor = (np.empty(min(BLOCK, limit)) for _ in range(3))
         for lo in range(1, limit + 1, SEG):
             size = min(SEG, limit - lo + 1)
             vals = {kappa: buf[:size] for kappa, buf in bufs.items()}
             sieved = [(v, kappa) for kappa, v in vals.items() if kappa != 1.0]
             if sieved:
-                a, r = mark[:size], rough[:size]
+                a = mark[:size]
                 a[:] = 0
                 for v, _ in sieved:
                     v[:] = 1.0
@@ -191,9 +194,16 @@ def _sieve_segments(kappas, limit: int):
                         a[first::pe] += w
                         pe *= p
                         e += 1
-                np.less(a, _rough_threshold(lo, size, limit), out=r)
-                for v, kappa in sieved:
-                    np.multiply(v, (kappa + 1 - 1.0) / 1, out=v, where=r)
+                for b in range(0, size, BLOCK):
+                    m = min(BLOCK, size - b)
+                    threshold = _rough_threshold(lo + b, m, limit)
+                    np.less(a[b:b + m], threshold, out=rough[:m])
+                    np.greater_equal(a[b:b + m], threshold, out=smooth[:m])
+                    for v, kappa in sieved:
+                        # 1.0 or the ratio, exactly, and no branch per n
+                        np.multiply(rough[:m], (kappa + 1 - 1.0) / 1, out=factor[:m])
+                        np.add(factor[:m], smooth[:m], out=factor[:m])
+                        np.multiply(v[b:b + m], factor[:m], out=v[b:b + m])
             yield [vals[kappa] for kappa in kappas]
 
     return segments()
@@ -201,7 +211,7 @@ def _sieve_segments(kappas, limit: int):
 
 def _rough_threshold(lo: int, size: int, limit: int):
     """n = lo .. lo + size - 1 is rough when its mark is below this (see
-    _sieve_segments): one int for the whole segment where the smooth
+    _sieve_segments): one int for the whole range where the smooth
     bound at lo clears the rough bound at lo + size - 1 by more than 1,
     else the midpoint of the two bounds at each n."""
     half_log_limit = math.log2(limit) / 2
@@ -322,7 +332,7 @@ def divisor_ratio_sums_by_case(cases, checkpoints) -> list:
     checkpoint x, all in one pass of the sieve over every exponent the
     cases name.  Each sum is the exact sum over its whole prefix, rounded
     once, so it equals divisor_ratio_sum(lam, mu, x) bit for bit.  The
-    terms are formed TERM_BLOCK at a time, into arrays reused from block
+    terms are formed BLOCK at a time, into arrays reused from block
     to block.  Every checkpoint must be finite and >= 2, and there must
     be at least one.  Returns one list per case.
     """
@@ -336,8 +346,8 @@ def divisor_ratio_sums_by_case(cases, checkpoints) -> list:
     pairs = [(kappas.index(lam), kappas.index(mu)) for lam, mu in cases]
     segments = _sieve_segments(kappas, top)
 
-    def terms():  # d_lam(n) d_mu(n) / n for every case, TERM_BLOCK n at a time
-        block = min(TERM_BLOCK, top)
+    def terms():  # d_lam(n) d_mu(n) / n for every case, BLOCK n at a time
+        block = min(BLOCK, top)
         base = np.arange(1.0, block + 1)
         ns, bufs = np.empty(block), [np.empty(block) for _ in cases]
         for lo, vals in zip(range(1, top + 1, SEG), segments):

@@ -244,11 +244,15 @@ def test_rough_mark_equals_exact_smoothness(limit, seg):
         assert np.array_equal(rough, smooth != np.arange(lo, lo + size)), (lo, size)
 
 
-def test_rough_mark_has_one_threshold_past_the_first_segment():
-    limit = 10 ** 7
-    for lo in range(SEG + 1, limit + 1, SEG):
-        threshold = divisor._rough_threshold(lo, min(SEG, limit - lo + 1), limit)
+@pytest.mark.parametrize("limit", (divisor.BLOCK + 1, SEG + 1, 10 ** 7))
+def test_rough_mark_has_one_threshold_past_the_first_block(limit):
+    for lo in range(divisor.BLOCK + 1, limit + 1, divisor.BLOCK):
+        threshold = divisor._rough_threshold(lo, min(divisor.BLOCK, limit - lo + 1), limit)
         assert isinstance(threshold, int) and 0 < threshold < 120
+
+
+def test_rough_mark_far_from_the_first_block():
+    limit = 10 ** 7
     mark, smooth = mark_and_smooth(limit - 999, 1000, limit)
     rough = smooth != np.arange(limit - 999, limit + 1)
     assert rough.any() and not rough.all()
@@ -460,7 +464,7 @@ def test_ratio_sums_by_case_equal_reference():
 def test_ratio_sums_by_case_equal_reference_property(cases, xs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(divisor, "SEG", 1 << 14)  # several segments, and term blocks across them
-        mp.setattr(divisor, "TERM_BLOCK", 5_000)
+        mp.setattr(divisor, "BLOCK", 5_000)
         got = divisor_ratio_sums_by_case(cases, xs)
     assert got == [reference_ratio_sums(lam, mu, xs) for lam, mu in cases]
 
