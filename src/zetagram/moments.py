@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import divisor, expsum
-from .grampoints import Angle, classify, enumerate_points, solve_gram
+from .grampoints import _as_angle, classify, enumerate_points, solve_gram
 from .special import DomainError
 from .summation import blocked_fsum, fsum
 
@@ -49,15 +49,26 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class DirichletPolynomial:
-    """Finite sum X(s) = sum_{n <= limit} x_n n^{-s}."""
+    """Finite sum X(s) = sum_{n <= limit} x_n n^{-s} with coefficients
+    {n: x_n}.  The constructor also lays the support out once as arrays:
+    ns, the n ascending, and cs, the x_n there as complex."""
 
     coefficients: dict
     limit: int
+    ns: np.ndarray = field(init=False, repr=False, compare=False)
+    cs: np.ndarray = field(init=False, repr=False, compare=False)
+    #: GramSweep.half_line's values, per sweep
+    _half_line: weakref.WeakKeyDictionary = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for n in self.coefficients:
+        ns = sorted(self.coefficients)
+        for n in ns[:1] + ns[-1:]:  # the least and the greatest
             if not 1 <= n <= self.limit:
                 raise ValueError(f"coefficient index {n} outside [1, {self.limit}]")
+        object.__setattr__(self, "ns", np.array(ns, dtype=np.int64))
+        object.__setattr__(self, "cs", np.array([self.coefficients[n] for n in ns],
+                                                dtype=complex))
+        object.__setattr__(self, "_half_line", weakref.WeakKeyDictionary())
 
     @classmethod
     def from_values(cls, values) -> "DirichletPolynomial":
@@ -65,38 +76,21 @@ class DirichletPolynomial:
         coeff = {n: complex(v) for n, v in enumerate(seq, start=1) if v != 0}
         return cls(coefficients=coeff, limit=max(len(seq), 1))
 
-    @classmethod
-    def from_arrays(cls, ns, cs, limit: int) -> "DirichletPolynomial":
-        """The polynomial with x_n = cs[i] at n = ns[i], taking ns strictly
-        increasing in [1, limit] as its sorted support arrays."""
-        ns = np.asarray(ns, dtype=np.int64)
-        cs = np.asarray(cs, dtype=complex)
-        if ns.size and not (1 <= ns[0] and ns[-1] <= limit and np.all(ns[1:] > ns[:-1])):
-            raise ValueError(f"coefficient indices must increase strictly within [1, {limit}]")
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "coefficients", dict(zip(ns.tolist(), cs.tolist())))
-        object.__setattr__(poly, "limit", limit)
-        poly.__dict__["_arrays"] = ns, cs
-        return poly
+    def conjugate(self) -> "DirichletPolynomial":
+        """The polynomial with coefficients conj(x_n), so that X(1/2 - it)
+        = conj(conjugate()(1/2 + it)); X itself when every x_n is real.
+        Built once, so GramSweep.half_line keeps its values too."""
+        return self._conjugate if self.cs.imag.any() else self
 
     @cached_property
-    def _arrays(self):
-        """(n, x_n) over the support, sorted by n; built once."""
-        ns = np.array(sorted(self.coefficients), dtype=np.int64)
-        cs = np.array([self.coefficients[n] for n in ns.tolist()], dtype=complex)
-        return ns, cs
+    def _conjugate(self) -> "DirichletPolynomial":
+        return DirichletPolynomial(
+            {n: complex(v).conjugate() for n, v in self.coefficients.items()}, self.limit)
 
-    @cached_property
-    def _half_line(self):
-        """GramSweep.half_line's values, per sweep and then conj_arg."""
-        return weakref.WeakKeyDictionary()
-
-    def evaluate_half_line(self, t: np.ndarray, conj_arg: bool = False) -> np.ndarray:
-        """X(1/2 + it) = sum x_n n^{-1/2} e^{-it log n}, or X(1/2 - it)
-        when conj_arg (no coefficient conjugation: exactly the polynomial
-        at the reflected argument), computed as the conjugate of the sum
-        with conjugated x_n, so that for real x_n it is conj(X(1/2 + it))
-        bit for bit.
+    def evaluate_half_line(self, t: np.ndarray) -> np.ndarray:
+        """X(1/2 + it) = sum x_n n^{-1/2} e^{-it log n} at each t.  For
+        X(1/2 - it) take the conjugate of conjugate().evaluate_half_line(t):
+        for real x_n that is conj(X(1/2 + it)) bit for bit.
 
         `expsum.evaluate` adds one term per pass over the points, or, when
         its cost model (support size, point count, t-range) finds it
@@ -108,10 +102,7 @@ class DirichletPolynomial:
         On either path a value depends only on the polynomial and its t,
         and memory is O(len(t) + support).
         """
-        ns, cs = self._arrays
-        if conj_arg:
-            return np.conj(expsum.evaluate(np.log(ns), cs.conj() / np.sqrt(ns), t))
-        return expsum.evaluate(np.log(ns), cs / np.sqrt(ns), t)
+        return expsum.evaluate(np.log(self.ns), self.cs / np.sqrt(self.ns), t)
 
 
 #: Candidate pairs per pass of _cross_sum: about 56 bytes of work arrays
@@ -134,8 +125,8 @@ def _cross_sum(a: DirichletPolynomial, b: DirichletPolynomial) -> complex:
     a bit.  Memory is O(max supp b + CROSS_CHUNK) besides the kept terms,
     of which the resonator has two per coefficient.
     """
-    an, ac = a._arrays
-    bn, bc = b._arrays
+    an, ac = a.ns, a.cs
+    bn, bc = b.ns, b.cs
     if not (an.size and bn.size):
         return 0j
     dense = np.zeros(int(bn[-1]) + 1, dtype=complex)
@@ -223,25 +214,24 @@ class GramSweep:
 
     def __init__(self, phi, t_max: float, cache_dir: str | None = None,
                  threads: int = 1):
-        self.phi = phi if isinstance(phi, Angle) else Angle(float(phi))
+        self.phi = _as_angle(phi)
         self.t_max = float(t_max)
         self.points = enumerate_points(self.phi, self.t_max, cache_dir)
         self.z, self.parity, self.value, self.plus_mask = classify(self.points, threads)
         self.minus_mask = ~self.plus_mask
 
-    def half_line(self, poly: DirichletPolynomial, conj_arg: bool = False) -> np.ndarray:
-        """poly.evaluate_half_line over the sweep's heights, evaluated once
-        per polynomial.  With real coefficients X(1/2 - it) is conj(X(1/2 + it))
-        bit for bit, so the reflected values cost no second evaluation.
-        The values are kept on the polynomial, so the sweep holds none.
+    def half_line(self, poly: DirichletPolynomial) -> np.ndarray:
+        """poly.evaluate_half_line at the sweep's heights, read-only and
+        evaluated once per polynomial: the values are kept on the
+        polynomial, weakly keyed by the sweep, so the sweep holds none.
+        X(1/2 - it_n) is np.conj(self.half_line(poly.conjugate())), which
+        for real coefficients reuses the values of X(1/2 + it_n).
         """
-        if conj_arg and not np.any(poly._arrays[1].imag):
-            return np.conj(self.half_line(poly))
-        memo = poly._half_line.setdefault(self, {})
-        if conj_arg not in memo:
-            memo[conj_arg] = poly.evaluate_half_line(self.points.t, conj_arg)
-            memo[conj_arg].flags.writeable = False
-        return memo[conj_arg]
+        if self not in poly._half_line:
+            values = poly.evaluate_half_line(self.points.t)
+            values.flags.writeable = False
+            poly._half_line[self] = values
+        return poly._half_line[self]
 
     @cached_property
     def cut_height(self) -> float:
@@ -322,8 +312,7 @@ def s1_predicted_coefficient(phi, x_poly: DirichletPolynomial,
                              y_poly: DirichletPolynomial) -> complex:
     """e^{-2 i phi} sum_{m<=X, mn<=Y} x_m y_{mn}/(mn)
     + sum_{m<=Y, mn<=X} y_m x_{mn}/(mn), exactly over the supports."""
-    angle = phi if isinstance(phi, Angle) else Angle(float(phi))
-    return complex(np.exp(-2j * angle.phi)) * _cross_sum(x_poly, y_poly) \
+    return complex(np.exp(-2j * _as_angle(phi).phi)) * _cross_sum(x_poly, y_poly) \
         + _cross_sum(y_poly, x_poly)
 
 
@@ -337,7 +326,7 @@ def compute_S1(sweep: GramSweep, x_poly: DirichletPolynomial,
     # zeta(1/2 - it_n) = conj(zeta) = e^{i theta} Z = (-1)^n e^{-i phi} Z
     zeta_conj = sweep.parity * complex(np.exp(-1j * sweep.phi.phi)) * sweep.z
     xs = sweep.half_line(x_poly)
-    ys = sweep.half_line(y_poly, conj_arg=True)
+    ys = np.conj(sweep.half_line(y_poly.conjugate()))
     terms = zeta_conj * xs * ys
     computed = complex(blocked_fsum(terms.real), blocked_fsum(terms.imag))
     big_t = sweep.cut_height
@@ -446,8 +435,9 @@ def signed_odd_moment(sweep: GramSweep, ell: int) -> tuple:
     plus_direct = blocked_fsum(absv[sweep.plus_mask])
     minus_direct = blocked_fsum(absv[sweep.minus_mask])
     vpow = sweep.value ** power
-    plus_ident = 0.5 * (blocked_fsum(absv) + blocked_fsum(vpow))
-    minus_ident = 0.5 * (blocked_fsum(absv) - blocked_fsum(vpow))
+    abs_sum, vpow_sum = blocked_fsum(absv), blocked_fsum(vpow)
+    plus_ident = 0.5 * (abs_sum + vpow_sum)
+    minus_ident = 0.5 * (abs_sum - vpow_sum)
     scale = max(plus_direct + minus_direct, 1e-300)
     if abs(plus_ident - plus_direct) > 1e-6 * scale or \
             abs(minus_ident - minus_direct) > 1e-6 * scale:

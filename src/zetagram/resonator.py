@@ -81,9 +81,9 @@ class Resonator:
 
     def coefficient_polynomial(self) -> DirichletPolynomial:
         """x_n = sqrt(n) f(n) as a DirichletPolynomial."""
-        return DirichletPolynomial.from_arrays(
-            self.support, np.sqrt(self.support.astype(float)) * self.weights,
-            int(self.config.X))
+        xs = np.sqrt(self.support.astype(float)) * self.weights
+        return DirichletPolynomial(dict(zip(self.support.tolist(), xs.astype(complex).tolist())),
+                                   int(self.config.X))
 
     @property
     def sum_f_squared(self) -> float:

@@ -16,11 +16,12 @@ start again, so inputs of any length stay exact.  ``math.fsum``
 (Shewchuk) rounds once, when a sum is read, over the carry list and the
 nonzero buckets; their exact sum is that of the input.
 
-A value of inf, nan or an exponent field of 0x7FF - 60 or more (about
-2**964) sends the accumulator to ``math.fsum`` over a list: the exact
-parts of what came before the array that holds it, then every value from
-that array on.  So inf, nan, ValueError (-inf + inf) and OverflowError
-come out exactly as from ``math.fsum`` of a single array.
+An array that holds inf, nan or a value of 2**964 or more in magnitude
+(an exponent field of 0x7FF - 60 or more) sends the accumulator to
+``math.fsum`` over a list: the exact parts of what came before that
+array, then every value from that array on.  So inf, nan, ValueError
+(-inf + inf) and OverflowError come out exactly as from ``math.fsum`` of
+a single array.
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ _HIGH = np.int64(-1 << _SPLIT)
 #: Each half is below 2**27 steps of its bucket, so a bucket of at most
 #: 2**26 halves stays below 2**53 steps and adds up exactly.
 _FILL = 1 << _SPLIT
-#: Exponent fields at or above this go to math.fsum: inf and nan (0x7FF),
-#: and values whose bucket sums, up to 2**26 * 2**(e - 1022), could
-#: overflow, so that math.fsum raises OverflowError exactly as before.
-_EXP_LIMIT = 0x7FF - 60
+#: Values of this magnitude or more (an exponent field e of 0x7FF - 60 or
+#: more), inf and nan go to math.fsum: bucket sums of such values, up to
+#: 2**26 * 2**(e - 1022), could overflow, where math.fsum raises
+#: OverflowError.
+_TOO_LARGE = 2.0 ** 964
 #: One bucket per sign and exponent field.
 _BUCKETS = 0x1000
 #: Elements per bincount pass: the two work arrays stay small enough to
@@ -63,10 +65,13 @@ class _ExactSum:
         return math.fsum(self.parts() if self.raw is None else self.raw)
 
     def add(self, arr: np.ndarray) -> None:
+        # one range test per array, which nan fails
+        if self.raw is None and arr.size and not (
+                -_TOO_LARGE < arr.min() and arr.max() < _TOO_LARGE):
+            self.raw = self.parts()
         if self.raw is not None:
             self.raw += arr.tolist()
             return
-        before = self.parts()
         n = arr.size
         bits = arr.view(np.int64)
         bucket = np.empty(min(n, _CHUNK), np.int64)
@@ -81,13 +86,7 @@ class _ExactSum:
             # bucket: sign and exponent field; h: the high halves
             np.right_shift(bits[a:b].view(np.uint64), 52, out=k.view(np.uint64))
             np.bitwise_and(bits[a:b], _HIGH, out=h.view(np.int64))
-            part = np.bincount(k, weights=h, minlength=_BUCKETS)
-            # the halves of one bucket share a sign and, above the subnormals,
-            # hold the implicit bit, so a filled bucket's sum is never zero
-            if part[_EXP_LIMIT:0x800].any() or part[0x800 + _EXP_LIMIT:].any():
-                self.raw = before + arr.tolist()
-                return
-            self.buckets[0] += part
+            self.buckets[0] += np.bincount(k, weights=h, minlength=_BUCKETS)
             np.subtract(arr[a:b], h, out=h)
             self.buckets[1] += np.bincount(k, weights=h, minlength=_BUCKETS)
             self.held += b - a

@@ -58,6 +58,12 @@ def sweep_2k():
 # Dirichlet polynomials
 # ----------------------------------------------------------------------
 
+def _conjugated(poly):
+    """The polynomial with coefficients conj(x_n), built by hand."""
+    return DirichletPolynomial({n: complex(v).conjugate() for n, v in poly.coefficients.items()},
+                               poly.limit)
+
+
 def test_polynomial_evaluation_against_loop():
     poly = DirichletPolynomial({1: 1.0, 2: 0.5 - 0.25j, 7: 2.0}, 7)
     ts = np.array([3.7, 55.0])
@@ -65,7 +71,7 @@ def test_polynomial_evaluation_against_loop():
     for i, t in enumerate(ts):
         want = sum(v * n ** (-0.5 - 1j * t) for n, v in poly.coefficients.items())
         assert abs(got[i] - want) < 1e-12
-    got_conj = poly.evaluate_half_line(ts, conj_arg=True)
+    got_conj = np.conj(poly.conjugate().evaluate_half_line(ts))
     for i, t in enumerate(ts):
         want = sum(v * n ** (-0.5 + 1j * t) for n, v in poly.coefficients.items())
         assert abs(got_conj[i] - want) < 1e-12
@@ -78,7 +84,7 @@ def test_polynomial_evaluation_memory_is_bounded():
     for terms, t_max, points in ((2000, 1e4, 5000), (2000, 1e5, 50000), (40, 1e4, 5000)):
         poly = DirichletPolynomial.from_values(rng.standard_normal(terms))
         ts = np.linspace(100.0, t_max, points)
-        assert expsum.grid_is_cheaper(np.log(poly._arrays[0]), ts) == (terms > 40)
+        assert expsum.grid_is_cheaper(np.log(poly.ns), ts) == (terms > 40)
         tracemalloc.start()
         try:
             poly.evaluate_half_line(ts)
@@ -98,8 +104,9 @@ COEFFS = st.dictionaries(
 @given(COEFFS, st.lists(st.floats(0.0, 1e3), min_size=1, max_size=5))
 def test_polynomial_evaluation_property(coeffs, ts):
     poly = DirichletPolynomial(coeffs, 60)
-    for conj_arg, sgn in ((False, -1.0), (True, 1.0)):
-        got = poly.evaluate_half_line(np.array(ts), conj_arg=conj_arg)
+    ts_arr = np.array(ts)
+    for got, sgn in ((poly.evaluate_half_line(ts_arr), -1.0),
+                     (np.conj(poly.conjugate().evaluate_half_line(ts_arr)), 1.0)):
         for i, t in enumerate(ts):
             want = sum(v * n ** (-0.5 + sgn * 1j * t) for n, v in coeffs.items())
             assert abs(got[i] - want) <= 1e-12
@@ -112,28 +119,47 @@ REAL_COEFFS = st.dictionaries(
 @settings(max_examples=60, deadline=None)
 @given(REAL_COEFFS, st.lists(st.floats(0.0, 1e4), min_size=1, max_size=5))
 def test_real_polynomial_reflection_is_conjugate(coeffs, ts):
-    # X(1/2 - it) == conj(X(1/2 + it)) bit for bit when every x_n is real
+    # X(1/2 - it) == conj(X(1/2 + it)) bit for bit when every x_n is real,
+    # so conjugate() may return the polynomial itself
     poly = DirichletPolynomial(coeffs, 60)
     ts = np.array(ts)
-    assert np.array_equal(poly.evaluate_half_line(ts, conj_arg=True),
+    assert poly.conjugate() is poly
+    assert np.array_equal(np.conj(_conjugated(poly).evaluate_half_line(ts)),
                           np.conj(poly.evaluate_half_line(ts)))
 
 
 def test_resonator_reflection_is_conjugate(sweep_2k):
     poly = build_resonator(5e4).coefficient_polynomial()
     ts = sweep_2k.points.t
-    assert expsum.grid_is_cheaper(np.log(poly._arrays[0]), ts)
-    assert np.array_equal(poly.evaluate_half_line(ts, conj_arg=True),
+    assert expsum.grid_is_cheaper(np.log(poly.ns), ts)
+    assert poly.conjugate() is poly
+    assert np.array_equal(np.conj(_conjugated(poly).evaluate_half_line(ts)),
                           np.conj(poly.evaluate_half_line(ts)))
+
+
+def test_conjugate_of_a_real_polynomial_is_itself():
+    for poly in (ONE, ONE_ONE, DirichletPolynomial({2: -0.5, 7: 3.0 + 0j}, 9),
+                 DirichletPolynomial({}, 1), build_resonator(5e4).coefficient_polynomial()):
+        assert poly.conjugate() is poly
+
+
+def test_conjugate_of_a_complex_polynomial():
+    poly = DirichletPolynomial({8: 0.25j, 1: 1.0, 3: -0.5 + 2j}, 9)
+    conj = poly.conjugate()
+    assert conj.limit == 9
+    assert conj.coefficients == {1: 1.0, 3: -0.5 - 2j, 8: -0.25j}
+    assert conj.ns.tobytes() == poly.ns.tobytes()
+    assert conj.cs.tobytes() == np.conj(poly.cs).tobytes()
+    assert poly.conjugate() is conj
 
 
 def test_sweep_evaluates_each_polynomial_once(monkeypatch):
     calls = []
     evaluate = DirichletPolynomial.evaluate_half_line
 
-    def counting(self, t, conj_arg=False):
-        calls.append((self, conj_arg))
-        return evaluate(self, t, conj_arg)
+    def counting(self, t):
+        calls.append(self)
+        return evaluate(self, t)
 
     monkeypatch.setattr(DirichletPolynomial, "evaluate_half_line", counting)
     sweep = GramSweep(0.0, 2000.0)
@@ -141,15 +167,17 @@ def test_sweep_evaluates_each_polynomial_once(monkeypatch):
     cplx = DirichletPolynomial({1: 1.0, 3: 0.5j}, 5)
     compute_S1(sweep, real, real, enforce_limits=False)
     compute_S2(sweep, real, enforce_limits=False)
-    assert calls == [(real, False)]
+    assert calls == [real]
     compute_S1(sweep, real, cplx, enforce_limits=False)
     compute_S2(sweep, cplx, enforce_limits=False)
-    assert calls == [(real, False), (cplx, True), (cplx, False)]
+    assert calls == [real, cplx.conjugate(), cplx]
     ts = sweep.points.t
     for poly in (real, cplx):
-        for conj_arg in (False, True):
-            assert np.array_equal(sweep.half_line(poly, conj_arg),
-                                  evaluate(poly, ts, conj_arg))
+        for values in (sweep.half_line(poly), sweep.half_line(poly.conjugate())):
+            assert not values.flags.writeable
+        assert np.array_equal(sweep.half_line(poly), evaluate(poly, ts))
+        assert np.array_equal(sweep.half_line(poly.conjugate()),
+                              evaluate(_conjugated(poly), ts))
     assert len(calls) == 3
 
 
@@ -159,8 +187,8 @@ def test_sweep_keeps_no_polynomial_values(sweep_2k, monkeypatch):
     refs = []
     evaluate = DirichletPolynomial.evaluate_half_line
 
-    def tracking(self, t, conj_arg=False):
-        values = evaluate(self, t, conj_arg)
+    def tracking(self, t):
+        values = evaluate(self, t)
         refs.append(weakref.ref(values))
         return values
 
@@ -239,8 +267,8 @@ def reference_cross_sum(a: DirichletPolynomial, b: DirichletPolynomial) -> compl
     """The per-m loop: for each m in supp a, ascending, every multiple k
     of m up to max supp b, one scalar times array product and one
     division per part, then one exactly rounded sum per part."""
-    an, ac = a._arrays
-    bn, bc = b._arrays
+    an, ac = a.ns, a.cs
+    bn, bc = b.ns, b.cs
     if not (an.size and bn.size):
         return 0j
     dense = np.zeros(int(bn[-1]) + 1, dtype=complex)
@@ -303,7 +331,6 @@ def test_cross_sum_resonators_equal_reference_loop_bit_for_bit():
 def test_cross_sum_memory_is_bounded():
     # the per-m loop peaks at 58 MiB here, and the dense copy of b is 16 MB
     poly = build_resonator(1e6).coefficient_polynomial()
-    poly._arrays
     tracemalloc.start()
     try:
         _cross_sum(poly, poly)
@@ -313,17 +340,16 @@ def test_cross_sum_memory_is_bounded():
     assert peak <= 40 * 2**20
 
 
-def test_from_arrays_is_the_dict_polynomial():
-    ns, cs = np.array([1, 3, 8]), np.array([1.0, -0.5 + 2j, 0.25])
-    poly = DirichletPolynomial.from_arrays(ns, cs, 9)
-    want = DirichletPolynomial({1: 1.0, 3: -0.5 + 2j, 8: 0.25}, 9)
-    assert poly == want
-    for got, ref in zip(poly._arrays, want._arrays):
-        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
-    assert DirichletPolynomial.from_arrays(ns[:0], cs[:0], 1).coefficients == {}
-    for bad_ns, limit in (([0, 3, 8], 9), ([1, 3, 8], 7), ([1, 8, 3], 9), ([1, 3, 3], 9)):
+def test_constructor_lays_out_the_support_sorted():
+    poly = DirichletPolynomial({8: 0.25, 1: 1.0, 3: -0.5 + 2j}, 9)
+    assert poly.ns.dtype == np.int64 and poly.ns.tolist() == [1, 3, 8]
+    assert poly.cs.dtype == complex and poly.cs.tolist() == [1.0, -0.5 + 2j, 0.25]
+    assert poly == DirichletPolynomial({1: 1.0, 3: -0.5 + 2j, 8: 0.25}, 9)
+    empty = DirichletPolynomial({}, 1)
+    assert empty.ns.size == empty.cs.size == 0
+    for coeffs, limit in (({0: 1.0, 3: 1.0}, 9), ({1: 1.0, 8: 1.0}, 7), ({-2: 1.0}, 9)):
         with pytest.raises(ValueError):
-            DirichletPolynomial.from_arrays(np.array(bad_ns), cs, limit)
+            DirichletPolynomial(coeffs, limit)
 
 
 # ----------------------------------------------------------------------
