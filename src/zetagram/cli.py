@@ -16,7 +16,6 @@ import json
 import math
 import sys
 import time
-import warnings
 
 import numpy as np
 
@@ -246,27 +245,25 @@ def cmd_maxscan(cfg: RunConfig) -> int:
 
 
 def cmd_resonate(cfg: RunConfig, cutoff: float, with_certificate: bool) -> int:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        res = resonator.build_resonator(cutoff)
-        ratio = resonator.resonator_ratio(res)
-        summary = {
-            "metadata": _metadata(cfg),
-            "cutoff": res.config.X,
-            "L": res.config.L,
-            "prime_lo": res.config.prime_lo,
-            "prime_hi": res.config.prime_hi,
-            "support_size": int(res.support.size),
-            "ratio": ratio,
-            "sum_f_squared": res.sum_f_squared,
+    res = resonator.build_resonator(cutoff)
+    ratio = resonator.resonator_ratio(res)
+    summary = {
+        "metadata": _metadata(cfg),
+        "cutoff": res.config.X,
+        "L": res.config.L,
+        "prime_lo": res.config.prime_lo,
+        "prime_hi": res.config.prime_hi,
+        "support_size": int(res.support.size),
+        "ratio": ratio,
+        "sum_f_squared": res.sum_f_squared,
+    }
+    if with_certificate:
+        cert = resonator.certify_lower_bound(cfg.sweep(), res)
+        summary["certificate"] = {
+            "certified_bound": cert.certified_bound,
+            "scanned_max": cert.scanned_max,
+            "degenerate_direction": cert.degenerate_direction,
         }
-        if with_certificate:
-            cert = resonator.certify_lower_bound(cfg.sweep(), res)
-            summary["certificate"] = {
-                "certified_bound": cert.certified_bound,
-                "scanned_max": cert.scanned_max,
-                "degenerate_direction": cert.degenerate_direction,
-            }
     if cfg.format == "json":
         _emit(_dump_json(summary), cfg.output)
     else:

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .summation import prefix_fsums, prefix_fsums_side_by_side
+from .summation import ExactSum
 
 __all__ = [
     "DivisorTable",
@@ -308,7 +308,10 @@ def divisor_partial_sum(lam: float, x: float):
     if not 2 <= x < math.inf:
         raise ValueError(f"x must be finite and >= 2, got {x!r}")
     n = int(math.floor(x))
-    total = prefix_fsums((seg for seg, in _sieve_segments((float(lam),), n)), (n,))[0]
+    acc = ExactSum()
+    for seg, in _sieve_segments((float(lam),), n):
+        acc.add(seg)
+    total = acc.value()
     if lam == 3:
         prediction = x * p2_polynomial()(math.log(x))
     else:
@@ -330,10 +333,11 @@ def divisor_ratio_sums_at(lam: float, mu: float, checkpoints) -> list:
 def divisor_ratio_sums_by_case(cases, checkpoints) -> list:
     """For each case (lam, mu), sum_{n<=x} d_lam(n) d_mu(n) / n at every
     checkpoint x, all in one pass of the sieve over every exponent the
-    cases name.  Each sum is the exact sum over its whole prefix, rounded
-    once, so it equals divisor_ratio_sum(lam, mu, x) bit for bit.  The
-    terms are formed BLOCK at a time, into arrays reused from block
-    to block.  Every checkpoint must be finite and >= 2, and there must
+    cases name.  The terms are formed BLOCK at a time, into arrays reused
+    from block to block, and each case adds them to one exact accumulator,
+    read where a checkpoint falls, so each sum is the exact sum over its
+    whole prefix, rounded once, and equals divisor_ratio_sum(lam, mu, x)
+    bit for bit.  Every checkpoint must be finite and >= 2, and there must
     be at least one.  Returns one list per case.
     """
     checkpoints = list(checkpoints)
@@ -344,20 +348,26 @@ def divisor_ratio_sums_by_case(cases, checkpoints) -> list:
     cases = list(cases)
     kappas = list(dict.fromkeys(k for case in cases for k in case))
     pairs = [(kappas.index(lam), kappas.index(mu)) for lam, mu in cases]
-    segments = _sieve_segments(kappas, top)
-
-    def terms():  # d_lam(n) d_mu(n) / n for every case, BLOCK n at a time
-        block = min(BLOCK, top)
-        base = np.arange(1.0, block + 1)
-        ns, bufs = np.empty(block), [np.empty(block) for _ in cases]
-        for lo, vals in zip(range(1, top + 1, SEG), segments):
-            for a in range(0, vals[0].size, block):
-                m = min(block, vals[0].size - a)
-                n = np.add(base[:m], lo + a - 1, out=ns[:m])
-                yield [np.divide(np.multiply(vals[i][a:a + m], vals[j][a:a + m], out=t[:m]), n,
-                                 out=t[:m]) for (i, j), t in zip(pairs, bufs)]
-
-    return prefix_fsums_side_by_side(len(cases), terms(), xs)
+    accs, cuts, read = [ExactSum() for _ in cases], sorted(set(xs)), {}
+    block = min(BLOCK, top)
+    base = np.arange(1.0, block + 1)
+    ns, bufs = np.empty(block), [np.empty(block) for _ in cases]
+    for lo, vals in zip(range(1, top + 1, SEG), _sieve_segments(kappas, top)):
+        for a in range(0, vals[0].size, block):
+            m = min(block, vals[0].size - a)
+            n = np.add(base[:m], lo + a - 1, out=ns[:m])
+            terms = [np.divide(np.multiply(vals[i][a:a + m], vals[j][a:a + m], out=t[:m]), n,
+                               out=t[:m]) for (i, j), t in zip(pairs, bufs)]
+            done = 0  # terms of this block already added
+            while cuts and cuts[0] < lo + a + m:  # a checkpoint falls in this block
+                end = cuts[0] - (lo + a) + 1
+                for acc, t in zip(accs, terms):
+                    acc.add(t[done:end])
+                read[cuts.pop(0)] = [acc.value() for acc in accs]
+                done = end
+            for acc, t in zip(accs, terms):
+                acc.add(t[done:m])
+    return [[read[x][i] for x in xs] for i in range(len(cases))]
 
 
 # ----------------------------------------------------------------------
@@ -374,24 +384,23 @@ def stieltjes() -> tuple:
     Accelerated by the Euler-Maclaurin half-term plus dyadic Richardson
     extrapolation; the three top levels must agree to 1e-10 or a
     ConfigurationError is raised.  The terms are formed SEG at a time
-    inside the prefix sums, so no 2^22-entry array is held.
+    and added to two exact accumulators, read at N = 2^20, 2^21 and
+    2^22, so no 2^22-entry array is held.
     Computed once per process.
     """
-    exps = (20, 21, 22)
-    ends = [1 << e for e in exps]
-
-    def terms(a, log):  # (log(n) if log else 1) / n for a <= n < a + SEG
-        ns = np.arange(a, a + SEG, dtype=float)
-        recip = 1.0 / ns
-        return np.multiply(np.log(ns, out=ns), recip, out=ns) if log else recip
-
-    hs, s1s = (prefix_fsums((terms(a, log) for a in range(1, ends[-1], SEG)), ends)
-               for log in (False, True))
+    ends = [1 << e for e in (20, 21, 22)]  # each a multiple of SEG
+    h, s1 = ExactSum(), ExactSum()
     g_seq, g1_seq = [], []
-    for n, h, s1 in zip(ends, hs, s1s):
-        ln = math.log(n)
-        g_seq.append(h - ln - 0.5 / n)
-        g1_seq.append(s1 - 0.5 * ln * ln - 0.5 * ln / n)
+    for a in range(0, ends[-1], SEG):  # 1/n and log(n)/n for a < n <= a + SEG
+        ns = np.arange(a + 1, a + SEG + 1, dtype=float)
+        recip = 1.0 / ns
+        h.add(recip)
+        s1.add(np.multiply(np.log(ns, out=ns), recip, out=ns))
+        n = a + SEG
+        if n in ends:
+            ln = math.log(n)
+            g_seq.append(h.value() - ln - 0.5 / n)
+            g1_seq.append(s1.value() - 0.5 * ln * ln - 0.5 * ln / n)
 
     def richardson2(seq):
         # one elimination of the 1/N^2 term on a doubling grid

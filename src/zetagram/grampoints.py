@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -280,10 +281,16 @@ def _load_cache(path: str, phi: Angle):
 def _store_cache(path: str, phi: Angle, height: float, t: np.ndarray) -> None:
     fields = _cache_fields(phi) + repr(height).encode()
     body = t.astype("<f8").tobytes()
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(fields + b" sha256=" + _digest(fields, body) + b"\n" + body)
-    os.replace(tmp, path)
+    # a temporary file of its own, so no other writer or file shares its name
+    fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=os.path.basename(path) + ".",
+                               dir=os.path.dirname(path))
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(fields + b" sha256=" + _digest(fields, body) + b"\n" + body)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def enumerate_points(phi, t_max: float, cache_dir: str | None = None) -> GramPointSet:

@@ -19,7 +19,7 @@ import numpy as np
 from . import divisor, expsum
 from .grampoints import _as_angle, classify, enumerate_points, solve_gram
 from .special import DomainError
-from .summation import blocked_fsum, fsum
+from .summation import ExactSum, blocked_fsum, fsum
 
 __all__ = [
     "DirichletPolynomial",
@@ -121,9 +121,9 @@ def _cross_sum(a: DirichletPolynomial, b: DirichletPolynomial) -> complex:
     divided by mk separately, which rounds as Python's complex / int does
     (numpy's complex / real multiplies by a reciprocal instead); numpy's
     complex product of two arrays rounds as that of a scalar and an
-    array, and fsum is exact, so neither the passes nor their order move
-    a bit.  Memory is O(max supp b + CROSS_CHUNK) besides the kept terms,
-    of which the resonator has two per coefficient.
+    array, and each pass adds its terms to two exact accumulators, so
+    neither the passes nor their order move a bit.  Memory is
+    O(max supp b + CROSS_CHUNK).
     """
     an, ac = a.ns, a.cs
     bn, bc = b.ns, b.cs
@@ -135,7 +135,7 @@ def _cross_sum(a: DirichletPolynomial, b: DirichletPolynomial) -> complex:
     ends = np.cumsum(counts)
     starts = ends - counts
     total = int(ends[-1])
-    re, im = [np.empty(0)], [np.empty(0)]
+    re, im = ExactSum(), ExactSum()
     for lo in range(0, total, CROSS_CHUNK):
         hi = min(lo + CROSS_CHUNK, total)
         # the m-groups that meet [lo, hi), and how many of their pairs do
@@ -146,9 +146,9 @@ def _cross_sum(a: DirichletPolynomial, b: DirichletPolynomial) -> complex:
         hit = np.flatnonzero(dense[mk])
         mk, group = mk[hit], group[hit]
         prod = ac[group] * dense[mk]
-        re.append(prod.real / mk)
-        im.append(prod.imag / mk)
-    return complex(fsum(np.concatenate(re)), fsum(np.concatenate(im)))
+        re.add(prod.real / mk)
+        im.add(prod.imag / mk)
+    return complex(re.value(), im.value())
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ sqrt(p) variant.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,14 +95,12 @@ def build_resonator(X: float) -> Resonator:
     the primes p in [L^2, min(exp((log L)^2), X)].
 
     An empty window (possible just above the X >= 1e3 floor) degrades
-    to the trivial resonator supported on {1}, with a warning.
+    to the trivial resonator supported on {1}.
     """
     cfg = ResonatorConfig.for_cutoff(X)
     hi = int(math.floor(cfg.effective_hi))
     lo = int(math.ceil(cfg.prime_lo))
     if lo > hi:
-        warnings.warn("resonance prime interval is empty at this cutoff; "
-                      "building the trivial resonator", RuntimeWarning)
         primes = np.empty(0, dtype=np.int64)
     else:
         sieve = primes_up_to(hi)
@@ -143,10 +140,6 @@ def certify_lower_bound(sweep: GramSweep, res: Resonator) -> CertificateReport:
     """
     poly = res.coefficient_polynomial()
     limit_ok = res.config.X <= sweep.t_max ** (0.25 - EPSILON)
-    if not limit_ok:
-        warnings.warn("resonator cutoff exceeds t_max^(1/4 - eps); the bound "
-                      "is still computed but the prediction is untrusted",
-                      RuntimeWarning)
     s1 = compute_S1(sweep, poly, poly, enforce_limits=False)
     s2 = compute_S2(sweep, poly, enforce_limits=False)
     s2_val = s2.computed.real

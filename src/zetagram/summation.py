@@ -1,20 +1,24 @@
 """Deterministic exactly rounded summation: every sum is that of
 ``math.fsum`` over its whole input, bit for bit, however the input is
-cut into chunks and whatever the number of workers.
+cut into arrays and whatever the number of workers.
 
-One accumulator, :class:`_ExactSum`, keeps the exact running sum.  It
-splits each double x into a high half, x with the low 26 bits of its
-mantissa cleared, and a low half x - high, which is exact.  Both halves
-keep the sign, the scale and (for normal x) the implicit bit of x, so
-each is a signed integer in units of 2**(e - 1075), e being the exponent
-field of x (1 for subnormals): a high half is below 2**53 units in steps
-of 2**26, a low half below 2**26 units.  ``np.bincount`` adds the halves
-per sign and exponent field, and a bucket of at most 2**26 halves stays
-below 2**53 of its step, so it adds up without rounding.  Every 2**26
-elements the nonzero bucket sums move to a carry list and the buckets
-start again, so inputs of any length stay exact.  ``math.fsum``
-(Shewchuk) rounds once, when a sum is read, over the carry list and the
-nonzero buckets; their exact sum is that of the input.
+One accumulator, :class:`ExactSum`, keeps the exact running sum of the
+arrays added to it.  It splits each double x into a high half, x with
+the low 26 bits of its mantissa cleared, and a low half x - high, which
+is exact.  Both halves keep the sign, the scale and (for normal x) the
+implicit bit of x, so each is a signed integer in units of
+2**(e - 1075), e being the exponent field of x (1 for subnormals): a
+high half is below 2**53 units in steps of 2**26, a low half below 2**26
+units.  ``np.bincount`` adds the halves per sign and exponent field, and
+a bucket of at most 2**26 halves stays below 2**53 of its step, so it
+adds up without rounding.  Every 2**26 elements the nonzero bucket sums
+move to a carry list and the buckets start again, so inputs of any
+length stay exact.  ``value()`` rounds once, with ``math.fsum``
+(Shewchuk), over the carry list and the nonzero buckets, whose exact sum
+is that of the input.  Reading it leaves the accumulator as it was, so
+a value read between two adds is the sum of that prefix: a caller that
+needs the sums of several prefixes of one stream adds the stream piece
+by piece and reads where each prefix ends.
 
 An array that holds inf, nan or a value of 2**964 or more in magnitude
 (an exponent field of 0x7FF - 60 or more) sends the accumulator to
@@ -49,8 +53,9 @@ _BUCKETS = 0x1000
 _CHUNK = 1 << 14
 
 
-class _ExactSum:
-    """The exact sum of the 1-d float64 arrays added to it, in order."""
+class ExactSum:
+    """The exact sum of the 1-d float arrays added to it, in order;
+    ``value()`` rounds it once and may be read between adds."""
 
     def __init__(self):
         self.buckets = np.zeros((2, _BUCKETS))  # high halves, low halves
@@ -64,14 +69,16 @@ class _ExactSum:
     def value(self) -> float:
         return math.fsum(self.parts() if self.raw is None else self.raw)
 
-    def add(self, arr: np.ndarray) -> None:
+    def add(self, arr) -> ExactSum:
+        """Adds the values of arr and returns the accumulator."""
+        arr = np.asarray(arr, dtype=float)
         # one range test per array, which nan fails
         if self.raw is None and arr.size and not (
                 -_TOO_LARGE < arr.min() and arr.max() < _TOO_LARGE):
             self.raw = self.parts()
         if self.raw is not None:
             self.raw += arr.tolist()
-            return
+            return self
         n = arr.size
         bits = arr.view(np.int64)
         bucket = np.empty(min(n, _CHUNK), np.int64)
@@ -90,49 +97,18 @@ class _ExactSum:
             np.subtract(arr[a:b], h, out=h)
             self.buckets[1] += np.bincount(k, weights=h, minlength=_BUCKETS)
             self.held += b - a
+        return self
 
 
 def fsum(values) -> float:
     """Exactly rounded sum of a 1-d float array: the value, inf, nan,
     ValueError or OverflowError of ``math.fsum`` over the same numbers
     (see the module docstring)."""
-    return prefix_fsums((values,), (len(values),))[0]
+    return ExactSum().add(values).value()
 
 
 def blocked_fsum(values) -> float:
     """:func:`fsum` under the name the moment engines call, which
-    perfbench/spans.py wraps to count the elements of their sums."""
-    return fsum(values)
-
-
-def prefix_fsums(chunks, ends) -> list:
-    """fsum(v[:e]) for each e >= 0 in ends, v being the concatenation of
-    the 1-d float arrays in the iterable chunks, read in order, one at a
-    time and none past the one that reaches the largest end.  An end in a
-    chunk is read there, and one past the stream gets the total."""
-    return prefix_fsums_side_by_side(1, ((c,) for c in chunks), ends)[0]
-
-
-def prefix_fsums_side_by_side(width, chunks, ends) -> list:
-    """prefix_fsums of width streams read together: each item of chunks
-    holds one 1-d float array per stream, all of one length.  Returns one
-    list per stream, each as prefix_fsums gives it.  A chunk is done with
-    before the next is asked for, so its arrays may be reused for the
-    next one."""
-    ends = [int(e) for e in ends]
-    chunks, rest, a, read = iter(chunks), [np.empty(0)] * width, 0, {}
-    accs = [_ExactSum() for _ in range(width)]
-    for cut in sorted(set(ends)):
-        while a < cut:
-            if not rest[0].size:
-                rest = next(chunks, None)
-                if rest is None:
-                    rest = [np.empty(0)] * width
-                    break
-                rest = [np.asarray(r, dtype=float) for r in rest]
-            n = min(cut - a, rest[0].size)
-            for acc, r in zip(accs, rest):
-                acc.add(r[:n])
-            a, rest = a + n, [r[n:] for r in rest]
-        read[cut] = [acc.value() for acc in accs]
-    return [[read[e][i] for e in ends] for i in range(width)]
+    perfbench/spans.py wraps to count the elements of their sums.  It
+    sums on its own, so their time is booked to this name alone."""
+    return ExactSum().add(values).value()

@@ -10,7 +10,6 @@ against the main term.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,9 +210,7 @@ def check_cor2(cache: SweepCache, phi: float) -> list:
     bounds_ok = True
     sums = []
     for x in RESONATOR_GRID:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            res = resonator.build_resonator(x)
+        res = resonator.build_resonator(x)
         ratios.append(resonator.resonator_ratio(res))
         s2 = res.sum_f_squared
         sums.append(s2)
@@ -226,18 +223,16 @@ def check_cor2(cache: SweepCache, phi: float) -> list:
         "cor2:weight-bound", bounds_ok,
         {f"sum_f2@{x:.0e}": s for x, s in zip(RESONATOR_GRID, sums)})]
     cutoff = max(1e3, cache.t_max ** 0.2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        res = resonator.build_resonator(cutoff)
-        try:
-            cert = resonator.certify_lower_bound(cache.get(phi), res)
-            ok = cert.scanned_max >= cert.certified_bound * (1 - 1e-9)
-            detail = {"certified_bound": cert.certified_bound,
-                      "scanned_max": cert.scanned_max,
-                      "degenerate_direction": cert.degenerate_direction}
-        except RuntimeError as exc:
-            ok = False
-            detail = {"error": str(exc)}
+    res = resonator.build_resonator(cutoff)
+    try:
+        cert = resonator.certify_lower_bound(cache.get(phi), res)
+        ok = cert.scanned_max >= cert.certified_bound * (1 - 1e-9)
+        detail = {"certified_bound": cert.certified_bound,
+                  "scanned_max": cert.scanned_max,
+                  "degenerate_direction": cert.degenerate_direction}
+    except RuntimeError as exc:
+        ok = False
+        detail = {"error": str(exc)}
     out.append(CriterionResult(f"cor2:certificate:phi={phi:.6g}", ok, detail))
     return out
 

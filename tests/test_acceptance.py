@@ -8,7 +8,6 @@ run time.
 
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -194,21 +193,19 @@ def test_criterion_09_sign_classes(sweep_1e4_phi0, sweep_1e5_phi0, sweep_1e3_phi
 
 
 def test_criterion_10_resonator_certificate(sweep_1e5_phi0):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        builds = [build_resonator(x) for x in (1e3, 1e4, 1e5, 1e6)]
-        ratios = [resonator_ratio(res) for res in builds]
-        sums = [res.sum_f_squared for res in builds]
-        increasing = all(a < b for a, b in zip(ratios, ratios[1:]))
-        below_e = all(s < math.e for s in sums)
-        cert_ok = True
-        margins = []
-        for cutoff in (1e3, 1e4):
-            res = build_resonator(cutoff)
-            cert = certify_lower_bound(sweep_1e5_phi0.sweep, res)
-            cert_ok &= cert.scanned_max >= cert.certified_bound * (1 - 1e-9)
-            margins.append(f"X={cutoff:.0e}: bound={cert.certified_bound:.3f}"
-                           f"<=max={cert.scanned_max:.3f}")
+    builds = [build_resonator(x) for x in (1e3, 1e4, 1e5, 1e6)]
+    ratios = [resonator_ratio(res) for res in builds]
+    sums = [res.sum_f_squared for res in builds]
+    increasing = all(a < b for a, b in zip(ratios, ratios[1:]))
+    below_e = all(s < math.e for s in sums)
+    cert_ok = True
+    margins = []
+    for cutoff in (1e3, 1e4):
+        res = build_resonator(cutoff)
+        cert = certify_lower_bound(sweep_1e5_phi0.sweep, res)
+        cert_ok &= cert.scanned_max >= cert.certified_bound * (1 - 1e-9)
+        margins.append(f"X={cutoff:.0e}: bound={cert.certified_bound:.3f}"
+                       f"<=max={cert.scanned_max:.3f}")
     report(10, "resonator certificate",
            increasing and below_e and cert_ok,
            f"ratios={['%.5f' % r for r in ratios]} strictly increasing, "

@@ -3,11 +3,12 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zetagram import cli, divisor
+from zetagram import cli, divisor, grampoints
 from zetagram.moments import GramSweep
 from zetagram.special import hardy_z, theta
 from zetagram.verify import CriterionResult
@@ -220,6 +221,27 @@ def test_maxscan_table(tmp_path):
         maxima.append(float(cells[2]) if cells[2] else None)
     present = [m for m in maxima if m is not None]
     assert all(a <= b for a, b in zip(present, present[1:]))
+
+
+def test_maxscan_cache_write_shares_no_temporary_name(tmp_path):
+    """The cache is written through a temporary file of its own: a
+    directory at the old fixed name <cache file>.tmp, standing in for
+    another writer, neither breaks the run nor is written into."""
+    cache = tmp_path / "cache"
+    name = Path(grampoints._cache_path(str(cache), grampoints._as_angle(0.3))).name
+    (cache / (name + ".tmp")).mkdir(parents=True)
+    args = ["maxscan", "--t-max", "1000", "--phi", "0.3", "--cache-dir", str(cache)]
+    code, cold = run_cli(args, tmp_path, "a.csv")
+    assert code == 0
+    assert sorted(p.name for p in cache.iterdir()) == [name, name + ".tmp"]
+    assert not any((cache / (name + ".tmp")).iterdir())
+    written = (cache / name).stat()
+    # a second run reads the cache and leaves it as it was
+    code, warm = run_cli(args, tmp_path, "b.csv")
+    assert code == 0 and warm == cold
+    read = (cache / name).stat()
+    assert (read.st_ino, read.st_mtime_ns) == (written.st_ino, written.st_mtime_ns)
+    assert sorted(p.name for p in cache.iterdir()) == [name, name + ".tmp"]
 
 
 def test_maxscan_rows_are_masked_argmax(tmp_path):

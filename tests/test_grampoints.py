@@ -261,6 +261,16 @@ def test_cache_roundtrip(tmp_path):
     assert files[0].read_bytes() == first_bytes
 
 
+def test_failed_cache_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(grampoints.os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        enumerate_points(0.0, 500.0, cache_dir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cache_header_mismatch_recomputes(tmp_path):
     cache = str(tmp_path)
     enumerate_points(0.0, 500.0, cache_dir=cache)

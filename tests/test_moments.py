@@ -1,7 +1,6 @@
 import gc
 import math
 import tracemalloc
-import warnings
 import weakref
 
 import numpy as np
@@ -542,9 +541,7 @@ def test_sweep_cut_height_is_midpoint(sweep_2k):
 # ----------------------------------------------------------------------
 
 def _certify(sweep):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return certify_lower_bound(sweep, build_resonator(1e3))
+    return certify_lower_bound(sweep, build_resonator(1e3))
 
 
 REPORTING_ENGINES = {

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetagram import summation
-from zetagram.summation import _CHUNK, blocked_fsum, fsum, prefix_fsums
+from zetagram.summation import _CHUNK, ExactSum, blocked_fsum, fsum
 
 
 def test_fsum_exact_on_cancellation():
@@ -35,36 +35,45 @@ def test_blocked_fsum_equals_block_partials(n):
     assert blocked_fsum(vals) == math.fsum(vals.tolist())
 
 
-def test_prefix_fsums_equal_blocked_fsum_of_each_prefix():
+def prefix_values(chunks, ends) -> list:
+    """ExactSum's value() read in place at each end e of the stream of
+    chunks: a chunk in which an end falls is added in pieces cut there,
+    and an end past the stream reads the total."""
+    acc, n, read = ExactSum(), 0, {}
+    for chunk in chunks:
+        for piece in np.split(chunk, sorted({e - n for e in ends if n < e < n + chunk.size})):
+            if n in ends:
+                read[n] = acc.value()
+            acc.add(piece)
+            n += piece.size
+    read[n] = acc.value()
+    return [read[min(e, n)] for e in ends]
+
+
+def test_exact_sum_read_between_adds_is_fsum_of_each_prefix():
     vals = np.random.default_rng(5).standard_normal(150_000) * 1e6
-    held = []
 
     def chunks(size):
-        for a in range(0, vals.size, size):
-            held.append(min(size, vals.size - a))
-            yield vals[a:a + size]
+        return (vals[a:a + size] for a in range(0, vals.size, size))
 
     ends = SEAMS[::-1]  # any order
     expected = [math.fsum(vals[:e].tolist()) for e in ends]
     assert expected == [blocked_fsum(vals[:e]) for e in ends]
     for size in (1000, 1 << 16, 1 << 20):
-        held.clear()
-        assert prefix_fsums(chunks(size), ends) == expected
-        # one pass, and no chunk past the one that reaches the largest end
-        assert sum(held) - held[-1] < max(ends) <= sum(held)
+        assert prefix_values(chunks(size), ends) == expected
     # an end past the stream gets its total
-    assert prefix_fsums([vals[:5], vals[5:10]], (3, 10, 99)) == \
+    assert prefix_values([vals[:5], vals[5:10]], (3, 10, 99)) == \
         [math.fsum(vals[:3].tolist()), *[math.fsum(vals[:10].tolist())] * 2]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(0, 3000), max_size=6), st.lists(st.integers(0, 12_000), max_size=5),
        st.integers(0, 2 ** 32 - 1))
-def test_prefix_fsums_are_fsum_of_each_prefix(lengths, ends, seed):
+def test_exact_sum_prefixes_are_fsum_of_each_prefix(lengths, ends, seed):
     rng = np.random.default_rng(seed)
     chunks = [rng.standard_normal(n) * 10.0 ** rng.uniform(-200, 200, n) for n in lengths]
     vals = np.concatenate(chunks) if chunks else np.empty(0)
-    got = prefix_fsums(iter(chunks), ends)
+    got = prefix_values(chunks, ends)
     assert [np.float64(g).tobytes() for g in got] == \
         [np.float64(math.fsum(vals[:e].tolist())).tobytes() for e in ends]
 
@@ -141,25 +150,25 @@ def test_non_finite_and_overflow_as_fsum(vals):
     assert_same_as_fsum(arr[::-1])
 
 
-def test_prefix_fsums_non_finite_as_fsum():
+def test_exact_sum_prefixes_non_finite_as_fsum():
     vals = np.ones(70_000)
     vals[65_539] = math.inf
 
     def stream():
         return (vals[a:a + 4096] for a in range(0, vals.size, 4096))
 
-    assert prefix_fsums(stream(), (65_539, 65_540, vals.size)) == [65_539.0, math.inf, math.inf]
+    assert prefix_values(stream(), (65_539, 65_540, vals.size)) == [65_539.0, math.inf, math.inf]
     assert blocked_fsum(vals) == math.inf
     vals[5] = -math.inf
     with pytest.raises(ValueError):
-        prefix_fsums(stream(), (vals.size,))
+        prefix_values(stream(), (vals.size,))
     with pytest.raises(ValueError):
         blocked_fsum(vals)
     vals[5] = math.nan
-    assert math.isnan(prefix_fsums(stream(), (vals.size,))[0])
+    assert math.isnan(prefix_values(stream(), (vals.size,))[0])
     # finite values past the buckets' range, after chunks that went to them
     vals[5], vals[65_539], vals[65_540] = 1.0, 1e300, -1e300
-    assert prefix_fsums(stream(), (65_539, vals.size)) == [65_539.0, 69_998.0]
+    assert prefix_values(stream(), (65_539, vals.size)) == [65_539.0, 69_998.0]
 
 
 def test_carry_keeps_sums_exact(monkeypatch):
@@ -170,7 +179,7 @@ def test_carry_keeps_sums_exact(monkeypatch):
     monkeypatch.setattr(summation, "_CHUNK", 7)
     rng = np.random.default_rng(9)
     vals = rng.standard_normal(1000) * 10.0 ** rng.uniform(-20, 20, 1000)
-    acc = summation._ExactSum()
+    acc = ExactSum()
     acc.add(vals)
     assert acc.held <= 20 and len(acc.carry) > 100
     assert acc.value() == math.fsum(vals.tolist())
@@ -178,7 +187,7 @@ def test_carry_keeps_sums_exact(monkeypatch):
     assert_same_as_fsum(vals[::3])
     ends = (0, 19, 20, 21, 333, 1000)
     chunks = (vals[a:a + 45] for a in range(0, 1000, 45))
-    assert prefix_fsums(chunks, ends) == [math.fsum(vals[:e].tolist()) for e in ends]
+    assert prefix_values(chunks, ends) == [math.fsum(vals[:e].tolist()) for e in ends]
     # a value out of the buckets' range after many carries
     for bad in (math.inf, math.nan, 1e300):
         assert_same_as_fsum(np.append(vals, [bad, -bad]))

@@ -33,7 +33,9 @@ COMMANDS = (
     ("resonate", "--x", "1e6", "--certificate", "--t-max", "1e5"),
     *(("maxscan", "--t-max", "1e5", "--threads", threads) for threads in ("1", "2")),
     *(("points", "--t-max", "1e4", "--format", fmt) for fmt in ("csv", "json")),
+    ("verify", "thm2", "--t-max", "1e5"),
     ("divisor", "--kappa", "3", "--partial-sum", "1e6"),
+    ("divisor", "--kappa", "2.7", "--partial-sum", "700001", "--format", "json"),
 )
 
 
