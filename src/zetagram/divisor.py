@@ -79,9 +79,22 @@ def primes_up_to(n: int) -> np.ndarray:
 # d_kappa pointwise and by sieve
 # ----------------------------------------------------------------------
 
+#: The largest kappa accepted.  For kappa >= 1 each prime-power ratio
+#: (kappa + e - 1)/e is at most kappa, and for kappa < 1 at most 1, so
+#: d_kappa(n) <= max(kappa, 1)^Omega(n), Omega(n) the number of prime
+#: factors of n with multiplicity; Omega(n) <= 26 for every n below
+#: INDEX_BUDGET < 2^27.  At kappa <= 1e5 that gives d_kappa(n) <= 1e130,
+#: a product d_lam(n) d_mu(n) <= 1e260, and a sum of at most
+#: INDEX_BUDGET = 1e8 of either <= 1e268, below the largest double,
+#: 1.8e308.  (The largest value, d_kappa(2^26) ~ kappa^26 / 26!, is
+#: 2.5e103 at kappa = 1e5.)
+KAPPA_MAX = 1e5
+
+
 def _check_kappa(kappa: float) -> None:
-    if not (math.isfinite(kappa) and kappa > 0):
-        raise ValueError(f"kappa must be finite and positive, got {kappa!r}")
+    if not (math.isfinite(kappa) and 0 < kappa <= KAPPA_MAX):
+        raise ValueError(f"kappa must be finite and positive and at most {KAPPA_MAX:g}, "
+                         f"got {kappa!r}")
 
 
 def _prime_power_coeff(kappa: float, j: int) -> float:

@@ -3,8 +3,10 @@
 `evaluate` adds the terms one at a time over the points (`direct`), or,
 when its cost model finds that cheaper, evaluates X on a uniform t-grid
 by a Gaussian-gridded type-1 nonuniform FFT and interpolates to the
-points (`gridded`): the multi-evaluation step of Odlyzko & Schoenhage
-(1988), with the gridding of Greengard & Lee (SIAM Review 46, 2004).
+points by a windowed sinc (`gridded`): the multi-evaluation step of
+Odlyzko & Schoenhage (1988), with the gridding of Greengard & Lee (SIAM
+Review 46, 2004) and the "exponential of semicircle" window of Barnett,
+Magland & af Klinteberg (SIAM J. Sci. Comput. 41, 2019).
 The choice depends only on the frequencies, the number of points and
 their range.  On either path a point's value depends only on (f, w, t),
 not on the other points of the call; the two paths differ by the
@@ -26,11 +28,17 @@ OVERSAMPLE = 3
 #: 2x oversampled frequency grid this gives about 1e-12 (Greengard & Lee).
 SPREAD = 12
 #: Interpolation taps on each side of a point.
-TAPS = 24
-#: Width r^2 of the Gaussian that regularizes the sinc: it balances the
-#: truncation error exp(-TAPS^2 / 2r^2) against the aliasing error
-#: exp(-r^2 (pi (1 - 1/OVERSAMPLE))^2 / 2), both exp(-8 pi) ~ 1.2e-11.
-SINC_R2 = TAPS / (math.pi * (1.0 - 1.0 / OVERSAMPLE))
+TAPS = 14
+#: The sinc is windowed by exp(ES_BETA (sqrt(1 - (d/TAPS)^2) - 1)) at
+#: d samples.  The window's transform lies essentially within |xi| <=
+#: ES_BETA/TAPS, so the windowed sinc passes the samples' band |xi| <=
+#: pi/OVERSAMPLE untouched while ES_BETA <= TAPS pi (1 - 1/OVERSAMPLE) =
+#: 29.3; its truncation error falls like exp(-ES_BETA).  Measured at
+#: t <= 2000, the error sits at the gridding floor, about 6e-12 sum |w|,
+#: for ES_BETA from 25 to 29, and 27 is the middle of that flat range.
+#: At 13 taps the range is 25 to 27, and at 12 only 25 (24 and 26 give
+#: 1.7e-11 and 6.9e-10).
+ES_BETA = 27.0
 #: Grid samples per tile: the power of two at or above twice the number
 #: of terms, within [MIN_TILE, MAX_TILE], so that a tile's FFT and its
 #: spreading cost about the same.  A tile owns all but 2 TAPS + 2 of its
@@ -45,8 +53,12 @@ DECONV, DECONV_BETA = 0.5 * math.sqrt(3.0 / SPREAD), math.pi * SPREAD / 3.0
 #: Costs of the gridded path in units of one direct (point, term) entry,
 #: measured with numpy on a shared 2-core x86-64 machine: each point's
 #: taps; and in each tile, a fixed part, each term's spread cells and
-#: each grid sample (the FFT).
-COST_POINT = 45
+#: each grid sample (the FFT).  COST_POINT is the slope of `gridded`'s
+#: time from 500 to 5,000 points in one tile over `direct`'s time per
+#: entry: medians 9.5-12.7 of 5 runs at 500 to 4,000 terms, where the
+#: same measure gives 39-50 for the 24-tap Gaussian-windowed sinc that
+#: the window replaced (its figure was 45).
+COST_POINT = 12
 COST_TILE = 15000
 COST_TERM = 8
 COST_SAMPLE = 2
@@ -100,12 +112,14 @@ def gridded(freqs: np.ndarray, weights: np.ndarray, t: np.ndarray) -> np.ndarray
     NUFFT: the a_k spread onto 2 x `tile` frequency cells by a Gaussian
     over +-SPREAD cells (its powers in the cell offset built by
     multiplication, as Greengard & Lee do), an FFT, and division by the
-    Gaussian's transform.  F at each point is then the Gaussian-
-    regularized sinc interpolation over its 2 x TAPS nearest samples.
+    Gaussian's transform.  F at each point is then the sinc interpolation
+    over its 2 x TAPS nearest samples, windowed by the exponential of
+    semicircle (see ES_BETA).  The sinc takes one sine per point; the
+    taps run one at a time, each over all the tile's points.
 
-    Error: about 1e-11 sum_k |w_k| from the interpolation (the gridding
-    adds about 1e-12), plus the rounding of the phases t0 f_k and s c,
-    of the same size as in `direct`.  Memory: O(points + terms + tile).
+    Error: about 6e-12 sum_k |w_k| from the gridding and the window
+    together, plus the rounding of the phases t0 f_k and s c, of the same
+    size as in `direct`.  Memory: O(points + terms + tile).
     """
     shape, t = t.shape, t.ravel()
     by_freq = np.argsort(freqs, kind="stable")
@@ -144,10 +158,20 @@ def gridded(freqs: np.ndarray, weights: np.ndarray, t: np.ndarray) -> np.ndarray
         below = np.floor(v)
         base = below.astype(np.intp) + shift
         v -= below
+        # sinc(v - k) = (-1)^k sin(pi v) / (pi (v - k)): one sine a point,
+        # taken at the nearer of v and 1 - v (exact) so that it keeps its
+        # relative accuracy at both ends, where the taps k = 0, 1 divide
+        sine = np.sin(np.pi * np.minimum(v, 1.0 - v)) / np.pi
+        signed = (sine, -sine)
         acc = np.zeros(s.shape, dtype=complex)
         for k in range(1 - TAPS, TAPS + 1):
             d = v - k
-            acc += samples[base + k] * (np.sinc(d) * np.exp(d * d / (-2.0 * SINC_R2)))
+            if k:
+                tap = signed[k % 2] / d
+            else:   # 1 where the point is a grid sample, v = 0
+                tap = np.divide(sine, d, out=np.ones(d.shape), where=d != 0.0)
+            tap *= np.exp(ES_BETA / TAPS * np.sqrt(TAPS * TAPS - d * d) - ES_BETA)
+            acc += samples[base + k] * tap
         out[idx] = np.exp(-1j * (s * centre)) * acc
     return out.reshape(shape)
 

@@ -497,10 +497,12 @@ def _psi_deriv_taylor(deriv: int) -> np.ndarray:
 
 
 def _horner(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum_n coef[n] z^n, each coef[n] broadcast against z."""
+    """sum_n coef[n] z^n, each coef[n] broadcast against z, in one
+    accumulator updated in place."""
     out = np.zeros(np.broadcast_shapes(coef.shape[1:], z.shape))
     for c in coef[::-1]:
-        out = out * z + c
+        np.multiply(out, z, out=out)
+        np.add(out, c, out=out)
     return out
 
 

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -357,6 +358,20 @@ def test_divisor_rejects_non_finite_kappa(tmp_path, capsys, kappa):
     assert code == 2
     assert data == b""
     assert "error: kappa must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", (["--limit", "10"], ["--partial-sum", "100"]))
+@pytest.mark.parametrize("kappa", ("1e300", "1e200", "100000.00000000001"))
+def test_divisor_rejects_kappa_whose_values_overflow(tmp_path, capsys, kappa, args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, data = run_cli(["divisor", "--kappa", kappa, *args], tmp_path)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert data == b""
+    assert "error: kappa must be finite and positive and at most 100000" in err
+    assert "Warning" not in err
+    assert not caught
 
 
 @pytest.mark.parametrize("x", ("inf", "nan", "1.5"))

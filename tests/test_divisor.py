@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from zetagram import divisor
 from zetagram.verify import DIVISOR_EXPONENT_CASES, DIVISOR_REGRESSION_GRID
 from zetagram.divisor import (
+    INDEX_BUDGET,
+    KAPPA_MAX,
     SEG,
     SizeBudgetError,
     build_table,
@@ -259,7 +261,19 @@ def test_rough_mark_far_from_the_first_block():
     assert np.array_equal(mark < divisor._rough_threshold(limit - 999, 1000, limit), rough)
 
 
-BAD_KAPPAS = (0.0, -1.0, math.nan, math.inf, -math.inf)
+BAD_KAPPAS = (0.0, -1.0, math.nan, math.inf, -math.inf, math.nextafter(KAPPA_MAX, math.inf), 1e300)
+
+
+def test_kappa_bound_keeps_values_products_and_sums_finite():
+    # Omega(n) <= 26 below the budget, and d_kappa(n) <= kappa^Omega(n)
+    assert 2 ** 26 < INDEX_BUDGET < 2 ** 27
+    top = d_kappa(2 ** 26, KAPPA_MAX)
+    assert top == pytest.approx(math.comb(int(KAPPA_MAX) + 25, 26), rel=1e-12)
+    assert top <= KAPPA_MAX ** 26 <= 1e130
+    assert (KAPPA_MAX ** 26) ** 2 * INDEX_BUDGET < 1e269
+    table = build_table(KAPPA_MAX, 1 << 12)
+    assert table[1 << 12] == pytest.approx(d_kappa(1 << 12, KAPPA_MAX), rel=1e-14)
+    assert math.isfinite(divisor_ratio_sum(KAPPA_MAX, KAPPA_MAX, 1 << 12))
 
 
 @pytest.mark.parametrize("kappa,limit,error,message", (

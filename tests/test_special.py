@@ -8,8 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zetagram.grampoints import bulk_hardy_z, solve_gram
+from zetagram import special
+from zetagram.grampoints import bulk_hardy_z, enumerate_points, solve_gram
 from zetagram.special import (
+    BLOCK_POINTS,
     QUAD_GROUP,
     RS_MIN_T,
     SERIES_MIN_T,
@@ -337,6 +339,31 @@ def test_rs_psi_removable_points_are_finite():
         right = rs_psi(p + 1e-5)
         assert np.isfinite(mid)
         assert abs(mid - 0.5 * (left + right)) < 1e-6
+
+
+def _horner_allocating(coef, z):
+    """Horner's rule with a new array at every step."""
+    out = np.zeros(np.broadcast_shapes(coef.shape[1:], z.shape))
+    for c in coef[::-1]:
+        out = out * z + c
+    return out
+
+
+def test_in_place_horner_keeps_the_bits(monkeypatch):
+    # the series remainder at the 1e5 sweep's heights from SERIES_MIN_T
+    # (phi = 0.7) in blocks of BLOCK_POINTS, and Psi and 12 derivatives
+    t = enumerate_points(0.7, 1e5).t
+    t = t[t >= SERIES_MIN_T]
+    blocks = [t[a:a + BLOCK_POINTS] for a in range(0, t.size, BLOCK_POINTS)]
+    ps = np.append(np.random.default_rng(61).uniform(0.0, 1.0, 2000), [0.0, 0.25, 0.75])
+    in_place = ([_rs_series_remainder(b, 4) for b in blocks]
+                + [rs_psi(ps, deriv) for deriv in range(13)])
+    monkeypatch.setattr(special, "_horner", _horner_allocating)
+    allocating = ([_rs_series_remainder(b, 4) for b in blocks]
+                  + [rs_psi(ps, deriv) for deriv in range(13)])
+    assert len(blocks) == 9
+    for got, expected in zip(in_place, allocating, strict=True):
+        assert np.array_equal(got, expected)
 
 
 def test_series_remainder_orders():

@@ -1,20 +1,23 @@
 """Report bytes of two revisions side by side: a fixed set of zetagram
 commands runs in an export of each, and each command's standard output
-is compared by sha256.
+is compared by sha256, and for a command whose bytes differ the first
+lines that differ are shown from both sides.
 
     python3 tools/report_bytes.py --parent HEAD~1 --change HEAD
 
 Run from the root of a git checkout.  Each revision is exported with
 `bench_pairs.export` (git archive), so only committed files run, each
 command in a fresh interpreter with the export's src/ on PYTHONPATH.
-Prints both sides' sha256 and exit status for every command, and exits 1
-if any of them differs.
+Prints both sides' sha256 and exit status for every command, with up to
+SHOWN_LINES differing lines (paired by position) where they differ, and
+exits 1 if any of them differs.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import os
 import shutil
 import subprocess
@@ -39,12 +42,25 @@ COMMANDS = (
 )
 
 
+#: Differing lines shown for each command whose bytes differ.
+SHOWN_LINES = 5
+
+
 def run(checkout: Path, command) -> tuple:
-    """(sha256 of the standard output, exit status) of one command."""
+    """(standard output, exit status) of one command."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     proc = subprocess.run([sys.executable, "-m", "zetagram.cli", *command], cwd=checkout,
                           env=env, capture_output=True)
-    return hashlib.sha256(proc.stdout).hexdigest(), proc.returncode
+    return proc.stdout, proc.returncode
+
+
+def differing_lines(parent: bytes, change: bytes) -> list:
+    """(line number, parent line, change line) for the first SHOWN_LINES
+    lines that differ, paired by position; a missing line is empty."""
+    pairs = itertools.zip_longest(parent.decode(errors="replace").splitlines(),
+                                  change.decode(errors="replace").splitlines(), fillvalue="")
+    differ = ((i, a, b) for i, (a, b) in enumerate(pairs, 1) if a != b)
+    return list(itertools.islice(differ, SHOWN_LINES))
 
 
 def main(argv=None) -> int:
@@ -63,8 +79,10 @@ def main(argv=None) -> int:
             same = got["parent"] == got["change"]
             differ += not same
             print(f"{'same' if same else 'DIFFERS'}: zetagram {' '.join(command)}")
-            for side, (sha, status) in got.items():
-                print(f"  {side}: {sha} exit {status}")
+            for side, (out, status) in got.items():
+                print(f"  {side}: {hashlib.sha256(out).hexdigest()} exit {status}")
+            for line, parent, change in differing_lines(got["parent"][0], got["change"][0]):
+                print(f"  line {line}:\n    parent: {parent}\n    change: {change}")
     finally:
         shutil.rmtree(work, ignore_errors=True)
     print(f"{len(COMMANDS) - differ} of {len(COMMANDS)} commands byte-identical")
