@@ -55,9 +55,9 @@ DECONV, DECONV_BETA = 0.5 * math.sqrt(3.0 / SPREAD), math.pi * SPREAD / 3.0
 #: taps; and in each tile, a fixed part, each term's spread cells and
 #: each grid sample (the FFT).  COST_POINT is the slope of `gridded`'s
 #: time from 500 to 5,000 points in one tile over `direct`'s time per
-#: entry: medians 9.5-12.7 of 5 runs at 500 to 4,000 terms, where the
-#: same measure gives 39-50 for the 24-tap Gaussian-windowed sinc that
-#: the window replaced (its figure was 45).
+#: entry: medians 9.5-12.7 of 5 runs at 500 to 4,000 terms (the same
+#: measure gives 39-50 for a 24-tap Gaussian-windowed sinc, which this
+#: model priced at 45).
 COST_POINT = 12
 COST_TILE = 15000
 COST_TERM = 8
