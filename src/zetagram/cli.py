@@ -290,7 +290,7 @@ def cmd_divisor(cfg: RunConfig, kappa: float, limit: int, partial: float | None)
                   f"{'' if pred is None else repr(pred)}\n", cfg.output)
         return EXIT_OK
     # the sieve checks its arguments here, before any output is opened
-    segments = (seg for seg, in divisor._sieve_segments((kappa,), limit))
+    segments = divisor._sieve_segments(kappa, limit)
     _emit(_divisor_dump(cfg, kappa, segments), cfg.output)
     return EXIT_OK
 

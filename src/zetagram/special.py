@@ -155,14 +155,21 @@ def _c99(fn, zr, zi=0.0):
     return z.real, z.imag
 
 
-def _fma(a, b, c) -> np.ndarray:
-    """a b + c rounded once, per element: math.fsum of c and the exact
-    product p + e (Dekker 1971)."""
+def _two_prod(a, b):
+    """(p, e) with p = a b rounded and p + e = a b exactly, per element
+    (Dekker 1971, with Veltkamp's split; exact unless a step overflows
+    or underflows)."""
     p = a * b
     ah, bh = a * _SPLIT, b * _SPLIT
     ah, bh = ah - (ah - a), bh - (bh - b)
     al, bl = a - ah, b - bh
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _fma(a, b, c) -> np.ndarray:
+    """a b + c rounded once, per element: math.fsum of c and the exact
+    product p + e of _two_prod."""
+    p, e = _two_prod(a, b)
     c = c.tolist() if isinstance(c, np.ndarray) else repeat(c)
     return np.fromiter(map(math.fsum, zip(p.tolist(), e.tolist(), c)), float, p.size)
 

@@ -57,6 +57,14 @@ class SweepCache:
 # individual checks
 # ----------------------------------------------------------------------
 
+def _near(rep, tol: float, floor: float) -> bool:
+    """|computed - predicted| <= max(tol |predicted|, floor): relative
+    where the predicted main term is large, absolute where it cancels,
+    with no switch between the two.  The floor is the absolute test of
+    the direction where the main term vanishes."""
+    return abs(rep.computed - rep.predicted) <= max(tol * abs(rep.predicted), floor)
+
+
 def _main_scale(t_max: float) -> float:
     """Size of a non-degenerate (T/2pi) log(T/2pi e) main term; the yard
     stick for directions where the predicted coefficient cancels."""
@@ -83,14 +91,8 @@ def check_prop1(cache: SweepCache, phi: float) -> list:
     yardstick = _main_scale(cache.t_max)
     for x_poly, tag in ((one, "S1[1|1]"), (one_one, "S1[1,1|1]")):
         rep = moments.compute_S1(cache.get(phi), x_poly, one)
-        if abs(rep.predicted) > 1e-9 * yardstick:
-            passed = rep.rel_error <= s1_tol
-        else:
-            # the predicted coefficient cancels in this direction; the
-            # computed sum must then be small against the generic scale
-            passed = abs(rep.computed) <= s1_tol * yardstick
         out.append(CriterionResult(
-            f"prop1:{tag}:phi={phi:.6g}", passed,
+            f"prop1:{tag}:phi={phi:.6g}", _near(rep, s1_tol, s1_tol * yardstick),
             {"computed_abs": abs(rep.computed), "predicted_abs": abs(rep.predicted),
              "rel_error": rep.rel_error, "tolerance": s1_tol}))
     # cancelling direction: coefficient (1 + e^{-2 i phi}) = 0 at phi = pi/2
@@ -110,14 +112,8 @@ def check_thm2(cache: SweepCache, phi: float) -> list:
     frac = 0.01 if cache.t_max >= REFERENCE_T else 0.03
     rep = moments.moment_cubed(cache.get(phi))
     rep_0 = moments.moment_cubed(cache.get(0.0))
-    if abs(rep.predicted) > 1e-6 * abs(rep_0.predicted):
-        main_ok = rep.rel_error <= tol
-    else:
-        # both cosine factors cancel in this direction (phi = pi/2);
-        # require smallness against the phi = 0 main term instead
-        main_ok = abs(rep.computed) <= frac * abs(rep_0.predicted)
     out = [CriterionResult(
-        f"thm2:main:phi={phi:.6g}", main_ok,
+        f"thm2:main:phi={phi:.6g}", _near(rep, tol, frac * abs(rep_0.predicted)),
         {"computed_re": rep.computed.real, "computed_im": rep.computed.imag,
          "predicted_re": rep.predicted.real, "rel_error": rep.rel_error,
          "tolerance": tol, "n_points": rep.n_points})]

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import time
@@ -9,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zetagram import cli, divisor, grampoints
+from zetagram import cli, divisor, grampoints, moments, verify
 from zetagram.moments import GramSweep
 from zetagram.special import hardy_z, theta
 from zetagram.verify import CriterionResult
@@ -203,6 +205,46 @@ def test_verify_determinism_across_threads(tmp_path):
     _, a = run_cli(base + ["--threads", "1"], tmp_path, "t1.json")
     _, b = run_cli(base + ["--threads", "8"], tmp_path, "t8.json")
     assert a == b
+
+
+#: Directions in the band around pi/2 where the predicted main terms of
+#: thm2 and prop1 nearly cancel.
+NEAR_HALF_PI = tuple(math.pi / 2 + sign * d for d in (1e-7, 1e-4, 1e-3, 2e-3) for sign in (-1, 1))
+
+
+def test_verify_all_passes_near_the_cancelling_direction(tmp_path):
+    # one process, one phi after another
+    for i, phi in enumerate(NEAR_HALF_PI):
+        code, data = run_cli(["verify", "all", "--t-max", "1e4", "--format", "json",
+                              "--threads", "1", "--phi", repr(phi)], tmp_path, f"v{i}.json")
+        failed = [c["name"] for c in json.loads(data)["criteria"] if not c["passed"]]
+        assert (code, failed) == (0, []), phi
+
+
+@pytest.mark.parametrize("phi", NEAR_HALF_PI[::3])
+def test_verdicts_near_the_cancelling_direction_fail_twice_the_floor_off(monkeypatch, phi):
+    cache = verify.SweepCache(1e4)
+    details = {r.name.split(":")[1]: r.details
+               for r in verify.check_thm2(cache, phi) + verify.check_prop1(cache, phi)}
+    floors = {"cubed": details["vanishing"]["tolerance_fraction"]
+              * details["vanishing"]["reference_main"],
+              "S1": details["S1-degenerate"]["tolerance_fraction"]
+              * details["S1-degenerate"]["reference_scale"]}
+
+    def moved(fn):
+        def call(*args, **kwargs):
+            rep = fn(*args, **kwargs)
+            if rep.phi != phi:
+                return rep
+            return dataclasses.replace(rep, computed=rep.predicted + 2 * floors[rep.kind])
+        return call
+
+    monkeypatch.setattr(moments, "moment_cubed", moved(moments.moment_cubed))
+    monkeypatch.setattr(moments, "compute_S1", moved(moments.compute_S1))
+    verdicts = {r.name.split(":")[1]: r.passed
+                for r in verify.check_thm2(cache, phi) + verify.check_prop1(cache, phi)}
+    assert verdicts == {"main": False, "vanishing": True, "S2[1]": True, "S2[1,1]": True,
+                        "S1[1|1]": False, "S1[1,1|1]": False, "S1-degenerate": True}
 
 
 # ----------------------------------------------------------------------

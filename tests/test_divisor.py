@@ -1,7 +1,9 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from itertools import product
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,12 +75,43 @@ def reference_table(kappa: float, limit: int) -> np.ndarray:
 
 def reference_ratio_sums(lam: float, mu: float, xs) -> list:
     """The one-array formula: every term d_lam(n) d_mu(n) / n in one
-    array, then math.fsum of each whole prefix."""
+    array, then math.fsum of each whole prefix.  It sums the sieve's
+    rounded d_kappa, so it can miss the exact sum by an ulp or two."""
     n = max(xs)
     ns = np.arange(0, n + 1, dtype=float)
     ns[0] = 1.0
     terms = reference_table(lam, n) * reference_table(mu, n) / ns
     return [math.fsum(terms[1:1 + x].tolist()) for x in xs]
+
+
+def exact_table(kappa: float, limit: int) -> list:
+    """d_kappa(0..limit) as fractions, d_kappa(0) = 1 unused."""
+    vals = [Fraction(1)] * (limit + 1)
+    for p in primes_up_to(limit).tolist():
+        pe, e = p, 1
+        while pe <= limit:
+            ratio = (Fraction(kappa) + e - 1) / e
+            for m in range(pe, limit + 1, pe):
+                vals[m] *= ratio
+            pe, e = pe * p, e + 1
+    return vals
+
+
+def exact_ratio_sums(lam: float, mu: float, xs) -> list:
+    """float() of the exact sum_{n<=x} d_lam(n) d_mu(n) / n, which rounds
+    it correctly."""
+    top = max(xs)
+    a, b = exact_table(lam, top), exact_table(mu, top)
+    acc, prefix = Fraction(0), [Fraction(0)]
+    for n in range(1, top + 1):
+        acc += a[n] * b[n] / n
+        prefix.append(acc)
+    return [float(prefix[x]) for x in xs]
+
+
+def assert_close_to_reference(got, lam, mu, xs, rel=1e-14):
+    want = reference_ratio_sums(lam, mu, xs)
+    assert all(abs(g - r) <= rel * r for g, r in zip(got, want)), (lam, mu, xs, got, want)
 
 
 # ----------------------------------------------------------------------
@@ -183,21 +216,20 @@ def test_table_equals_reference_sieve_short_segments(kappa, limit, seg):
 
 
 def test_sieve_segments_layout():
-    sizes = [[v.size for v in vals] for vals in divisor._sieve_segments((0.5, 1.0), 2 * SEG + 1)]
-    assert sizes == [[SEG, SEG], [SEG, SEG], [1, 1]]
+    for kappa in (0.5, 1.0):
+        sizes = [v.size for v in divisor._sieve_segments(kappa, 2 * SEG + 1)]
+        assert sizes == [SEG, SEG, 1]
 
 
 def sieved_tables(kappas, limit) -> list:
-    """One whole table per kappa from the multi-kappa sieve, each segment
-    copied before the next is asked for."""
-    tables = [[np.zeros(1)] for _ in kappas]
-    for vals in divisor._sieve_segments(kappas, limit):
-        for table, v in zip(tables, vals):
-            table.append(v.copy())
-    return [np.concatenate(t) for t in tables]
+    """One whole table per kappa, each from its own pass of the sieve,
+    each segment copied before the next is asked for."""
+    return [np.concatenate([np.zeros(1)] + [v.copy() for v in divisor._sieve_segments(kappa, limit)])
+            for kappa in kappas]
 
 
 PRIME_SQUARES = tuple(p * p for p in primes_up_to(700).tolist())
+#: Sets of kappa, each sieved in its own pass; the repeats were once shared passes.
 KAPPA_SETS = ((1.0,), (1.0, 2.0), (2.0, 2.0), (3.0, 0.5), (0.5, 1.0, 0.5, 3.0), (1.0, 1.0))
 
 
@@ -282,9 +314,9 @@ def test_kappa_bound_keeps_values_products_and_sums_finite():
     (2.0, 200_000_000, SizeBudgetError, "table of size 200000000 exceeds budget"),
 ))
 def test_sieve_segments_checks_at_the_call(kappa, limit, error, message):
-    # a generator body would run only at the first next(); every kappa is checked
+    # a generator body would run only at the first next()
     with pytest.raises(error, match=message):
-        divisor._sieve_segments((2.0, kappa), limit)
+        divisor._sieve_segments(kappa, limit)
 
 
 @pytest.mark.parametrize("kappa", BAD_KAPPAS)
@@ -425,26 +457,43 @@ def test_ratio_sum_monotone():
 
 
 def test_ratio_sums_at_matches_single_calls():
-    # several checkpoints inside one segment
+    # several checkpoints from one call, and each from a call of its own
     for lam, mu, xs in ((2.0, 1.0, (100, 1000, 100_000)),
                         (0.5, 0.5, (150_000, 200_000))):
         batch = divisor_ratio_sums_at(lam, mu, xs)
-        singles = [divisor_ratio_sum(lam, mu, float(x)) for x in xs]
-        assert batch == singles == reference_ratio_sums(lam, mu, xs)
+        assert batch == [divisor_ratio_sum(lam, mu, float(x)) for x in xs]
+        assert_close_to_reference(batch, lam, mu, xs)
 
 
 @pytest.mark.parametrize("lam,mu", ((1.0, 1.0), (2.0, 1.0), (0.5, 0.5), (1 / 3, 2.7)))
 def test_ratio_sums_at_block_seams_equal_reference(lam, mu):
-    # ends inside the first segment and on both sides of its end
+    # the old sieve's block and segment seams, and the harmonic table's end
     xs = (2, 1 << 16, (1 << 16) + 1, 1 << 17, (1 << 17) + 1, 150_000, SEG, SEG + 1)
-    assert divisor_ratio_sums_at(lam, mu, xs) == reference_ratio_sums(lam, mu, xs)
+    assert_close_to_reference(divisor_ratio_sums_at(lam, mu, xs), lam, mu, xs)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.floats(0.0, 4.0, exclude_min=True), st.floats(0.0, 4.0, exclude_min=True),
        st.lists(st.integers(2, 200_000), min_size=1, max_size=4))
 def test_ratio_sums_at_equal_reference_property(lam, mu, xs):
-    assert divisor_ratio_sums_at(lam, mu, xs) == reference_ratio_sums(lam, mu, xs)
+    assert_close_to_reference(divisor_ratio_sums_at(lam, mu, xs), lam, mu, xs)
+
+
+EXACT_CASES = ((1 / 3, 2.7), (2.0, 1.0), (0.5, 0.5), (2.53, 2.99), (3.0, 3.0))
+
+
+@pytest.mark.parametrize("lam,mu", EXACT_CASES)
+def test_ratio_sums_are_correctly_rounded(lam, mu):
+    # the sieve's sums miss the correctly rounded value at 4 of these 10
+    xs = (3000, 10_000)
+    assert divisor_ratio_sums_at(lam, mu, xs) == exact_ratio_sums(lam, mu, xs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(0.0, 4.0, exclude_min=True), st.floats(0.0, 4.0, exclude_min=True),
+       st.lists(st.integers(2, 3000), min_size=1, max_size=4))
+def test_ratio_sums_are_correctly_rounded_property(lam, mu, xs):
+    assert divisor_ratio_sums_at(lam, mu, xs) == exact_ratio_sums(lam, mu, xs)
 
 
 @pytest.mark.parametrize("checkpoints", ((-3, 100), (100, 1.5), (), (math.nan,),
@@ -459,16 +508,22 @@ def test_ratio_sums_at_keeps_checkpoint_order():
         divisor_ratio_sums_at(2.0, 1.0, (100, 1000))[::-1]
 
 
+def test_ratio_sums_budget():
+    with pytest.raises(SizeBudgetError, match="table of size 150000000 exceeds budget"):
+        divisor_ratio_sums_at(2.0, 1.0, (100, 1.5e8))
+
+
 RATIO_CASES = DIVISOR_EXPONENT_CASES + ((1 / 3, 2.7), (2.0, 1.0), (0.5, 2.0))
 
 
 def test_ratio_sums_by_case_equal_reference():
-    # inside the first segment, on both sides of its end, repeated and unsorted
-    xs = (SEG + 1, 100, SEG, 150_000, 100, 2 * SEG + 1, SEG - 1, 2)
+    # unsorted and repeated, with 2, and 700_001 and 999_999, which are
+    # no floor(10^6 / k)
+    xs = (SEG + 1, 100, 10 ** 6, 700_001, 100, 2, 999_999, 150_000)
     got = divisor_ratio_sums_by_case(RATIO_CASES, xs)
     assert len(got) == len(RATIO_CASES)
     for (lam, mu), sums in zip(RATIO_CASES, got):
-        assert sums == reference_ratio_sums(lam, mu, xs), (lam, mu)
+        assert_close_to_reference(sums, lam, mu, xs)
 
 
 @settings(max_examples=15, deadline=None)
@@ -476,15 +531,21 @@ def test_ratio_sums_by_case_equal_reference():
                           st.floats(0.0, 4.0, exclude_min=True)), min_size=1, max_size=4),
        st.lists(st.integers(2, 70_000), min_size=1, max_size=4))
 def test_ratio_sums_by_case_equal_reference_property(cases, xs):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(divisor, "SEG", 1 << 14)  # several segments, and term blocks across them
-        mp.setattr(divisor, "BLOCK", 5_000)
-        got = divisor_ratio_sums_by_case(cases, xs)
-    assert got == [reference_ratio_sums(lam, mu, xs) for lam, mu in cases]
+    got = divisor_ratio_sums_by_case(cases, xs)
+    assert got == [divisor_ratio_sums_at(lam, mu, xs) for lam, mu in cases]
+    for (lam, mu), sums in zip(cases, got):
+        assert_close_to_reference(sums, lam, mu, xs)
+
+
+def test_quotients_are_every_floor_and_closed():
+    xs = [2, 17, 100, 1000, 999]
+    vs = divisor._quotients(xs)
+    assert vs.tolist() == sorted({x // k for x in xs for k in range(1, x + 1)})
+    assert set((vs[:, None] // np.arange(1, 40)).ravel().tolist()) - {0} <= set(vs.tolist())
 
 
 #: The regression grid's ratio sums and the d3 partial sum at x = 1e6, as
-#: float.hex, from the three-pass code that the one-pass sieve replaced.
+#: float.hex, from the three-pass sieve that came before the prime sums.
 PINNED_RATIO_SUMS = {
     (1.0, 1.0): ["0x1.39341192de2b9p+3", "0x1.82e27a22f3fb0p+3",
                  "0x1.cc9137a1df274p+3", "0x1.0b1ffecf8e7b8p+4"],
@@ -522,9 +583,12 @@ def test_stieltjes_against_references():
 
 
 def test_stieltjes_bits_are_pinned():
+    # mpmath's constants at 40 digits, rounded to binary64
     gamma, gamma1 = stieltjes()
-    assert gamma.hex() == "0x1.2788cfc6fb61bp-1"
-    assert gamma1.hex() == "-0x1.2a40f2afba45bp-4"
+    with mpmath.workdps(40):
+        assert (gamma, gamma1) == (float(mpmath.euler), float(mpmath.stieltjes(1)))
+    assert gamma.hex() == "0x1.2788cfc6fb619p-1"
+    assert gamma1.hex() == "-0x1.2a40f2afba4a2p-4"
 
 
 def test_stieltjes_against_raw_limit():

@@ -11,10 +11,12 @@ committed files only and the repository gains no worktree.  Pair i runs
 the parent first in odd pairs and the change first in even ones.  The
 entry holds every run's last output line, and for each end-to-end
 metric of BENCHMARK.json the two medians and quartiles, the ratio
-change/parent, the bound, and the number of pairs the change won.
-With --claim, the named metric is tested against the rule for a gain:
-the change wins at least nine tenths of the pairs, and the medians
-differ by more than the parent's interquartile range.  With --trace,
+change/parent, the bound, and the number of pairs the change won.  It
+counts, per side, the runs whose output failed the benchmark's check,
+and prints and records their problems.  With --claim, the named metric
+is tested against the rule for a gain: no run is incorrect, the change
+wins at least nine tenths of the pairs, and the medians differ by more
+than the parent's interquartile range.  With --trace,
 one `--trace 1` run per side adds its per-layer metrics.  The entry also
 records the cost of `import zetagram` on each side (see import_cost) and
 the size of each side's src/ (see src_lines).
@@ -47,7 +49,8 @@ def export(rev: str, dest: Path) -> Path:
 
 
 def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
-    """The JSON record that perfbench/run.py prints as its last line."""
+    """The JSON record that perfbench/run.py prints as its last line, with
+    the problems of its `FAILED CHECK:` lines added as "problems"."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--trace", str(trace)],
                           cwd=checkout, capture_output=True, text=True)
@@ -55,9 +58,22 @@ def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     if not lines:
         raise RuntimeError(f"perfbench/run.py printed nothing in {checkout}:\n{proc.stderr}")
     record = json.loads(lines[-1])
+    record["problems"] = [line.removeprefix(FAILED) for line in lines if line.startswith(FAILED)]
     if workload != "all":  # one workload's metrics carry no workload prefix
         record["metrics"] = {f"{workload}/{k}": v for k, v in record["metrics"].items()}
     return record
+
+
+#: How perfbench/run.py starts the line of a check that failed.
+FAILED = "FAILED CHECK: "
+
+
+def incorrect_runs(runs) -> dict:
+    """The runs of one side whose output failed the benchmark's check:
+    their number and their problems (each names the op's argv, which
+    holds its phi)."""
+    bad = [r for r in runs if not r["correct"]]
+    return {"count": len(bad), "problems": [p for r in bad for p in r["problems"]]}
 
 
 #: Fresh interpreters per side that time `import zetagram`.
@@ -117,20 +133,23 @@ def summarize(parent_runs, change_runs, bench) -> dict:
     return summary
 
 
-def claim_check(summary: dict, key: str, pairs: int) -> dict:
-    """The rule for a gain on one metric: the change wins at least nine
-    tenths of the pairs, and its median is better than the parent's by
-    more than the parent's interquartile range."""
+def claim_check(summary: dict, key: str, pairs: int, incorrect: dict) -> dict:
+    """The rule for a gain on one metric: no run of either side is
+    incorrect, the change wins at least nine tenths of the pairs, and its
+    median is better than the parent's by more than the parent's
+    interquartile range."""
     row = summary[key]
     wins = row[f"change_{row['better']}_in_pairs"]
     gain = row["parent_median"] - row["change_median"]
     if row["better"] == "higher":
         gain = -gain
     enough_wins = wins >= math.ceil(0.9 * pairs)
+    all_correct = not any(side["count"] for side in incorrect.values())
     return {"metric": key, "wins": wins, "pairs": pairs,
             "wins_at_least_nine_tenths": enough_wins,
             "median_gain": gain, "gain_exceeds_parent_iqr": gain > row["parent_iqr"],
-            "met": enough_wins and gain > row["parent_iqr"]}
+            "every_run_correct": all_correct,
+            "met": all_correct and enough_wins and gain > row["parent_iqr"]}
 
 
 def main(argv=None) -> int:
@@ -180,6 +199,11 @@ def main(argv=None) -> int:
         shutil.rmtree(work, ignore_errors=True)
 
     summary = summarize(runs["parent"], runs["change"], bench)
+    incorrect = {side: incorrect_runs(side_runs) for side, side_runs in runs.items()}
+    for side, bad in incorrect.items():
+        print(f"{side}: {bad['count']} incorrect run(s)", file=sys.stderr)
+        for problem in bad["problems"]:
+            print(f"  {problem}", file=sys.stderr)
     entry = {
         "label": args.label,
         "description": args.description,
@@ -191,8 +215,9 @@ def main(argv=None) -> int:
         "machine": f"{os.cpu_count()} cores; parent and change in alternation on the same"
                    f" machine; load average {load_start} at the start, {os.getloadavg()} at the end",
         "iqr": "statistics.quantiles(n=4), exclusive method: q3 - q1 of the runs of one side",
-        "claim": claim_check(summary, args.claim, args.pairs) if args.claim
+        "claim": claim_check(summary, args.claim, args.pairs, incorrect) if args.claim
         else "none: no gain is claimed",
+        "incorrect": incorrect,
         "summary": summary,
         "import": imports,
         "src_lines": lines,
