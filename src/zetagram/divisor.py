@@ -188,16 +188,16 @@ def _sieve_segments(kappa: float, limit: int):
     def segments():
         small = primes_up_to(math.isqrt(limit)).tolist()
         weights = [round(_MARK_SCALE * math.log2(p)) for p in small]
-        buf = np.ones(min(SEG, limit))
+        buf = np.empty(min(SEG, limit))
         mark = np.empty(min(SEG, limit), np.uint8)
         rough, smooth, factor = (np.empty(min(BLOCK, limit)) for _ in range(3))
         for lo in range(1, limit + 1, SEG):
             size = min(SEG, limit - lo + 1)
             v = buf[:size]
+            v[:] = 1.0
             if kappa != 1.0:
                 a = mark[:size]
                 a[:] = 0
-                v[:] = 1.0
                 for p, w in zip(small, weights):
                     pe, e = p, 1
                     # no multiple of p^e in the segment means none of p^(e+1)
@@ -395,8 +395,8 @@ def divisor_ratio_sums_by_case(cases, checkpoints) -> list:
         d_mu = _dd_mul(d_mu, _dd_div(_two_sum(mu, e - 1.0), e))
         f_pe.append(np.array(_dd_div(_dd_mul(d_lam, d_mu), primes.astype(float) ** e)))
     lam_mu_g = np.negative(_dd_mul(lam_mu, g[:, primes - 1]))
-    shift = [np.array(_dd_add(after, _dd_mul(f, lam_mu_g))) for f, after in zip(f_pe, f_pe[1:])]
-    f = np.array(_dd_mul(lam_mu, g[:, None, :]))  # the primes' terms, lam mu / p each
+    shift = [np.array(_dd_add(after, _dd_mul(now, lam_mu_g))) for now, after in zip(f_pe, f_pe[1:])]
+    sums = np.array(_dd_mul(lam_mu, g[:, None, :]))  # the primes' terms, lam mu / p each
     for i in range(primes.size - 1, -1, -1):
         p = int(primes[i])
         first = np.searchsorted(vs, p * p)
@@ -404,15 +404,15 @@ def divisor_ratio_sums_by_case(cases, checkpoints) -> list:
         while pe * p <= top:
             j = np.searchsorted(vs, pe * p) - first
             w = np.searchsorted(vs, vs[first + j:] // pe)
-            t = _dd_add(_dd_mul(f_pe[e - 1][..., i, None], f[..., w]), shift[e - 1][..., i, None])
+            t = _dd_add(_dd_mul(f_pe[e - 1][..., i, None], sums[..., w]), shift[e - 1][..., i, None])
             if terms is None:
                 terms = np.array(t)
             else:
                 terms[..., j:] = _dd_add(terms[..., j:], t)
             pe, e = pe * p, e + 1
-        f[..., first:] = _dd_add(f[..., first:], terms)
-    hi, lo = _dd_add(f[..., np.searchsorted(vs, xs)], (1.0, 0.0))  # n = 1
-    return (hi + lo).tolist()
+        sums[..., first:] = _dd_add(sums[..., first:], terms)
+    # n = 1, and hi is then the double nearest hi + lo
+    return _dd_add(sums[..., np.searchsorted(vs, xs)], (1.0, 0.0))[0].tolist()
 
 
 # ----------------------------------------------------------------------
@@ -542,13 +542,14 @@ def _stieltjes_decimal() -> tuple:
         gamma  = lim ( sum_{n<=N} 1/n      - log N )
         gamma1 = lim ( sum_{n<=N} log(n)/n - (log N)^2 / 2 )
 
-    through Euler-Maclaurin at N = 20 with 12 Bernoulli terms.  The
+    through Euler-Maclaurin at N = 20 with 16 Bernoulli terms, enough
+    for the double-double harmonic sums that take gamma.  The
     (2k-1)-th derivative of log(x)/x is -(2k-1)! (log x - H_{2k-1}) /
     x^2k, so
         gamma  = H_N - L - 1/(2N) + sum_k B_2k / (2k N^2k),
         gamma1 = sum_{n<=N} log(n)/n - L^2/2 - L/(2N)
                  + sum_k B_2k (L - H_{2k-1}) / (2k N^2k),
-    L = log N; the first term left out is below 1e-29.
+    L = log N; both are within 1e-34 of the constants.
     """
     big_n = 20
     with localcontext() as ctx:
@@ -558,13 +559,11 @@ def _stieltjes_decimal() -> tuple:
         gamma = sum(1 / Decimal(n) for n in range(1, big_n + 1)) - log_n - Decimal(1) / (2 * big_n)
         gamma1 = (sum(lg / n for n, lg in enumerate(logs, 1))
                   - log_n * log_n / 2 - log_n / (2 * big_n))
-        harmonic = Fraction(0)  # H_{2k-1}
-        for k, b in enumerate(_bernoulli(12), 1):
-            harmonic += Fraction(1, 2 * k - 1) + (Fraction(1, 2 * k - 2) if k > 1 else 0)
+        for k, b in enumerate(_bernoulli(16), 1):
             term = _decimal(b / (2 * k * big_n ** (2 * k)))
             gamma += term
-            gamma1 += term * (log_n - _decimal(harmonic))
-    return +gamma, +gamma1
+            gamma1 += term * (log_n - _decimal(sum(Fraction(1, j) for j in range(1, 2 * k))))
+    return gamma, gamma1
 
 
 @lru_cache(maxsize=1)

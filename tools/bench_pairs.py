@@ -48,6 +48,10 @@ def export(rev: str, dest: Path) -> Path:
     return dest
 
 
+#: How perfbench/run.py starts the line of a check that failed.
+FAILED = "FAILED CHECK: "
+
+
 def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     """The JSON record that perfbench/run.py prints as its last line, with
     the problems of its `FAILED CHECK:` lines added as "problems"."""
@@ -62,10 +66,6 @@ def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     if workload != "all":  # one workload's metrics carry no workload prefix
         record["metrics"] = {f"{workload}/{k}": v for k, v in record["metrics"].items()}
     return record
-
-
-#: How perfbench/run.py starts the line of a check that failed.
-FAILED = "FAILED CHECK: "
 
 
 def incorrect_runs(runs) -> dict:
