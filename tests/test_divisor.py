@@ -109,9 +109,9 @@ def exact_ratio_sums(lam: float, mu: float, xs) -> list:
     return [float(prefix[x]) for x in xs]
 
 
-def assert_close_to_reference(got, lam, mu, xs, rel=1e-14):
+def assert_close_to_reference(got, lam, mu, xs):
     want = reference_ratio_sums(lam, mu, xs)
-    assert all(abs(g - r) <= rel * r for g, r in zip(got, want)), (lam, mu, xs, got, want)
+    assert all(abs(g - r) <= 1e-14 * r for g, r in zip(got, want)), (lam, mu, xs, got, want)
 
 
 # ----------------------------------------------------------------------
