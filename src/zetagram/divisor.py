@@ -3,12 +3,12 @@ zeta^kappa), truncated convolution powers, partial-sum asymptotics, and
 the cubic-moment polynomials built from Stieltjes constants.
 
 Tables of d_kappa come from one segmented sieve, _sieve_segments, one
-kappa per pass, and the sums of d_kappa over n reduce its segments as
-they come and hold no whole table.  The ratio sums of the divisor check,
-sum_{n<=x} d_lam(n) d_mu(n)/n, need no sieve: their terms are
-multiplicative, so the sums at every floor(x/k) follow from two passes
-over the primes up to sqrt(x), in double-double arithmetic
-(divisor_ratio_sums_by_case).
+kappa per pass; it serves the tables alone (build_table and `divisor
+--limit`).  The sums need no sieve: sum_{n<=x} d_kappa(n) and the ratio
+sums of the divisor check, sum_{n<=x} d_lam(n) d_mu(n)/n, have
+multiplicative terms, so one prime-sum engine gives them at every
+floor(x/k) from two passes over the primes up to sqrt(x), in
+double-double arithmetic (_multiplicative_sums).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from functools import lru_cache
 import numpy as np
 
 from .special import _two_prod
-from .summation import ExactSum
 
 __all__ = [
     "DivisorTable",
@@ -313,16 +312,21 @@ def convolve_truncated(kappa: float, m: int, xi: float) -> TruncatedCoeffs:
 def divisor_partial_sum(lam: float, x: float):
     """(sum_{n<=x} d_lam(n), x P_{lam-1}(log x) or None) for any lam > 0.
 
+    The sum needs no sieve: it is the prime-sum engine,
+    _multiplicative_sums, with s = 0 and the one case (lam, 1), whose
+    pass 1 counts primes exactly.  For integer lam every d_lam(p^e) is
+    an integer, so a sum below 2^53 comes out as the exact integer; for
+    any other lam it is the correctly rounded exact sum.  It works on
+    about 2 sqrt(x) values and loops over the primes up to x^(1/3): the
+    sum of d_3 to 1e6 takes about 15 ms, with a traced peak under 1 MiB,
+    on one core of a shared 2-core machine.
+
     The residue polynomial is implemented for lam = 3 (via P2); for
     other lam the exact sum is still returned with prediction None.
     """
     if not 2 <= x < math.inf:
         raise ValueError(f"x must be finite and >= 2, got {x!r}")
-    n = int(math.floor(x))
-    acc = ExactSum()
-    for seg in _sieve_segments(float(lam), n):
-        acc.add(seg)
-    total = acc.value()
+    total = _multiplicative_sums(((lam, 1.0),), (int(math.floor(x)),), 0)[0][0]
     if lam == 3:
         prediction = x * p2_polynomial()(math.log(x))
     else:
@@ -348,33 +352,58 @@ def divisor_ratio_sums_by_case(cases, checkpoints) -> list:
     the largest, top, must fit INDEX_BUDGET as a sieve would.  Returns
     one list per case.
 
-    No sieve: f(n) = d_lam(n) d_mu(n) / n is multiplicative, with
-    f(p) = lam mu / p, so its partial sums F(v) at every v of V, the
-    union over the checkpoints x of {floor(x/k)}, follow from two passes
-    over the primes p <= sqrt(top) (the prime-sum recurrence of Lagarias,
-    Miller & Odlyzko 1985, extended to multiplicative f).  V is closed
-    under v -> floor(v/m), and holds about 2 sqrt(top) values.
-      - Pass 1, shared by the cases, gives G(v) = sum_{p<=v} 1/p
-        (_prime_reciprocal_sums).
+    No sieve: the prime-sum engine, _multiplicative_sums, with s = 1.
+    At top = 1e7 it works on 6,323 values floor(x/k), loops over the 47
+    primes up to top^(1/3) and folds the other 399 primes up to
+    sqrt(top) into one shared sum; the three cases of the divisor check
+    take about 0.1 s on one core of a shared 2-core machine.
+    """
+    checkpoints = list(checkpoints)
+    if not checkpoints or not all(2 <= c < math.inf for c in checkpoints):
+        raise ValueError(f"checkpoints must be finite and >= 2, got {checkpoints!r}")
+    return _multiplicative_sums(cases, [int(c) for c in checkpoints], 1)
+
+
+def _multiplicative_sums(cases, xs, s: int) -> list:
+    """For each case (lam, mu), the correctly rounded sum_{n<=x} d_lam(n)
+    d_mu(n) n^-s at every x of xs (ints >= 2): one list per case.  s is
+    0 for the partial sums and 1 for the ratio sums, and nothing else.
+
+    f(n) = d_lam(n) d_mu(n) n^-s is multiplicative, with f(p^e) =
+    d_lam(p^e) d_mu(p^e) w_p^e, w_p = p^-s, and f(p) = lam mu w_p.  So
+    its partial sums F(v) at every v of V, the union over x of
+    {floor(x/k)}, follow from two passes over the primes p <= sqrt(top),
+    top = max(xs) (the prime-sum recurrence of Lagarias, Miller &
+    Odlyzko 1985, extended to multiplicative f).  V is closed under
+    v -> floor(v/m), and holds about 2 sqrt(top) values.
+      - Pass 1, shared by the cases, gives G(v) = sum_{p<=v} w_p.  It
+        starts from sum_{2<=n<=v} w_n (v - 1, or H(v) - 1) and takes the
+        primes ascending, removing for every v >= p^2 the n whose least
+        prime factor is p:
+            G(v) -= w_p (G(floor(v/p)) - G(p - 1)).
       - Pass 2 starts from F(v) = lam mu G(v), the primes' terms, and
         takes the primes descending, adding for every v >= p^2 the
         composite n <= v whose least prime factor is p:
             F(v) += sum_{e: p^(e+1) <= v} f(p^e) (F(floor(v/p^e)) - lam mu G(p))
                                           + f(p^(e+1)).
-    Each step works on a suffix of V in whole-array numpy operations,
+    Only the small primes, p^3 <= top, take a step of their own.  A
+    large prime has e = 1 only, and reads floor(v/p) <= top/p < q^2 for
+    every large q, a value that no large prime's step writes, in either
+    pass.  So their steps add up to two sums over the large p <= sqrt(v),
+    the same for every case (_large_prime_sums),
+        D(v) = sum w_p (G(floor(v/p)) - G(p - 1)),   C(v) = sum w_p^2,
+    formed once after the small primes of pass 1, which then gives
+    G(v) - D(v).  Pass 2 starts with
+        F(v) += (lam mu)^2 (D(v) - C(v)) + d_lam(p^2) d_mu(p^2) C(v).
+    A small prime's constants, f(p^(e+1)) - f(p^e) lam mu G(p), are
+    summed over e <= E(v), the largest e with p^(e+1) <= v, and added
+    once per v.
+
+    Every step works on a suffix of V in whole-array numpy operations,
     the cases stacked as rows.  Every value is a double-double (hi, lo),
     and each operation errs by about 2^-104 of its largest operand, so
-    the sums carry far more bits than the 53 they are rounded to.  f(p^e)
-    is formed in double-double from lam and mu, as the product of
-    (kappa + i)/(i + 1), i < e, for each, over p^e.  At top = 1e7, V
-    holds 6,323 values, and the three cases of the divisor check take
-    about 0.15 s on one core of a shared 2-core machine, against about
-    0.6 s for one pass of the sieve to 1e7.
+    the sums carry far more bits than the 53 they are rounded to.
     """
-    checkpoints = list(checkpoints)
-    if not checkpoints or not all(2 <= c < math.inf for c in checkpoints):
-        raise ValueError(f"checkpoints must be finite and >= 2, got {checkpoints!r}")
-    xs = [int(c) for c in checkpoints]
     top = max(xs)
     cases = list(cases)
     for kappa in (k for case in cases for k in case):
@@ -383,36 +412,82 @@ def divisor_ratio_sums_by_case(cases, checkpoints) -> list:
         raise SizeBudgetError(f"table of size {top} exceeds budget")
     vs = _quotients(xs)
     primes = primes_up_to(math.isqrt(top))
-    g = _prime_reciprocal_sums(vs, primes)
+    small = primes[primes ** 3 <= top]
+    large = primes[small.size:]
+    g = _harmonic_minus_one(vs) if s else np.array((vs - 1.0, np.zeros(vs.size)))
+    for p in small.tolist():
+        first = np.searchsorted(vs, p * p)
+        w = np.searchsorted(vs, vs[first:] // p)
+        t = _dd_div(_dd_add(g[:, p - 2], -g[:, w]), float(p) ** s)
+        g[:, first:] = _dd_add(g[:, first:], t)
+    lo = np.searchsorted(vs, large[0] ** 2) if large.size else vs.size
+    d, c = _large_prime_sums(vs, lo, g, large, s)
+    g[:, lo:] = _dd_add(g[:, lo:], -d)
+
     lam, mu = (np.array([case[j] for case in cases], dtype=float)[:, None] for j in (0, 1))
     lam_mu = _two_prod(lam, mu)
-    # f(p^e) for every prime p, e = 1, 2, ..., and the part of a step that
-    # is the same for every v, f(p^(e+1)) - f(p^e) lam mu G(p)
+    # d_lam(p^e) d_mu(p^e), the same for every p, for e = 1, 2, ...
     d_lam = d_mu = (np.ones_like(lam), np.zeros_like(lam))
-    f_pe = []
+    coeffs = []
     for e in range(1, top.bit_length() + 1):
         d_lam = _dd_mul(d_lam, _dd_div(_two_sum(lam, e - 1.0), e))
         d_mu = _dd_mul(d_mu, _dd_div(_two_sum(mu, e - 1.0), e))
-        f_pe.append(np.array(_dd_div(_dd_mul(d_lam, d_mu), primes.astype(float) ** e)))
-    lam_mu_g = np.negative(_dd_mul(lam_mu, g[:, primes - 1]))
-    shift = [np.array(_dd_add(after, _dd_mul(now, lam_mu_g))) for now, after in zip(f_pe, f_pe[1:])]
-    sums = np.array(_dd_mul(lam_mu, g[:, None, :]))  # the primes' terms, lam mu / p each
-    for i in range(primes.size - 1, -1, -1):
-        p = int(primes[i])
+        coeffs.append(_dd_mul(d_lam, d_mu))
+    sums = np.array(_dd_mul(lam_mu, g[:, None, :]))  # the primes' terms
+    sums[..., lo:] = _dd_add(sums[..., lo:], _dd_add(
+        _dd_mul(_dd_mul(lam_mu, lam_mu), _dd_add(d, -c)), _dd_mul(coeffs[1], c)))
+    # f(p^e) of the small primes, and shift[..., i, e - 1], the sum over
+    # e' <= e of their constants f(p^(e'+1)) - f(p^e') lam mu G(p)
+    f_pe = np.array([_dd_div(cf, small.astype(float) ** (e * s))
+                     for e, cf in enumerate(coeffs, 1)])
+    lam_mu_g = np.negative(_dd_mul(lam_mu, g[:, small - 1]))
+    shift, acc = [], (0.0, 0.0)
+    for now, after in zip(f_pe, f_pe[1:]):
+        acc = _dd_add(acc, _dd_add(after, _dd_mul(now, lam_mu_g)))
+        shift.append(acc)
+    shift = np.stack([np.array(a) for a in shift], axis=-1)
+    for i in range(small.size - 1, -1, -1):
+        p = int(small[i])
         first = np.searchsorted(vs, p * p)
-        terms, pe, e = None, p, 1
-        while pe * p <= top:
-            j = np.searchsorted(vs, pe * p) - first
-            w = np.searchsorted(vs, vs[first + j:] // pe)
-            t = _dd_add(_dd_mul(f_pe[e - 1][..., i, None], sums[..., w]), shift[e - 1][..., i, None])
-            if terms is None:
-                terms = np.array(t)
-            else:
-                terms[..., j:] = _dd_add(terms[..., j:], t)
-            pe, e = pe * p, e + 1
+        powers = [p ** e for e in range(2, top.bit_length() + 1) if p ** e <= top]
+        terms = shift[:, :, i, np.searchsorted(powers, vs[first:], side="right") - 1]
+        for e, after in enumerate(powers, 1):
+            j = np.searchsorted(vs, after) - first
+            w = np.searchsorted(vs, vs[first + j:] // (after // p))
+            t = _dd_mul(f_pe[e - 1, ..., i, None], sums[..., w])
+            terms[..., j:] = _dd_add(terms[..., j:], t)
         sums[..., first:] = _dd_add(sums[..., first:], terms)
     # n = 1, and hi is then the double nearest hi + lo
     return _dd_add(sums[..., np.searchsorted(vs, xs)], (1.0, 0.0))[0].tolist()
+
+
+#: The large primes of _large_prime_sums go this many to a rectangle.
+_LARGE_BLOCK = 64
+
+
+def _large_prime_sums(vs: np.ndarray, lo: int, g: np.ndarray, primes, s: int) -> tuple:
+    """(D, C) at every v of vs[lo:], each a double-double:
+        D(v) = sum w_p (G(floor(v/p)) - G(p - 1)),   C(v) = sum w_p^2,
+    w_p = p^-s, over the p of primes with p^2 <= v, with G from g (final
+    at every value this reads; see _multiplicative_sums).  The primes go
+    _LARGE_BLOCK at a time, ascending.  A block's terms form one (v, p)
+    rectangle over the v >= p^2 of its least p, whose entries with
+    p^2 > v are exact zeros; it is summed pairwise along p and added to
+    the sums of the blocks before it.  Every term is >= 0."""
+    out = np.zeros((2, 2, vs.size - lo))
+    for b in range(0, primes.size, _LARGE_BLOCK):
+        p = primes[b:b + _LARGE_BLOCK]
+        first = np.searchsorted(vs, p[0] * p[0])
+        v = vs[first:, None]
+        outside = p * p > v
+        # where p^2 > v, G(p - 1) - G(p - 1), which is 0 exactly
+        at = np.searchsorted(vs, np.where(outside, p - 1, v // p))
+        pw = p.astype(float) ** s
+        d = _dd_div(_dd_add(g[:, at], -g[:, p - 2]), pw)
+        c = _dd_div((np.where(outside, 0.0, 1.0), 0.0), pw * pw)
+        out[..., first - lo:] = _dd_add(out[..., first - lo:],
+                                        _dd_sum(np.array((d, c)).swapaxes(0, 1)))
+    return out[:, 0], out[:, 1]
 
 
 # ----------------------------------------------------------------------
@@ -449,6 +524,17 @@ def _dd_div(x, d):
     return _two_sum(q, ((x[0] - p) - e + x[1]) / d)
 
 
+def _dd_sum(x: np.ndarray) -> np.ndarray:
+    """The sum over the last axis of the double-doubles x = (hi, lo),
+    pairwise: neighbours add, an odd count gaining a zero, until one
+    entry (or, for an empty axis, none) is left."""
+    while x.shape[-1] > 1:
+        if x.shape[-1] % 2:
+            x = np.concatenate((x, np.zeros(x.shape[:-1] + (1,))), axis=-1)
+        x = np.array(_dd_add(x[..., 0::2], x[..., 1::2]))
+    return x.sum(axis=-1)
+
+
 def _quotients(xs) -> np.ndarray:
     """The union over x in xs of {floor(x/k): 1 <= k <= x}, ascending:
     1 .. isqrt(x) and x // (1 .. isqrt(x)) for each x.  It is closed
@@ -459,21 +545,6 @@ def _quotients(xs) -> np.ndarray:
         r = np.arange(1, math.isqrt(x) + 1)
         parts += [r, x // r]
     return np.unique(np.concatenate(parts))
-
-
-def _prime_reciprocal_sums(vs: np.ndarray, primes) -> tuple:
-    """G(v) = sum_{p<=v} 1/p at every v of vs (from _quotients) as a
-    double-double.  It starts from H(v) - 1 = sum_{2<=n<=v} 1/n, and each
-    prime p of primes, ascending (all of those <= sqrt(max(vs))), takes
-    away the n whose least prime factor is p:
-        g(v) -= (g(floor(v/p)) - G(p - 1)) / p    for every v >= p^2
-    (the Legendre-type step of Lagarias, Miller & Odlyzko 1985)."""
-    g = _harmonic_minus_one(vs)
-    for p in primes.tolist():
-        first = np.searchsorted(vs, p * p)
-        w = np.searchsorted(vs, vs[first:] // p)
-        g[:, first:] = _dd_add(g[:, first:], _dd_div(_dd_add(g[:, p - 2], -g[:, w]), float(p)))
-    return g
 
 
 #: H(v) = sum_{n<=v} 1/n comes from one compensated prefix sum below

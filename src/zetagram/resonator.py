@@ -105,9 +105,10 @@ def build_resonator(X: float) -> Resonator:
     else:
         sieve = primes_up_to(hi)
         primes = sieve[sieve >= lo]
-    weights = [cfg.L / (p * math.log(p)) for p in primes.tolist()]
+    # math.log, not np.log, whose SIMD loop differs in the last bit
+    logs = np.fromiter(map(math.log, primes.tolist()), float, primes.size)
     return Resonator(config=cfg, support=np.concatenate(([1], primes)),
-                     weights=np.array([1.0] + weights))
+                     weights=np.concatenate(([1.0], cfg.L / (primes * logs))))
 
 
 def resonator_ratio(res: Resonator) -> float:

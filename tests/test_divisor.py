@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetagram import divisor
+from zetagram.summation import ExactSum
 from zetagram.verify import DIVISOR_EXPONENT_CASES, DIVISOR_REGRESSION_GRID
 from zetagram.divisor import (
     INDEX_BUDGET,
@@ -107,6 +108,35 @@ def exact_ratio_sums(lam: float, mu: float, xs) -> list:
         acc += a[n] * b[n] / n
         prefix.append(acc)
     return [float(prefix[x]) for x in xs]
+
+
+def streamed_ratio_sums(lam: float, mu: float, xs) -> list:
+    """reference_ratio_sums with no whole table: the same terms, from the
+    package's sieve (equal to reference_table, see the table tests),
+    segment by segment, summed exactly by ExactSum and read where each
+    prefix ends."""
+    top = max(xs)
+    acc, at, lo = ExactSum(), {}, 1
+    for a, b in zip(divisor._sieve_segments(lam, top), divisor._sieve_segments(mu, top)):
+        terms = a * b / np.arange(lo, lo + a.size)
+        done = 0
+        for x in sorted(x for x in set(xs) if lo <= x < lo + a.size):
+            acc.add(terms[done:x - lo + 1])
+            done = x - lo + 1
+            at[x] = acc.value()
+        acc.add(terms[done:])
+        lo += a.size
+    return [at[x] for x in xs]
+
+
+def exact_partial_sums(kappa: float, xs) -> list:
+    """The exact sum_{n<=x} d_kappa(n), as a Fraction, for each x."""
+    table = exact_table(kappa, max(xs))
+    acc, prefix = Fraction(0), [Fraction(0)]
+    for n in range(1, max(xs) + 1):
+        acc += table[n]
+        prefix.append(acc)
+    return [prefix[x] for x in xs]
 
 
 def assert_close_to_reference(got, lam, mu, xs):
@@ -306,6 +336,7 @@ def test_kappa_bound_keeps_values_products_and_sums_finite():
     table = build_table(KAPPA_MAX, 1 << 12)
     assert table[1 << 12] == pytest.approx(d_kappa(1 << 12, KAPPA_MAX), rel=1e-14)
     assert math.isfinite(divisor_ratio_sum(KAPPA_MAX, KAPPA_MAX, 1 << 12))
+    assert math.isfinite(divisor_partial_sum(KAPPA_MAX, 1 << 12)[0])
 
 
 @pytest.mark.parametrize("kappa,limit,error,message", (
@@ -436,6 +467,25 @@ def test_partial_sum_equals_blocked_sum_of_table():
         assert divisor_partial_sum(kappa, x)[0] == math.fsum(table.values[1:].tolist())
 
 
+#: x around the cubes of 7 and 11, where the engine's least large prime
+#: changes (the primes p with p^3 <= x take a step of their own).
+CUBE_EDGES = (10, 342, 343, 1330, 1331, 2999)
+
+
+@pytest.mark.parametrize("kappa", (1, 2, 3, 4))
+def test_partial_sum_of_integer_kappa_is_exact(kappa):
+    want = exact_partial_sums(kappa, CUBE_EDGES)
+    assert all(w.denominator == 1 for w in want)
+    assert [divisor_partial_sum(kappa, float(x))[0] for x in CUBE_EDGES] == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(0.0, 4.0, exclude_min=True).filter(lambda k: k != int(k)),
+       st.integers(2, 3000))
+def test_partial_sum_is_correctly_rounded_property(kappa, x):
+    assert divisor_partial_sum(kappa, float(x))[0] == float(exact_partial_sums(kappa, (x,))[0])
+
+
 def test_d2_partial_sum_hyperbola():
     x = 5000
     total, pred = divisor_partial_sum(2, float(x))
@@ -535,6 +585,20 @@ def test_ratio_sums_by_case_equal_reference_property(cases, xs):
     assert got == [divisor_ratio_sums_at(lam, mu, xs) for lam, mu in cases]
     for (lam, mu), sums in zip(cases, got):
         assert_close_to_reference(sums, lam, mu, xs)
+
+
+@pytest.mark.parametrize("p", (7, 11, 211))
+def test_ratio_sums_at_cubes_equal_reference(p):
+    # top = p^3 makes p the largest prime with a step of its own, and
+    # top = p^3 - 1 folds it in with the primes above it
+    cases = ((2.0, 1.0), (1 / 3, 2.7))
+    reference = reference_ratio_sums if p < 100 else streamed_ratio_sums
+    want = [reference(lam, mu, (p ** 3 - 1, p ** 3, 100)) for lam, mu in cases]
+    for i, top in enumerate((p ** 3 - 1, p ** 3)):
+        got = divisor_ratio_sums_by_case(cases, (top, 100))
+        for (lam, mu), sums, ref in zip(cases, got, want):
+            close = [abs(g - r) <= 1e-14 * r for g, r in zip(sums, (ref[i], ref[2]))]
+            assert all(close), (lam, mu, top)
 
 
 def test_quotients_are_every_floor_and_closed():

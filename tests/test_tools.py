@@ -1,5 +1,7 @@
-"""The pair summary of tools/bench_pairs.py on synthetic runs."""
+"""The pair summary of tools/bench_pairs.py on synthetic runs, and the
+in-process pairs of tools/inproc_pairs.py on one revision."""
 
+import math
 import sys
 from pathlib import Path
 
@@ -28,3 +30,45 @@ def test_claim_is_met_only_when_every_run_is_correct():
         assert claim["every_run_correct"] is claim["met"] is (not bad)
     assert incorrect == {"parent": {"count": 0, "problems": []},
                          "change": {"count": 1, "problems": ["verify all --phi 3: check failed"]}}
+
+
+# ----------------------------------------------------------------------
+# tools/inproc_pairs.py
+# ----------------------------------------------------------------------
+
+import inproc_pairs  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: Pairs of the same-revision run; certify-1e4 ops take about 0.1 s.
+SAME_PAIRS = 24
+
+
+def binomial_band(n: int, level: float = 0.99) -> tuple:
+    """(lo, hi), the central band that the number of wins of n fair coin
+    flips falls in with probability at least level: each tail outside it
+    holds at most (1 - level) / 2."""
+    tail = (1.0 - level) / 2
+    pmf = [math.comb(n, k) / 2 ** n for k in range(n + 1)]
+    lo = next(k for k in range(n + 1) if sum(pmf[:k + 1]) > tail)
+    return lo, n - lo
+
+
+def test_binomial_band():
+    # P(X <= 5) = 55,455 / 2^24 = 0.0033 and P(X <= 6) = 0.0113 at n = 24
+    assert binomial_band(24) == (6, 18)
+    assert binomial_band(150) == (59, 91)
+
+
+def test_inproc_pairs_of_one_revision_win_within_the_binomial_band():
+    # the same src/ on both sides, imported under two package names: the
+    # pairing must favour neither side, so the change's wins are those
+    # of a fair coin (this test fails by chance in about 1 run of 100)
+    clis = {side: inproc_pairs.load_cli(ROOT / "src", f"zetagram_same_{side}")
+            for side in inproc_pairs.SIDES}
+    worker = inproc_pairs.load_module(ROOT / "perfbench" / "worker.py", "perfbench_worker")
+    result = inproc_pairs.run_pairs(clis, worker, "certify-1e4", SAME_PAIRS)
+    lo, hi = binomial_band(SAME_PAIRS)
+    assert lo <= result["change_won"] <= hi, result
+    assert result["parent"]["incorrect_ops"] == result["change"]["incorrect_ops"] == 0
+    assert clis["parent"] is not clis["change"]
