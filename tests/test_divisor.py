@@ -518,7 +518,8 @@ def test_ratio_sums_at_matches_single_calls():
 @pytest.mark.parametrize("lam,mu", ((1.0, 1.0), (2.0, 1.0), (0.5, 0.5), (1 / 3, 2.7)))
 def test_ratio_sums_at_block_seams_equal_reference(lam, mu):
     # the old sieve's block and segment seams, and the harmonic table's end
-    xs = (2, 1 << 16, (1 << 16) + 1, 1 << 17, (1 << 17) + 1, 150_000, SEG, SEG + 1)
+    xs = (2, 1 << 12, (1 << 12) + 1, 1 << 16, (1 << 16) + 1, 1 << 17, (1 << 17) + 1, 150_000,
+          SEG, SEG + 1)
     assert_close_to_reference(divisor_ratio_sums_at(lam, mu, xs), lam, mu, xs)
 
 
@@ -599,6 +600,18 @@ def test_ratio_sums_at_cubes_equal_reference(p):
         for (lam, mu), sums, ref in zip(cases, got, want):
             close = [abs(g - r) <= 1e-14 * r for g, r in zip(sums, (ref[i], ref[2]))]
             assert all(close), (lam, mu, top)
+
+
+def test_harmonic_sums_match_mpmath():
+    # the prefix table below 2^12, and the expansion from the top 12 bits
+    # of v above it, up to the index budget
+    vs = np.unique(np.concatenate((divisor._quotients([10 ** 7, 99_999_999]),
+                                   [4095, 4096, 4097, 8191, 8192])))
+    hi, lo = divisor._harmonic_minus_one(vs)
+    with mpmath.workdps(40):
+        for v, h, low in zip(vs.tolist(), hi, lo):
+            want = mpmath.harmonic(v) - 1
+            assert abs(mpmath.mpf(h) + low - want) <= 2.0 ** -96 * max(want, 1), v
 
 
 def test_quotients_are_every_floor_and_closed():
