@@ -44,8 +44,7 @@ __all__ = [
 #: hard cap on convolution output length (entries)
 INDEX_BUDGET = 100_000_000
 
-#: Entries per sieve segment (2 MiB of values).  The sums over n take
-#: the segments as chunks and round each prefix once whatever SEG is.
+#: Entries per sieve segment (2 MiB of values).
 SEG = 1 << 18
 
 #: The sieve's last multiply is formed this many entries at a time, so
@@ -113,8 +112,9 @@ def _prime_power_coeff(kappa: float, j: int) -> float:
 
 def d_kappa(n: int, kappa: float) -> float:
     """Multiplicative extension of the prime-power formula, by trial
-    factorization, one n at a time.  Tables and sums over n take their
-    values from the sieve, _sieve_segments, instead."""
+    factorization, one n at a time.  Tables take their values from the
+    sieve, _sieve_segments, instead, and sums over n come from the
+    prime-sum engine, _multiplicative_sums."""
     if n < 1:
         raise ValueError("d_kappa requires n >= 1")
     _check_kappa(kappa)
@@ -238,7 +238,7 @@ def _rough_threshold(lo: int, size: int, limit: int):
 def build_table(kappa: float, limit: int) -> DivisorTable:
     """d_kappa(0..limit) in one array, with d_kappa(0) = 0, filled from
     the sieve segment by segment (see _sieve_segments).  It holds the
-    whole table; sums over n go through the segments instead."""
+    whole table; `divisor --limit` writes the segments as they come."""
     segments = _sieve_segments(kappa, limit)
     limit = int(limit)
     vals = np.zeros(limit + 1)
