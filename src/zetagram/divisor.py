@@ -421,8 +421,9 @@ def _multiplicative_sums(cases, xs, s: int) -> list:
     for p in small.tolist():
         first = np.searchsorted(vs, p * p)
         w = np.searchsorted(vs, vs[first:] // p)
-        t = _dd_div(_dd_add(g[:, p - 2], -g[:, w]), float(p) ** s)
-        g[:, first:] = _dd_add(g[:, first:], t)
+        t = _dd_add(g[:, p - 2], -g[:, w])
+        # at s = 0, w_p = 1, and x / 1 is x for the normalized pairs of _dd_add
+        g[:, first:] = _dd_add(g[:, first:], _dd_div(t, float(p)) if s else t)
     lo = np.searchsorted(vs, large[0] ** 2) if large.size else vs.size
     d, c = _large_prime_sums(vs, lo, g, large, s)
     g[:, lo:] = _dd_add(g[:, lo:], -d)
@@ -487,9 +488,10 @@ def _large_prime_sums(vs: np.ndarray, lo: int, g: np.ndarray, primes, s: int) ->
         outside = p * p > v
         # where p^2 > v, G(p - 1) - G(p - 1), which is 0 exactly
         at = np.searchsorted(vs, np.where(outside, p - 1, v // p))
-        pw = p.astype(float) ** s
-        d = _dd_div(_dd_add(g[:, at], -g[:, p - 2]), pw)
-        c = _dd_div((np.where(outside, 0.0, 1.0), 0.0), pw * pw)
+        d = _dd_add(g[:, at], -g[:, p - 2])
+        c = (np.where(outside, 0.0, 1.0), np.zeros(outside.shape))
+        if s:  # w_p = 1 at s = 0
+            d, c = _dd_div(d, p.astype(float)), _dd_div(c, p.astype(float) ** 2)
         out[..., first - lo:] = _dd_add(out[..., first - lo:],
                                         _dd_sum(np.array((d, c)).swapaxes(0, 1)))
     return out[:, 0], out[:, 1]

@@ -38,7 +38,7 @@ THETA_MIN = float(theta(TWO_PI))
 BRANCH_BUFFER = 0.25
 
 #: Bump when the solver or the theta evaluation changes; invalidates caches.
-EVALUATOR_VERSION = 3
+EVALUATOR_VERSION = 4
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 60

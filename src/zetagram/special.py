@@ -9,20 +9,23 @@ critical line:
   Accurate but O(|t|) per point; the reference oracle for |t| up to
   about 1e3.
 
-* :func:`hardy_z` -- Riemann-Siegel main sum of length floor(sqrt(t/2pi))
-  plus a remainder selected by height.  Below SERIES_MIN_T it is the
-  *exact* saddle-point remainder, a contour integral evaluated by
-  trapezoid quadrature on the 45-degree line through N + 1/2, on a mesh
-  (RS_STEP, RS_HALFWIDTH) derived from its truncation and
-  discretization terms.  From SERIES_MIN_T up it is the classical
+* :func:`hardy_z` -- Riemann-Siegel main sum of length N = floor(sqrt(t/2pi))
+  plus a remainder selected by height.  The *exact* saddle-point
+  remainder is a contour integral, evaluated by trapezoid quadrature on
+  the 45-degree line through N + 1/2 on a mesh (RS_STEP, RS_HALFWIDTH)
+  derived from its truncation and discretization terms.  Below
+  SERIES_MIN_T, within each band N the remainder is an analytic
+  function of p = sqrt(t/2pi) - N: the quadrature at _TABLE_NODES
+  Chebyshev points per band gives a table of Chebyshev coefficients,
+  built once per band when first needed, and each height takes its
+  remainder from its band's table by Clenshaw's recurrence, within
+  1e-12 of the quadrature.  From SERIES_MIN_T up it is the classical
   asymptotic series C0..C4 at O(1) cost per point, within 1e-11 of the
-  quadrature; the quadrature is its oracle in the tests.  The error of
-  Z grows with t, because the binary64 phases theta - t log n carry
-  errors of about t 2^-53: against mpmath.siegelz it is at most
+  quadrature; the quadrature is the oracle of both in the tests.  The
+  error of Z grows with t, because the binary64 phases theta - t log n
+  carry errors of about t 2^-53: against mpmath.siegelz it is at most
   1e-14 t (1 + |Z|) (measured: 1e-12 near t = 1e3, 3.5e-11 near 1e4,
-  5e-10 near 1e5, 3e-9 near 1e6), except from THETA_SWITCH_T up to about
-  t = 65, where theta's Stirling series, stopped at its t^-3 term, puts
-  errors of up to 2.6e-11 into Z.
+  5e-10 near 1e5, 3e-9 near 1e6).
 
 log_gamma, behind theta below THETA_SWITCH_T, is a port of
 scipy.special.loggamma (BSD-3-Clause; Hare 1997) that repeats its
@@ -316,11 +319,13 @@ def log_gamma(s):
 
 
 def _theta_stirling(t):
-    """Stirling expansion of theta, two correction terms (t > 30)."""
+    """Stirling expansion of theta, four correction terms (t > 30)."""
     return (0.5 * t * (np.log(t / TWO_PI) - 1.0)
             - math.pi / 8.0
             + 1.0 / (48.0 * t)
-            + 7.0 / (5760.0 * t ** 3))
+            + 7.0 / (5760.0 * t ** 3)
+            + 31.0 / (80640.0 * t ** 5)
+            + 127.0 / (430080.0 * t ** 7))
 
 
 def theta(t):
@@ -328,8 +333,8 @@ def theta(t):
 
     Continuous branch with theta(0) = 0.  Accepts a scalar or ndarray;
     t must be finite and >= 0.  Uses log-Gamma directly for t <= 30 and the
-    Stirling expansion above (the two branches overlap to ~1.6e-11 at
-    the switch point).
+    Stirling expansion above (the two branches differ by 1.8e-15 at the
+    switch point and by at most 1.3e-14 on [29, 31]).
     """
     arr = np.asarray(t, dtype=float)
     if not np.all((arr >= 0.0) & (arr < math.inf)):
@@ -602,16 +607,13 @@ _RS_NODES = _RS_ROT * (RS_STEP * np.arange(-_HALF_STEPS, _HALF_STEPS + 1))
 #: |Im w| <= RS_HALFWIDTH/sqrt(2) < 2 keeps |cos(pi w)| < e^{2 pi}.
 _RS_WEIGHTS = (_RS_ROT * RS_STEP) / (2j * np.cos(math.pi * _RS_NODES))
 
-#: Points per group of the quadrature: each of its (group x nodes)
-#: complex temporaries takes at most 1.4 MiB, whatever the batch.
-QUAD_GROUP = 1 << 10
 
-
-def _rs_quadrature_remainder(t: np.ndarray, th: np.ndarray) -> np.ndarray:
+def _rs_quadrature_remainder(t: np.ndarray, th: np.ndarray, n_main: int) -> np.ndarray:
     """Exact Riemann-Siegel remainder  Z - (main sum)  by trapezoid
-    quadrature of the saddle-point integral.
+    quadrature of the saddle-point integral, at heights t of one band
+    N = n_main, N <= sqrt(t/2pi) < N + 1, with theta values th.
 
-    With N = floor(a), a = sqrt(t/2pi), the identity
+    The identity
 
         Z(t) = 2 sum_{n<=N} cos(theta - t log n)/sqrt(n)
                - 2 Re[ e^{i theta(t)} I(t) ],
@@ -621,29 +623,72 @@ def _rs_quadrature_remainder(t: np.ndarray, th: np.ndarray) -> np.ndarray:
     N + 1/2 (the poles collected between c in (0,1) and c = N + 1/2
     produce the two main sums of the approximate functional equation).
     The mesh RS_STEP, RS_HALFWIDTH bounds the truncation and
-    discretization terms by RS_QUAD_TOL each.  This is the remainder of
-    hardy_z below SERIES_MIN_T and the oracle of the series above.
-
-    The nodes x and the factors i pi x^2 and log x depend on N alone, so
-    they are formed once per N; the points of each N go through in
-    groups of at most QUAD_GROUP, which bounds every temporary.  Each
-    point's operations and their order do not depend on its group.
+    discretization terms by RS_QUAD_TOL each.  This builds the
+    remainder's table (_remainder_table) and is the oracle of the series
+    above SERIES_MIN_T.  The nodes x and the factors i pi x^2 and log x
+    depend on N alone, so they are formed once.
     """
-    n_main = np.floor(np.sqrt(t / TWO_PI))
-    out = np.empty_like(t)
-    for n in np.unique(n_main):
-        idx = np.flatnonzero(n_main == n)
-        x = (n + 0.5) + _RS_NODES
-        quad, log_x = (1j * math.pi) * x * x, np.log(x)
-        sign = -2.0 if n % 2.0 == 0.0 else 2.0
-        for a in range(0, idx.size, QUAD_GROUP):
-            g = idx[a:a + QUAD_GROUP]
-            s = 0.5 + 1j * t[g]
-            # Re(i pi x^2 - s log x + i theta) stays within [-2 pi U^2, ~2],
-            # so the exponential neither overflows nor loses the Gaussian decay.
-            expo = quad - s[:, None] * log_x + 1j * th[g][:, None]
-            out[g] = sign * (np.exp(expo) * _RS_WEIGHTS).sum(axis=1).real
-    return out
+    x = (n_main + 0.5) + _RS_NODES
+    s = 0.5 + 1j * t
+    # Re(i pi x^2 - s log x + i theta) stays within [-2 pi U^2, ~2],
+    # so the exponential neither overflows nor loses the Gaussian decay.
+    expo = (1j * math.pi) * x * x - s[:, None] * np.log(x) + 1j * th[:, None]
+    return (-2.0 if n_main % 2 == 0 else 2.0) * (np.exp(expo) * _RS_WEIGHTS).sum(axis=1).real
+
+
+#: The bands N = floor(sqrt(t/2pi)) of the heights in [RS_MIN_T,
+#: SERIES_MIN_T): N = 1, ..., _TABLE_BANDS.
+_TABLE_BANDS = math.floor(math.sqrt(SERIES_MIN_T / TWO_PI))
+
+#: Chebyshev nodes per band of the remainder's table.  Within a band the
+#: remainder is an analytic function of p = sqrt(t/2pi) - N, and its
+#: Chebyshev coefficients fall faster than geometrically.  In band 1,
+#: where they are largest, |c_16| = 2.0e-10, |c_18| = 2.5e-12,
+#: |c_19| = 3.6e-12 and from c_20 on at most 1.3e-14, the quadrature's
+#: own rounding (up to 5e-14 in the top bands).  Against the quadrature
+#: at 20,000 random heights and at every seam, 20 and 22 nodes left
+#: 5.5e-14 and 1.4e-14 in bands 1 to 3, 24 nodes 1.2e-14, and 28 and 32
+#: nodes no less than that rounding.
+_TABLE_NODES = 24
+
+#: The table's heights in each band are at p = (1 + cos(angle))/2, the
+#: Chebyshev points of the first kind mapped to (0, 1): all interior,
+#: so none sits on a band edge.  _TABLE_COS turns the remainder's values
+#: there into the coefficients c_k of sum_k c_k T_k(2p - 1) (the
+#: discrete cosine transform, with c_0 halved).
+_TABLE_ANGLES = math.pi * (np.arange(_TABLE_NODES) + 0.5) / _TABLE_NODES
+_TABLE_P = 0.5 * (1.0 + np.cos(_TABLE_ANGLES))
+_TABLE_COS = (2.0 / _TABLE_NODES) * np.cos(np.outer(np.arange(_TABLE_NODES), _TABLE_ANGLES))
+_TABLE_COS[0] *= 0.5
+
+
+@lru_cache(maxsize=_TABLE_BANDS)
+def _remainder_table(n_main: int) -> np.ndarray:
+    """The Chebyshev coefficients in x = 2p - 1 of the Riemann-Siegel
+    remainder on the band N = n_main, from the quadrature at the band's
+    _TABLE_NODES heights t = 2 pi (N + p)^2 with theta(t).  Read-only:
+    every caller shares the cached array."""
+    t = TWO_PI * (n_main + _TABLE_P) ** 2
+    coef = (_TABLE_COS * _rs_quadrature_remainder(t, theta(t), n_main)).sum(axis=1)
+    coef.flags.writeable = False
+    return coef
+
+
+def _rs_table_remainder(t: np.ndarray) -> np.ndarray:
+    """The Riemann-Siegel remainder at heights t in [RS_MIN_T,
+    SERIES_MIN_T), by Clenshaw's recurrence from the table of each
+    height's band.  N = floor(sqrt(t/2pi)) is the expression of
+    _rs_main_sum, so each remainder pairs with its main sum's length.
+    Each value is a function of its own t and its band's table."""
+    a = np.sqrt(t / TWO_PI)
+    n_main = np.floor(a)
+    bands, at = np.unique(n_main, return_inverse=True)
+    coef = np.array([_remainder_table(int(n)) for n in bands.tolist()]).reshape(-1, _TABLE_NODES).T
+    x2 = 4.0 * (a - n_main) - 2.0  # 2x
+    b1 = b2 = np.zeros_like(t)
+    for c in coef[:0:-1]:
+        b1, b2 = c[at] + x2 * b1 - b2, b1
+    return coef[0][at] + 0.5 * x2 * b1 - b2
 
 
 def _rs_main_sum(t: np.ndarray, th: np.ndarray) -> np.ndarray:
@@ -665,11 +710,9 @@ def _rs_main_sum(t: np.ndarray, th: np.ndarray) -> np.ndarray:
     return out
 
 
-#: Heights per block of hardy_z: the main sum, the series and the
-#: quadrature each see one block at a time, so their scratch memory
-#: does not grow with the input (a block of heights below SERIES_MIN_T
-#: peaks near 5.6 MiB under tracemalloc, most of it the quadrature's
-#: groups of QUAD_GROUP points).
+#: Heights per block of hardy_z: theta, the main sum and the remainder
+#: each see one block at a time, so their scratch memory does not grow
+#: with the input.
 BLOCK_POINTS = 1 << 14
 
 
@@ -678,9 +721,10 @@ def hardy_z(t):
 
     Scalar or ndarray of finite t >= 0.  Heights below RS_MIN_T route
     through Euler-Maclaurin; above, the Riemann-Siegel main sum plus the
-    quadrature remainder below SERIES_MIN_T and the C0..C4 series from
-    there up, in blocks of BLOCK_POINTS.  Each value is a function of
-    its own t alone.
+    remainder, from its band's Chebyshev table below SERIES_MIN_T and
+    from the C0..C4 series from there up, in blocks of BLOCK_POINTS.
+    Each value is a function of its own t alone.  Against mpmath.siegelz
+    the error is at most 1e-14 t (1 + |Z|) for t >= RS_MIN_T.
     """
     arr = np.asarray(t, dtype=float)
     if not np.all((arr >= 0.0) & (arr < math.inf)):
@@ -703,7 +747,7 @@ def _hardy_z_block(arr: np.ndarray) -> np.ndarray:
         series = ts >= SERIES_MIN_T
         rem = np.empty_like(ts)
         rem[series] = _rs_series_remainder(ts[series], 4)
-        rem[~series] = _rs_quadrature_remainder(ts[~series], th[~series])
+        rem[~series] = _rs_table_remainder(ts[~series])
         out[~low] = _rs_main_sum(ts, th) + rem
     return out
 

@@ -89,10 +89,10 @@ def test_points_json_values_are_hardy_z(tmp_path):
 
 #: sha256 of `points --t-max T --phi 0.3`, whose rows are streamed.
 POINTS_SHA256 = {
-    ("1e4", "csv"): "a610b22a64b6498ed64f4c56959b7d0b8e2847e4832c83de0c99a4cd7a7fe058",
-    ("1e4", "json"): "5469c5c72619be1810a2c6bcaa5a6a1843abd358b9762503c53eae8edf35d7db",
-    ("1e5", "csv"): "e92d63f8fe75238ba766cbcfe2102e463b795965a973987b9de67d12487c948c",
-    ("1e5", "json"): "9fb18d24e9a5d87e715f938366c63fce4dec312672d641b8e768e01ee49700e0",
+    ("1e4", "csv"): "990f3faa9b32d20dbab83f7d9ef5ccd58efa2f443512412da9d408b4f3814059",
+    ("1e4", "json"): "9275ac3791a23c5cd2d4514129d7d94fbe1516fcc4467286b597cf33c7341353",
+    ("1e5", "csv"): "c6f169785f7a078fc31e39d044daf6246384502308404d528f36ba3f127c90aa",
+    ("1e5", "json"): "c8f6e6fd15d8584eaff2caaeb9b1e4990f0a297e9c60601ccd38aa372f709333",
 }
 
 

@@ -217,9 +217,9 @@ def test_solve_takes_at_most_nine_theta_calls(monkeypatch, phi, lo, hi):
 
 
 def test_gram_points_match_mpmath_grampoint():
-    # n = 3 to about 20 lie where theta is off by up to 1.6e-11 (its
-    # Stirling series stops at t^-3 above THETA_SWITCH_T), so not here
-    ns = [0, 1, 2, 30, 100, 1000, 10_000]
+    # n = 3 to 20 lie on both sides of THETA_SWITCH_T (t = 30), where
+    # theta switches from log-Gamma to its Stirling series
+    ns = [*range(21), 30, 100, 1000, 10_000]
     ns += np.random.default_rng(18).integers(39300, 41800, 100).tolist()
     with mpmath.workdps(30):
         for n in ns:

@@ -12,7 +12,6 @@ from zetagram import special
 from zetagram.grampoints import bulk_hardy_z, enumerate_points, solve_gram
 from zetagram.special import (
     BLOCK_POINTS,
-    QUAD_GROUP,
     RS_MIN_T,
     SERIES_MIN_T,
     THETA_SWITCH_T,
@@ -31,9 +30,14 @@ from zetagram.special import (
     zeta_euler_maclaurin,
     _RS_NODES,
     _RS_WEIGHTS,
+    _TABLE_BANDS,
+    _TABLE_NODES,
+    _TABLE_P,
+    _remainder_table,
     _rs_main_sum,
     _rs_quadrature_remainder,
     _rs_series_remainder,
+    _rs_table_remainder,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -69,6 +73,16 @@ def stirling_log_gamma(s: complex, terms: int = 12, min_mod: float = 24.0) -> co
 
 def theta_oracle(t: float) -> float:
     return (stirling_log_gamma(0.25 + 0.5j * t)).imag - 0.5 * t * math.log(math.pi)
+
+
+def _whole_array_quadrature(t, th):
+    """Oracle: the quadrature remainder as one (points x nodes) expression."""
+    n_main = np.floor(np.sqrt(t / TWO_PI))
+    x = (n_main + 0.5)[:, None] + _RS_NODES[None, :]
+    s = 0.5 + 1j * t
+    expo = (1j * math.pi) * x * x - s[:, None] * np.log(x) + 1j * th[:, None]
+    integral = (np.exp(expo) * _RS_WEIGHTS).sum(axis=1)
+    return np.where(np.mod(n_main, 2.0) == 0.0, -2.0, 2.0) * integral.real
 
 
 # ----------------------------------------------------------------------
@@ -371,7 +385,7 @@ def test_series_remainder_orders():
     reproduced by the C1 term -Psi'''(p) tau^{-1/2} / (96 pi^2), and the
     mean error falls with each order up to C4."""
     ts = np.linspace(3e4, 9e4, 25)
-    exact = _rs_quadrature_remainder(ts, theta(ts))
+    exact = _whole_array_quadrature(ts, theta(ts))
     errs = [exact - _rs_series_remainder(ts, order) for order in range(5)]
     for t, err0 in zip(ts, errs[0]):
         tau = t / TWO_PI
@@ -398,13 +412,13 @@ def test_quadrature_mesh_matches_wide_fine_mesh():
     x = np.floor(np.sqrt(ts / TWO_PI))[:, None] + 0.5 + rot * (np.arange(-144, 145) / 32.0)
     f = np.exp(1j * math.pi * x * x - (0.5 + 1j * ts[:, None]) * np.log(x) + 1j * th[:, None])
     ref = -2.0 * ((rot / 32.0) * (f / (2j * np.sin(math.pi * x))).sum(axis=1)).real
-    assert np.max(np.abs(_rs_quadrature_remainder(ts, th) - ref)) <= 2e-13
+    assert np.max(np.abs(_whole_array_quadrature(ts, th) - ref)) <= 2e-13
 
 
 def test_series_matches_quadrature_above_switch():
     ts = np.random.default_rng(43).uniform(SERIES_MIN_T, 1e5, 2000)
     th = theta(ts)
-    by_quadrature = _rs_main_sum(ts, th) + _rs_quadrature_remainder(ts, th)
+    by_quadrature = _rs_main_sum(ts, th) + _whole_array_quadrature(ts, th)
     assert np.max(np.abs(hardy_z(ts) - by_quadrature)) <= 1e-11
 
 
@@ -435,62 +449,58 @@ def test_hardy_z_keeps_the_shape_of_2d_input():
     assert z.tobytes() == hardy_z(arr.ravel()).reshape(arr.shape).tobytes()
 
 
-def _whole_array_quadrature(t, th):
-    """Oracle: the quadrature remainder as one (points x nodes) expression."""
-    n_main = np.floor(np.sqrt(t / TWO_PI))
-    x = (n_main + 0.5)[:, None] + _RS_NODES[None, :]
-    s = 0.5 + 1j * t
-    expo = (1j * math.pi) * x * x - s[:, None] * np.log(x) + 1j * th[:, None]
-    integral = (np.exp(expo) * _RS_WEIGHTS).sum(axis=1)
-    return np.where(np.mod(n_main, 2.0) == 0.0, -2.0, 2.0) * integral.real
+def test_quadrature_of_a_band_keeps_the_whole_array_bits():
+    # at the table's heights of every band, where the quadrature is given N
+    for n in range(1, _TABLE_BANDS + 1):
+        ts = TWO_PI * (n + _TABLE_P) ** 2
+        th = theta(ts)
+        assert _rs_quadrature_remainder(ts, th, n).tobytes() == _whole_array_quadrature(ts, th).tobytes()
 
 
-def _assert_quadrature_bits(ts, perm):
-    """Grouped quadrature == whole-array oracle, bit for bit, for ts, a
-    prefix of ts and ts permuted by perm."""
-    th = theta(ts)
-    got = _rs_quadrature_remainder(ts, th)
-    assert got.tobytes() == _whole_array_quadrature(ts, th).tobytes()
-    half = ts.size // 2
-    assert _rs_quadrature_remainder(ts[:half], th[:half]).tobytes() == got[:half].tobytes()
-    assert _rs_quadrature_remainder(ts[perm], th[perm]).tobytes() == got[perm].tobytes()
-
-
-# the quadrature's range, both sides of the RS_MIN_T seam and the
-# breakpoints t = 2 pi k^2 below SERIES_MIN_T, where N(t) steps
-_QUAD_SEAMS = (RS_MIN_T, SERIES_MIN_T) + tuple(TWO_PI * k * k for k in range(2, 29))
-_quad_heights = st.one_of(
+# the table's range, RS_MIN_T and both sides of the breakpoints
+# t = 2 pi k^2 below SERIES_MIN_T, where N(t) steps
+_TABLE_SEAMS = (RS_MIN_T,) + tuple(TWO_PI * k * k + off for k in range(2, _TABLE_BANDS + 1)
+                                   for off in (-1e-3, 1e-3))
+_table_heights = st.one_of(
     st.floats(RS_MIN_T, SERIES_MIN_T, exclude_max=True),
-    st.builds(lambda seam, off: min(seam + off, SERIES_MIN_T - 1e-9),
-              st.sampled_from(_QUAD_SEAMS), st.floats(-1e-3, 1e-3)),
+    st.builds(lambda seam, off: min(max(seam + off, RS_MIN_T), SERIES_MIN_T - 1e-9),
+              st.sampled_from(_TABLE_SEAMS), st.floats(-1e-3, 1e-3)),
 )
+
+#: Bound on |table - quadrature| below SERIES_MIN_T: the quadrature's own
+#: rounding, about t 2^-53, is up to 5e-13 there (measured at most 4.5e-13
+#: over 20,000 random heights and every seam).
+TABLE_TOL = 1e-12
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(_quad_heights, min_size=1, max_size=40), st.randoms(use_true_random=False))
-def test_grouped_quadrature_keeps_the_whole_array_bits(ts, rnd):
-    perm = list(range(len(ts)))
-    rnd.shuffle(perm)
-    _assert_quadrature_bits(np.array(ts), np.array(perm))
+@given(st.lists(_table_heights, min_size=1, max_size=40))
+def test_table_remainder_matches_the_quadrature(ts):
+    ts = np.array(ts)
+    assert np.max(np.abs(_rs_table_remainder(ts) - _whole_array_quadrature(ts, theta(ts)))) <= TABLE_TOL
 
 
-@settings(max_examples=12, deadline=None)
-@given(st.integers(1, 28), st.integers(1, 3 * QUAD_GROUP), st.booleans(), st.integers(0, 2 ** 32))
-def test_grouped_quadrature_bits_over_many_groups(n, size, one_n, seed):
-    # one N (several groups of it when size > QUAD_GROUP), or all 28 N
-    # below SERIES_MIN_T; in random order
-    rng = np.random.default_rng(seed)
-    lo, hi = (max(RS_MIN_T, TWO_PI * n * n), min(SERIES_MIN_T, TWO_PI * (n + 1) ** 2)) \
-        if one_n else (RS_MIN_T, SERIES_MIN_T)
-    ts = rng.uniform(lo, hi, size)
-    if one_n:
-        assert np.all(np.floor(np.sqrt(ts / TWO_PI)) == n)
-    _assert_quadrature_bits(ts, rng.permutation(size))
+def test_table_remainder_matches_the_quadrature_at_every_seam():
+    ts = np.array(_TABLE_SEAMS + (SERIES_MIN_T - 1e-9,))
+    assert np.max(np.abs(_rs_table_remainder(ts) - _whole_array_quadrature(ts, theta(ts)))) <= TABLE_TOL
+
+
+def test_table_nodes_follow_the_coefficient_decay():
+    # in every band the last four Chebyshev coefficients are at the
+    # quadrature's rounding (enough nodes), and in some band the sixth
+    # from the end is still above it (no more than needed)
+    coef = np.array([_remainder_table(n) for n in range(1, _TABLE_BANDS + 1)])
+    assert coef.shape == (_TABLE_BANDS, _TABLE_NODES) == (28, 24)
+    assert np.max(np.abs(coef[:, -4:])) <= 1e-13
+    assert np.max(np.abs(coef[:, -6])) > 1e-13
+    # every caller shares the cached arrays
+    assert not _remainder_table(1).flags.writeable
 
 
 def test_quadrature_and_hardy_z_take_empty_input():
     empty = np.empty(0)
-    assert _rs_quadrature_remainder(empty, empty).shape == (0,)
+    assert _rs_quadrature_remainder(empty, empty, 1).shape == (0,)
+    assert _rs_table_remainder(empty).shape == (0,)
     assert hardy_z(empty).shape == (0,)
     # blocks with no height in [RS_MIN_T, SERIES_MIN_T): series only,
     # Euler-Maclaurin only, and both
@@ -504,10 +514,11 @@ def test_quadrature_and_hardy_z_take_empty_input():
 @pytest.mark.parametrize("lo, hi", [(RS_MIN_T, SERIES_MIN_T),
                                     (TWO_PI * 20 ** 2, TWO_PI * 21 ** 2)])
 def test_hardy_z_quadrature_memory_is_bounded(lo, hi):
-    # 2^14 heights, one block, all on the quadrature: across every N, and
-    # all of one N.  The whole-array expression peaks near 90 MiB here,
-    # the groups of at most QUAD_GROUP points near 5.6 MiB (four complex
-    # temporaries of QUAD_GROUP x 89 entries, 1.4 MiB each)
+    # 2^14 heights, one block, all below SERIES_MIN_T, where the remainder
+    # comes from the table: across every N, and all of one N.  The
+    # quadrature at every height as one expression peaks near 90 MiB here;
+    # the table's Clenshaw steps hold a few arrays of one float per height,
+    # and the block peaks near 2 MiB
     ts = np.random.default_rng(59).uniform(lo, hi, 1 << 14)
     tracemalloc.start()
     try:
@@ -515,13 +526,17 @@ def test_hardy_z_quadrature_memory_is_bounded(lo, hi):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 2 ** 20
+    assert peak <= 4 * 2 ** 20
 
 
 def test_bulk_hardy_z_same_bytes_at_one_and_two_threads():
-    # three blocks of bulk_hardy_z, unsorted, on both sides of the switch
+    # three blocks of bulk_hardy_z, unsorted, on both sides of the switch,
+    # each run on a cold table: both pool threads may build a band at once
     ts = np.random.default_rng(47).uniform(SERIES_MIN_T - 3000.0, SERIES_MIN_T + 3000.0, 40_000)
-    assert bulk_hardy_z(ts, threads=1).tobytes() == bulk_hardy_z(ts, threads=2).tobytes()
+    _remainder_table.cache_clear()
+    one = bulk_hardy_z(ts, threads=1)
+    _remainder_table.cache_clear()
+    assert one.tobytes() == bulk_hardy_z(ts, threads=2).tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -599,24 +614,17 @@ def _within_error_model(t: float) -> bool:
     return abs(float(hardy_z(t)) - ref) <= 1e-14 * t * (1.0 + abs(ref))
 
 
-# theta's Stirling series stops at 7/(5760 t^3); the next term,
-# 31/(80640 t^5), is 1.6e-11 at THETA_SWITCH_T, so above the switch Z is
-# outside its error model up to about t = 65 (2.6e-11 at t = 30.5).  That
-# band is pinned by the strict xfail below instead of being sampled.
-STIRLING_BAND_END = 70.0
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.floats(10.0, 1e5))
 def test_hardy_z_within_its_error_model_at_random_heights(t):
-    assume(not THETA_SWITCH_T < t < STIRLING_BAND_END)
     assert _within_error_model(t)
 
 
-@pytest.mark.xfail(strict=True, reason="theta's Stirling series lacks its t^-5 term")
-@pytest.mark.parametrize("t", (30.5, 31.0, 38.0, 48.0))
-def test_hardy_z_error_model_fails_above_the_theta_switch(t):
-    assert _within_error_model(t)
+def test_hardy_z_within_its_error_model_above_the_theta_switch():
+    # every 0.1 on [30, 70], where theta's Stirling series took over
+    # before its t^-5 and t^-7 terms were added (2.6e-11 at t = 30.5)
+    for t in np.linspace(THETA_SWITCH_T, 70.0, 401).tolist():
+        assert _within_error_model(t), t
 
 
 @pytest.mark.parametrize("n", (0, 1, 100, 10_000))

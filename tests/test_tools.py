@@ -72,3 +72,23 @@ def test_inproc_pairs_of_one_revision_win_within_the_binomial_band():
     assert lo <= result["change_won"] <= hi, result
     assert result["parent"]["incorrect_ops"] == result["change"]["incorrect_ops"] == 0
     assert clis["parent"] is not clis["change"]
+
+
+# ----------------------------------------------------------------------
+# tools/report_bytes.py
+# ----------------------------------------------------------------------
+
+import report_bytes  # noqa: E402
+
+
+def test_report_bytes_summarizes_the_differing_lines():
+    parent = b"name,value\na,1.0,2.5\nb,3,x\nc,1e-15\nd,-4.0e2\n"
+    change = b"name,value\na,1.0,2.5000000000000004\nb,3,x\nc,3e-15,7\nd,-4.0e2\ne,1\n"
+    lines = report_bytes.differing_lines(parent, change)
+    assert [line for line, _, _ in lines] == [2, 4, 6]
+    # line 4 holds one number against two and line 6 one against none, so
+    # only line 2 pairs its numbers: 2.5 moved by one ulp
+    assert report_bytes.summarize(lines) == {
+        "lines": 3, "unpaired": 2, "largest": (math.ulp(2.5) / 2.5000000000000004, 2, "2.5", "2.5000000000000004")}
+    assert report_bytes.summarize([]) == {"lines": 0, "unpaired": 0, "largest": None}
+    assert report_bytes.NUMBER.findall("t=-1.5e-3;z=.25,+7") == ["-1.5e-3", ".25", "+7"]

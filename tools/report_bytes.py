@@ -1,16 +1,21 @@
 """Report bytes of two revisions side by side: a fixed set of zetagram
 commands runs in an export of each, and each command's standard output
-is compared by sha256, and for a command whose bytes differ the first
-lines that differ are shown from both sides.
+is compared by sha256; for a command whose bytes differ, the number of
+lines that differ and the largest relative difference of the numbers
+they pair are printed, and the first lines that differ are shown from
+both sides.
 
     python3 tools/report_bytes.py --parent HEAD~1 --change HEAD
 
 Run from the root of a git checkout.  Each revision is exported with
 `bench_pairs.export` (git archive), so only committed files run, each
 command in a fresh interpreter with the export's src/ on PYTHONPATH.
-Prints both sides' sha256 and exit status for every command, with up to
-SHOWN_LINES differing lines (paired by position) where they differ, and
-exits 1 if any of them differs.
+Prints both sides' sha256 and exit status for every command.  Where they
+differ it prints the count of differing lines (paired by position), the
+largest |a - b| / max(|a|, |b|) over the numbers of those lines (paired
+by position within a line, where both lines hold as many) with where it
+occurs, the count of differing lines whose numbers do not pair, and up to
+SHOWN_LINES of the lines.  Exits 1 if any command differs.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import argparse
 import hashlib
 import itertools
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -45,6 +51,9 @@ COMMANDS = (
 #: Differing lines shown for each command whose bytes differ.
 SHOWN_LINES = 5
 
+#: A decimal number as the reports print one, with sign and exponent.
+NUMBER = re.compile(r"[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?")
+
 
 def run(checkout: Path, command) -> tuple:
     """(standard output, exit status) of one command."""
@@ -55,12 +64,32 @@ def run(checkout: Path, command) -> tuple:
 
 
 def differing_lines(parent: bytes, change: bytes) -> list:
-    """(line number, parent line, change line) for the first SHOWN_LINES
-    lines that differ, paired by position; a missing line is empty."""
+    """(line number, parent line, change line) for every line that
+    differs, paired by position; a missing line is empty."""
     pairs = itertools.zip_longest(parent.decode(errors="replace").splitlines(),
                                   change.decode(errors="replace").splitlines(), fillvalue="")
-    differ = ((i, a, b) for i, (a, b) in enumerate(pairs, 1) if a != b)
-    return list(itertools.islice(differ, SHOWN_LINES))
+    return [(i, a, b) for i, (a, b) in enumerate(pairs, 1) if a != b]
+
+
+def summarize(lines: list) -> dict:
+    """For the differing lines of differing_lines: their count, the count
+    of those whose numbers do not pair (the two lines hold different
+    counts of numbers), and the largest relative difference
+    |a - b| / max(|a|, |b|) over the paired numbers of the others, as
+    (difference, line number, parent number, change number), or None
+    where no numbers pair."""
+    unpaired, largest = 0, None
+    for i, a, b in lines:
+        nums = NUMBER.findall(a), NUMBER.findall(b)
+        if len(nums[0]) != len(nums[1]):
+            unpaired += 1
+            continue
+        for x, y in zip(*nums):
+            fx, fy = float(x), float(y)
+            rel = abs(fx - fy) / max(abs(fx), abs(fy)) if fx != fy else 0.0
+            if largest is None or rel > largest[0]:
+                largest = (rel, i, x, y)
+    return {"lines": len(lines), "unpaired": unpaired, "largest": largest}
 
 
 def main(argv=None) -> int:
@@ -81,7 +110,15 @@ def main(argv=None) -> int:
             print(f"{'same' if same else 'DIFFERS'}: zetagram {' '.join(command)}")
             for side, (out, status) in got.items():
                 print(f"  {side}: {hashlib.sha256(out).hexdigest()} exit {status}")
-            for line, parent, change in differing_lines(got["parent"][0], got["change"][0]):
+            if same:
+                continue
+            lines = differing_lines(got["parent"][0], got["change"][0])
+            summary = summarize(lines)
+            print(f"  {summary['lines']} lines differ, {summary['unpaired']} of them with unpaired numbers")
+            if summary["largest"]:
+                rel, line, parent, change = summary["largest"]
+                print(f"  largest relative difference {rel:.3g}, line {line}: {parent} -> {change}")
+            for line, parent, change in lines[:SHOWN_LINES]:
                 print(f"  line {line}:\n    parent: {parent}\n    change: {change}")
     finally:
         shutil.rmtree(work, ignore_errors=True)
