@@ -658,7 +658,7 @@ _TABLE_NODES = 24
 #: discrete cosine transform, with c_0 halved).
 _TABLE_ANGLES = math.pi * (np.arange(_TABLE_NODES) + 0.5) / _TABLE_NODES
 _TABLE_P = 0.5 * (1.0 + np.cos(_TABLE_ANGLES))
-_TABLE_COS = (2.0 / _TABLE_NODES) * np.cos(np.outer(np.arange(_TABLE_NODES), _TABLE_ANGLES))
+_TABLE_COS = (2.0 / _TABLE_NODES) * np.cos(np.arange(_TABLE_NODES)[:, None] * _TABLE_ANGLES)
 _TABLE_COS[0] *= 0.5
 
 
@@ -682,13 +682,16 @@ def _rs_table_remainder(t: np.ndarray) -> np.ndarray:
     Each value is a function of its own t and its band's table."""
     a = np.sqrt(t / TWO_PI)
     n_main = np.floor(a)
-    bands, at = np.unique(n_main, return_inverse=True)
-    coef = np.array([_remainder_table(int(n)) for n in bands.tolist()]).reshape(-1, _TABLE_NODES).T
+    band = n_main.astype(np.intp)
+    counts = np.bincount(band)
+    coef = np.zeros((_TABLE_NODES, counts.size))  # column N: band N's table
+    for n in np.flatnonzero(counts).tolist():
+        coef[:, n] = _remainder_table(n)
     x2 = 4.0 * (a - n_main) - 2.0  # 2x
     b1 = b2 = np.zeros_like(t)
     for c in coef[:0:-1]:
-        b1, b2 = c[at] + x2 * b1 - b2, b1
-    return coef[0][at] + 0.5 * x2 * b1 - b2
+        b1, b2 = c[band] + x2 * b1 - b2, b1
+    return coef[0][band] + 0.5 * x2 * b1 - b2
 
 
 def _rs_main_sum(t: np.ndarray, th: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import mpmath
@@ -459,8 +461,7 @@ def test_quadrature_of_a_band_keeps_the_whole_array_bits():
 
 # the table's range, RS_MIN_T and both sides of the breakpoints
 # t = 2 pi k^2 below SERIES_MIN_T, where N(t) steps
-_TABLE_SEAMS = (RS_MIN_T,) + tuple(TWO_PI * k * k + off for k in range(2, _TABLE_BANDS + 1)
-                                   for off in (-1e-3, 1e-3))
+_TABLE_SEAMS = (RS_MIN_T,) + tuple(TWO_PI * k * k for k in range(2, _TABLE_BANDS + 1))
 _table_heights = st.one_of(
     st.floats(RS_MIN_T, SERIES_MIN_T, exclude_max=True),
     st.builds(lambda seam, off: min(max(seam + off, RS_MIN_T), SERIES_MIN_T - 1e-9),
@@ -481,7 +482,8 @@ def test_table_remainder_matches_the_quadrature(ts):
 
 
 def test_table_remainder_matches_the_quadrature_at_every_seam():
-    ts = np.array(_TABLE_SEAMS + (SERIES_MIN_T - 1e-9,))
+    ts = np.array([RS_MIN_T, SERIES_MIN_T - 1e-9]
+                  + [seam + off for seam in _TABLE_SEAMS[1:] for off in (-1e-3, 0.0, 1e-3)])
     assert np.max(np.abs(_rs_table_remainder(ts) - _whole_array_quadrature(ts, theta(ts)))) <= TABLE_TOL
 
 
@@ -537,6 +539,24 @@ def test_bulk_hardy_z_same_bytes_at_one_and_two_threads():
     one = bulk_hardy_z(ts, threads=1)
     _remainder_table.cache_clear()
     assert one.tobytes() == bulk_hardy_z(ts, threads=2).tobytes()
+
+
+def test_cold_table_built_by_many_threads_at_once():
+    # eight threads, more than the cores, evaluate the same heights in
+    # every band on a cold table with a short switch interval, so several
+    # build one band at once; each must get the bytes of one thread
+    ts = np.random.default_rng(67).uniform(RS_MIN_T, SERIES_MIN_T, 2000)
+    _remainder_table.cache_clear()
+    want = hardy_z(ts).tobytes()
+    _remainder_table.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = [f.result(timeout=60) for f in [pool.submit(hardy_z, ts) for _ in range(8)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert [z.tobytes() for z in got] == [want] * 8
 
 
 # ----------------------------------------------------------------------
