@@ -491,7 +491,8 @@ def _large_prime_sums(vs: np.ndarray, lo: int, g: np.ndarray, primes, s: int) ->
         d = _dd_add(g[:, at], -g[:, p - 2])
         c = (np.where(outside, 0.0, 1.0), np.zeros(outside.shape))
         if s:  # w_p = 1 at s = 0
-            d, c = _dd_div(d, p.astype(float)), _dd_div(c, p.astype(float) ** 2)
+            pw = p.astype(float)
+            d, c = _dd_div(d, pw), _dd_div(c, pw * pw)
         out[..., first - lo:] = _dd_add(out[..., first - lo:],
                                         _dd_sum(np.array((d, c)).swapaxes(0, 1)))
     return out[:, 0], out[:, 1]
