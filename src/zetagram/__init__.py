@@ -4,14 +4,12 @@ Gram points, and numerical verification of their discrete moments."""
 from .special import (
     DomainError,
     PoleError,
-    ZetaSample,
     delta,
     hardy_z,
     log_delta,
     log_gamma,
     theta,
     theta_deriv,
-    zeta_critical,
     zeta_euler_maclaurin,
 )
 from .grampoints import (

@@ -384,7 +384,7 @@ def main(argv=None) -> int:
         if args.command == "divisor":
             return cmd_divisor(cfg, args.kappa, args.limit, args.partial)
         parser.error(f"unknown command {args.command}")
-    except (DomainError, divisor.ConfigurationError, OSError, ValueError) as exc:
+    except (DomainError, resonator.ConfigurationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_USAGE

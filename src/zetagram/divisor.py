@@ -28,7 +28,6 @@ __all__ = [
     "TruncatedCoeffs",
     "MomentPolynomial",
     "SizeBudgetError",
-    "ConfigurationError",
     "primes_up_to",
     "d_kappa",
     "build_table",
@@ -44,24 +43,13 @@ __all__ = [
 #: hard cap on convolution output length (entries)
 INDEX_BUDGET = 100_000_000
 
-#: Entries per sieve segment (2 MiB of values).
+#: Entries per sieve segment (2 MiB of values and 1 MiB of their
+#: sieved parts, int32).
 SEG = 1 << 18
-
-#: The sieve's last multiply is formed this many entries at a time, so
-#: that its work arrays stay small and in cache.
-BLOCK = 1 << 14
-
-#: The sieve's rough-number mark weighs a prime p as round(_MARK_SCALE log2 p).
-_MARK_SCALE = 4
 
 
 class SizeBudgetError(ValueError):
     """A table or convolution would exceed the index budget."""
-
-
-class ConfigurationError(RuntimeError):
-    """A parameter that a construction does not admit (the resonator's
-    cutoff)."""
 
 
 def primes_up_to(n: int) -> np.ndarray:
@@ -157,23 +145,11 @@ def _sieve_segments(kappa: float, limit: int):
     its largest, so q's ratio, rounded as at e = 1: (kappa + 1 - 1.0) / 1,
     which is not always kappa, comes last.
 
-    Such a rough n is found by a mark, not by forming the sieved part s
-    of n: each p^e dividing n adds w(p) = round(S log2 p), S = _MARK_SCALE,
-    to a uint8 count A.  As |w(p) - S log2 p| <= 1/2 <= (log2 p)/2,
-        (S - 1/2) log2 s <= A <= (S + 1/2) log2 s.
-    A smooth n (s = n) has A >= (S - 1/2) log2 n; a rough one has
-    log2 s = log2 n - log2 q < log2 n - (log2 limit)/2, so
-    A < (S + 1/2)(log2 n - (log2 limit)/2).  The two bounds are
-    (S + 1/2)(log2 limit)/2 - log2 n >= (5/4) log2 limit apart, and n is
-    rough when A is below their midpoint.  The mark is read BLOCK n at a
-    time, and past the first block one threshold serves a whole block:
-    the smooth bound at its lowest n exceeds the rough bound at its
-    highest by more than 1 there (by 15 or more at BLOCK = 2^14).  A
-    stays at most (S + 1/2) log2 INDEX_BUDGET < 120, so the uint8
-    cannot overflow.  The rough n are multiplied by the ratio, and the
-    others by 1.0, through an exact 0/1 blend with no branch per n.
+    Such a rough n is found by its sieved part s, the product of the
+    p^e that divide it: n is rough exactly when s != n.  s divides n,
+    and n < INDEX_BUDGET < 2^31, so s is exact in int32.
 
-    The array is reused: a segment is valid until the next is asked
+    The arrays are reused: a segment is valid until the next is asked
     for, so a caller copies what it keeps.  The arguments are checked at
     the call, not at the first next().
     """
@@ -186,53 +162,27 @@ def _sieve_segments(kappa: float, limit: int):
 
     def segments():
         small = primes_up_to(math.isqrt(limit)).tolist()
-        weights = [round(_MARK_SCALE * math.log2(p)) for p in small]
         buf = np.empty(min(SEG, limit))
-        mark = np.empty(min(SEG, limit), np.uint8)
-        rough, smooth, factor = (np.empty(min(BLOCK, limit)) for _ in range(3))
+        sieved = np.empty(min(SEG, limit), np.int32)
         for lo in range(1, limit + 1, SEG):
             size = min(SEG, limit - lo + 1)
             v = buf[:size]
             v[:] = 1.0
             if kappa != 1.0:
-                a = mark[:size]
-                a[:] = 0
-                for p, w in zip(small, weights):
+                s = sieved[:size]
+                s[:] = 1
+                for p in small:
                     pe, e = p, 1
                     # no multiple of p^e in the segment means none of p^(e+1)
                     while (first := -lo % pe) < size:
                         v[first::pe] *= (kappa + e - 1.0) / e
-                        a[first::pe] += w
+                        s[first::pe] *= p
                         pe *= p
                         e += 1
-                for b in range(0, size, BLOCK):
-                    m = min(BLOCK, size - b)
-                    threshold = _rough_threshold(lo + b, m, limit)
-                    np.less(a[b:b + m], threshold, out=rough[:m])
-                    np.greater_equal(a[b:b + m], threshold, out=smooth[:m])
-                    # 1.0 or the ratio, exactly, and no branch per n
-                    np.multiply(rough[:m], (kappa + 1 - 1.0) / 1, out=factor[:m])
-                    np.add(factor[:m], smooth[:m], out=factor[:m])
-                    np.multiply(v[b:b + m], factor[:m], out=v[b:b + m])
+                v[s != np.arange(lo, lo + size, dtype=np.int32)] *= (kappa + 1 - 1.0) / 1
             yield v
 
     return segments()
-
-
-def _rough_threshold(lo: int, size: int, limit: int):
-    """n = lo .. lo + size - 1 is rough when its mark is below this (see
-    _sieve_segments): one int for the whole range where the smooth
-    bound at lo clears the rough bound at lo + size - 1 by more than 1,
-    else the midpoint of the two bounds at each n."""
-    half_log_limit = math.log2(limit) / 2
-    smooth_least = (_MARK_SCALE - 0.5) * math.log2(lo)
-    rough_most = (_MARK_SCALE + 0.5) * (math.log2(lo + size - 1) - half_log_limit)
-    if smooth_least - rough_most > 1:
-        return max(math.ceil((smooth_least + rough_most) / 2), 0)
-    mid = np.log2(np.arange(lo, lo + size, dtype=float))
-    mid *= _MARK_SCALE
-    mid -= (_MARK_SCALE + 0.5) / 2 * half_log_limit
-    return mid
 
 
 def build_table(kappa: float, limit: int) -> DivisorTable:

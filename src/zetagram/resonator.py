@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divisor import ConfigurationError, primes_up_to
+from .divisor import primes_up_to
 from .moments import DirichletPolynomial, GramSweep, MomentReport, compute_S1, compute_S2
 from .summation import fsum
 
@@ -28,6 +28,7 @@ __all__ = [
     "ResonatorConfig",
     "Resonator",
     "DegenerateResonatorError",
+    "ConfigurationError",
     "build_resonator",
     "resonator_ratio",
     "certify_lower_bound",
@@ -36,6 +37,10 @@ __all__ = [
 
 #: The prediction is trusted for cutoffs X <= t_max^(1/4 - EPSILON).
 EPSILON = 0.01
+
+
+class ConfigurationError(RuntimeError):
+    """A cutoff X that the resonator's construction does not admit."""
 
 
 class DegenerateResonatorError(ValueError):

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -52,7 +51,6 @@ from .summation import fsum
 __all__ = [
     "DomainError",
     "PoleError",
-    "ZetaSample",
     "log_gamma",
     "theta",
     "theta_deriv",
@@ -60,7 +58,6 @@ __all__ = [
     "log_delta",
     "zeta_euler_maclaurin",
     "hardy_z",
-    "zeta_critical",
     "rs_psi",
 ]
 
@@ -92,21 +89,6 @@ class DomainError(ValueError):
 
 class PoleError(ValueError):
     """Evaluation requested at (or numerically too close to) a pole."""
-
-
-@dataclass(frozen=True)
-class ZetaSample:
-    """One evaluated critical-line point: zeta(1/2 + it) = e^{-i theta} Z."""
-
-    t: float
-    theta: float
-    z: float
-    zeta: complex
-
-    def __post_init__(self):
-        for v in (self.t, self.theta, self.z, self.zeta.real, self.zeta.imag):
-            if not math.isfinite(v):
-                raise DomainError("non-finite component in ZetaSample")
 
 
 # ----------------------------------------------------------------------
@@ -758,13 +740,3 @@ def _hardy_z_block(arr: np.ndarray) -> np.ndarray:
         out[~low] = _rs_main_sum(ts, th) + rem
     return out
 
-
-def zeta_critical(t: float) -> ZetaSample:
-    """Consistent (t, theta, Z, zeta) sample on the critical line."""
-    t = float(t)
-    if not 0.0 <= t < math.inf:
-        raise DomainError("zeta_critical requires finite t >= 0")
-    th = theta(t)
-    z = float(hardy_z(t))
-    zeta = complex(np.exp(-1j * th) * z)
-    return ZetaSample(t=t, theta=th, z=z, zeta=zeta)

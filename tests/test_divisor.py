@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -259,7 +260,7 @@ def sieved_tables(kappas, limit) -> list:
 
 
 PRIME_SQUARES = tuple(p * p for p in primes_up_to(700).tolist())
-#: Sets of kappa, each sieved in its own pass; the repeats were once shared passes.
+#: Sets of kappa, each sieved in its own pass.
 KAPPA_SETS = ((1.0,), (1.0, 2.0), (2.0, 2.0), (3.0, 0.5), (0.5, 1.0, 0.5, 3.0), (1.0, 1.0))
 
 
@@ -282,45 +283,50 @@ def test_multi_kappa_sieve_equals_reference_at_seams(kappas):
             assert np.array_equal(got, reference_table(kappa, limit)), (kappa, limit)
 
 
-def mark_and_smooth(lo: int, size: int, limit: int):
-    """The sieve's uint8 mark of n = lo .. lo + size - 1 and, as its
-    oracle, the int32 product of the prime powers p^e | n, p <= sqrt(limit)."""
-    mark = np.zeros(size, np.uint8)
-    smooth = np.ones(size, np.int32)
+def smooth_and_count(lo: int, size: int, limit: int):
+    """For n = lo .. lo + size - 1, the int64 product of the prime powers
+    p^e | n, p <= sqrt(limit), and the number of its divisors, prod (e + 1)."""
+    smooth = np.ones(size, np.int64)
+    count = np.ones(size, np.int64)
     for p in primes_up_to(math.isqrt(limit)).tolist():
+        e = np.zeros(size, np.int64)
         pe = p
         while pe < lo + size:
-            mark[-lo % pe::pe] += round(divisor._MARK_SCALE * math.log2(p))
             smooth[-lo % pe::pe] *= p
+            e[-lo % pe::pe] += 1
             pe *= p
-    return mark, smooth
+        count *= e + 1
+    return smooth, count
+
+
+def rough_segments(limit: int, seg: int, skip: int = 0, take: int = 40):
+    """Each sieved segment of d_2 (segments of seg entries) and, beside
+    it, whether the sieve gave its n the rough ratio: d_2 of the sieved
+    part is the count of its divisors, and the rough ratio doubles it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(divisor, "SEG", seg)
+        segments = zip(range(1, limit + 1, seg), divisor._sieve_segments(2.0, limit))
+        for lo, v in itertools.islice(segments, skip, skip + take):
+            smooth, count = smooth_and_count(lo, v.size, limit)
+            yield lo, v > 1.5 * count, smooth != np.arange(lo, lo + v.size)
 
 
 @pytest.mark.parametrize("limit", (1, 2, 3, 4, 8, 9, 10, 300, 10_200, 10_201, 65_537,
                                    SEG - 1, SEG + 1, 2 * SEG + 1, 10 ** 6))
 @pytest.mark.parametrize("seg", (1, 7, 300, SEG))
 def test_rough_mark_equals_exact_smoothness(limit, seg):
-    # tiny segments put the per-n midpoints past the first segment too
-    for lo in range(1, limit + 1, seg)[:40]:
-        size = min(seg, limit - lo + 1)
-        mark, smooth = mark_and_smooth(lo, size, limit)
-        rough = mark < divisor._rough_threshold(lo, size, limit)
-        assert np.array_equal(rough, smooth != np.arange(lo, lo + size)), (lo, size)
-
-
-@pytest.mark.parametrize("limit", (divisor.BLOCK + 1, SEG + 1, 10 ** 7))
-def test_rough_mark_has_one_threshold_past_the_first_block(limit):
-    for lo in range(divisor.BLOCK + 1, limit + 1, divisor.BLOCK):
-        threshold = divisor._rough_threshold(lo, min(divisor.BLOCK, limit - lo + 1), limit)
-        assert isinstance(threshold, int) and 0 < threshold < 120
+    # tiny segments put rough n on both sides of many seams
+    for lo, rough, exact in rough_segments(limit, seg):
+        assert np.array_equal(rough, exact), lo
 
 
 def test_rough_mark_far_from_the_first_block():
     limit = 10 ** 7
-    mark, smooth = mark_and_smooth(limit - 999, 1000, limit)
-    rough = smooth != np.arange(limit - 999, limit + 1)
-    assert rough.any() and not rough.all()
-    assert np.array_equal(mark < divisor._rough_threshold(limit - 999, 1000, limit), rough)
+    last = (limit - 1) // SEG
+    [(lo, rough, exact)] = rough_segments(limit, SEG, skip=last, take=1)
+    assert lo + rough.size - 1 == limit
+    assert exact.any() and not exact.all()
+    assert np.array_equal(rough, exact)
 
 
 BAD_KAPPAS = (0.0, -1.0, math.nan, math.inf, -math.inf, math.nextafter(KAPPA_MAX, math.inf), 1e300)

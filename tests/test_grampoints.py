@@ -23,6 +23,7 @@ from zetagram.grampoints import (
     enumerate_points,
     solve_gram,
 )
+from zetagram.moments import GramSweep
 from zetagram.special import DomainError, delta, delta_critical, hardy_z, theta
 
 TWO_PI = 2.0 * math.pi
@@ -166,6 +167,14 @@ def test_classify_first_point_positive():
     assert plus[0]
     em_val = hardy_z(float(pts.t[0]))
     assert em_val > 0
+
+
+def test_gram_law_first_failures():
+    # at phi = 0 the minus class is where Gram's law fails; its first
+    # index, 126, is Hutchinson's (1925; Edwards, Riemann's Zeta Function, 1974)
+    sweep = GramSweep(0.0, 1e4)
+    assert sweep.points.n[sweep.minus_mask][:5].tolist() == [126, 134, 195, 211, 232]
+    assert (int(sweep.minus_mask.sum()), len(sweep.points)) == (839, 10_142)
 
 
 def test_classify_partition_and_identity():

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from zetagram.divisor import ConfigurationError
 from zetagram.moments import GramSweep
 from zetagram.resonator import (
+    ConfigurationError,
     Resonator,
     ResonatorConfig,
     build_resonator,

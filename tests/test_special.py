@@ -19,7 +19,6 @@ from zetagram.special import (
     THETA_SWITCH_T,
     DomainError,
     PoleError,
-    ZetaSample,
     delta,
     delta_critical,
     hardy_z,
@@ -28,7 +27,6 @@ from zetagram.special import (
     rs_psi,
     theta,
     theta_deriv,
-    zeta_critical,
     zeta_euler_maclaurin,
     _RS_NODES,
     _RS_WEIGHTS,
@@ -326,7 +324,7 @@ def test_hardy_z_negative_raises():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("fn", [hardy_z, theta, theta_deriv, zeta_critical])
+@pytest.mark.parametrize("fn", [hardy_z, theta, theta_deriv])
 def test_non_finite_height_raises(fn, bad):
     with pytest.raises(DomainError):
         fn(bad)
@@ -560,40 +558,13 @@ def test_cold_table_built_by_many_threads_at_once():
 
 
 # ----------------------------------------------------------------------
-# zeta_critical samples
-# ----------------------------------------------------------------------
-
-def test_zeta_critical_at_origin():
-    sample = zeta_critical(0.0)
-    assert abs(sample.zeta - (-1.4603545088)) <= 1e-8
-    assert abs(sample.zeta.imag) <= 1e-12
-
-
-def test_zeta_critical_invariants():
-    for t in (0.0, 55.5, 1000.0):
-        s = zeta_critical(t)
-        assert abs(abs(s.zeta) - abs(s.z)) <= 1e-9 * max(1.0, abs(s.z))
-        assert abs(s.zeta.real - math.cos(s.theta) * s.z) <= 1e-9
-        assert abs(s.zeta.imag + math.sin(s.theta) * s.z) <= 1e-9
-
-
-def test_zeta_critical_negative_raises():
-    with pytest.raises(DomainError):
-        zeta_critical(-0.5)
-
-
-def test_zeta_sample_rejects_non_finite():
-    with pytest.raises(DomainError):
-        ZetaSample(t=1.0, theta=float("nan"), z=0.0, zeta=0j)
-
-
-# ----------------------------------------------------------------------
 # mpmath as an independent high-precision oracle
 # ----------------------------------------------------------------------
 
-# both sides of the RS_MIN_T = 10, THETA_SWITCH_T = 30 and SERIES_MIN_T
-# seams, and the height with the largest measured deviation (|Z| about 12)
-ORACLE_HEIGHTS = (6.5, 9.999, 10.0, 10.001, 29.999, 30.0, 30.001, 100.0,
+# the origin, where Z(0) = zeta(1/2), both sides of the RS_MIN_T = 10,
+# THETA_SWITCH_T = 30 and SERIES_MIN_T seams, and the height with the
+# largest measured deviation (|Z| about 12)
+ORACLE_HEIGHTS = (0.0, 6.5, 9.999, 10.0, 10.001, 29.999, 30.0, 30.001, 100.0,
                   SERIES_MIN_T - 0.001, SERIES_MIN_T, SERIES_MIN_T + 0.001,
                   1e4, 1e5, 74955.5)
 

@@ -45,6 +45,7 @@ COMMANDS = (
     ("verify", "thm2", "--t-max", "1e5"),
     ("divisor", "--kappa", "3", "--partial-sum", "1e6"),
     ("divisor", "--kappa", "2.7", "--partial-sum", "700001", "--format", "json"),
+    ("divisor", "--kappa", "2.7", "--limit", "600000"),
 )
 
 
