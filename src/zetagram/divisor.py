@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special import _SPLIT, _two_prod
+from .special import _bernoulli, _split, _two_prod
 
 __all__ = [
     "DivisorTable",
@@ -487,14 +487,6 @@ def _dd_scan(x, op):
     return x
 
 
-def _split(a):
-    """Veltkamp's halves (h, l) of a: h + l = a exactly, each with at
-    most 26 significant bits, as special._two_prod splits."""
-    h = a * _SPLIT
-    h = h - (h - a)
-    return h, a - h
-
-
 def _dd_mul_halves(x, x_halves, y, y_halves):
     """x y of two double-doubles as an unevaluated pair (p, e), p the
     rounded x[0] y[0], from the halves (_split) of x[0] and y[0]: Dekker's
@@ -601,14 +593,6 @@ def _harmonic_minus_one(vs: np.ndarray) -> tuple:
 _DIGITS = 50
 
 
-def _bernoulli(k: int) -> list:
-    """B_2, B_4, ..., B_2k as fractions, from sum_{j<=m} C(m+1, j) B_j = 0."""
-    b = [Fraction(1)]
-    for m in range(1, 2 * k + 1):
-        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
-    return b[2::2]
-
-
 def _decimal(q: Fraction) -> Decimal:
     return Decimal(q.numerator) / Decimal(q.denominator)
 
@@ -656,10 +640,6 @@ class MomentPolynomial:
     """Polynomial with coefficients stored constant-term first."""
 
     coefficients: tuple
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
 
     def __call__(self, u):
         out = 0.0

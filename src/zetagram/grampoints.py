@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
-from .special import DomainError, _c99, _cevalpoly, theta, theta_deriv
+from .special import TWO_PI, DomainError, _c99, _cevalpoly, theta, theta_deriv
 
 __all__ = [
     "Angle",
@@ -28,8 +28,6 @@ __all__ = [
     "classify",
     "count_estimate",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 #: theta at its minimum t = 2 pi; targets must clear this plus a buffer
 #: to sit safely on the increasing branch.  (A buffer of 0.25 keeps the
@@ -139,17 +137,15 @@ def _initial_guess(targets: np.ndarray) -> np.ndarray:
     With y = t/(2 pi e) the equation reads y log y = beta, solved by
     y = beta / W0(beta).  Newton's result depends on the seed's last
     bit, so W0 is _lambertw, a port of scipy.special.lambertw (Corless
-    et al. 1996) that repeats scipy's bits.
+    et al. 1996) that repeats scipy's bits.  On the branch (targets at
+    least THETA_MIN + BRANCH_BUFFER) beta >= -0.3382, clear of the fold
+    at -1/e, so y >= 0.525 and the seed is at least 8.97.
     """
     beta = (targets + math.pi / 8.0) / (math.pi * math.e)
-    guess = np.full_like(targets, 8.5)
-    ok = beta > -0.3555  # W0 well-conditioned above the -1/e fold
-    b = beta[ok]
-    y = np.ones_like(b)
-    big = np.abs(b) >= 1e-12  # y -> 1 as beta -> 0; no 0/0 at beta = 0
-    y[big] = b[big] / _lambertw(b[big])
-    guess[ok] = TWO_PI * math.e * np.maximum(y, 0.2)
-    return np.maximum(guess, TWO_PI + 0.05)
+    y = np.ones_like(beta)
+    big = np.abs(beta) >= 1e-12  # y -> 1 as beta -> 0; no 0/0 at beta = 0
+    y[big] = beta[big] / _lambertw(beta[big])
+    return TWO_PI * math.e * y
 
 
 def _solve_targets(targets: np.ndarray) -> np.ndarray:
@@ -158,9 +154,10 @@ def _solve_targets(targets: np.ndarray) -> np.ndarray:
     theta''(t) = -(1/4) Im psi'(1/4 + it/2) > 0 for t > 0, so theta is
     convex, and it increases on t > 2 pi: from a start right of the
     root Newton's iterates fall monotonically onto it, and from one left
-    of it one step lands right of it.  _initial_guess never seeds below
-    2 pi + 0.05, so no bracket or fallback is needed; theta and
-    theta_deriv raise DomainError should an iterate leave their domain.
+    of it one step lands right of it.  On the branch every seed of
+    _initial_guess is at least 8.97, right of 2 pi, so no bracket or
+    fallback is needed; theta and theta_deriv raise DomainError should
+    an iterate leave their domain.
     Each element stops on its own test, so its result does not depend
     on the other targets of the batch: |residual| <= NEWTON_TOL, a step
     of at most 2 ulps, or a step no smaller than the one before.  That

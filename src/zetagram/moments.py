@@ -18,7 +18,7 @@ import numpy as np
 
 from . import divisor, expsum
 from .grampoints import _as_angle, classify, enumerate_points, solve_gram
-from .special import DomainError
+from .special import TWO_PI, DomainError
 from .summation import ExactSum, blocked_fsum, fsum
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "MaxScanResult",
 ]
 
-TWO_PI = 2.0 * math.pi
 REL_EPS = 1e-300
 
 
@@ -458,7 +457,9 @@ class MaxScanResult:
 def class_maxima(sweep: GramSweep, heights) -> list:
     """MaxScanResult over the prefix t_n <= T of the sweep for each height
     T: the largest |zeta| in each sign class and its abscissa (ties go to
-    the first point), None for a class with no point below T."""
+    the first point), None for a class with no point below T.  Requires
+    t_max >= 100, as every other statistic of the sweep."""
+    _require_height(sweep, "class_maxima")
     absz = np.abs(sweep.value)
     t = sweep.points.t
 
@@ -481,5 +482,4 @@ def class_maxima(sweep: GramSweep, heights) -> list:
 
 def max_scan(sweep: GramSweep) -> MaxScanResult:
     """Running maxima of |zeta| over each sign class with abscissas."""
-    _require_height(sweep, "max_scan")
     return class_maxima(sweep, (sweep.t_max,))[0]

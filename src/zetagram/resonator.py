@@ -22,6 +22,7 @@ import numpy as np
 
 from .divisor import primes_up_to
 from .moments import DirichletPolynomial, GramSweep, MomentReport, compute_S1, compute_S2
+from .special import _c99
 from .summation import fsum
 
 __all__ = [
@@ -110,8 +111,8 @@ def build_resonator(X: float) -> Resonator:
     else:
         sieve = primes_up_to(hi)
         primes = sieve[sieve >= lo]
-    # math.log, not np.log, whose SIMD loop differs in the last bit
-    logs = np.fromiter(map(math.log, primes.tolist()), float, primes.size)
+    # the C library's log, as math.log; numpy's real log differs in the last bit
+    logs = _c99(np.log, primes)[0]
     return Resonator(config=cfg, support=np.concatenate(([1], primes)),
                      weights=np.concatenate(([1.0], cfg.L / (primes * logs))))
 

@@ -140,14 +140,20 @@ def _c99(fn, zr, zi=0.0):
     return z.real, z.imag
 
 
+def _split(a):
+    """Veltkamp's halves (h, l) of a: h + l = a exactly, each with at
+    most 26 significant bits (exact unless a * _SPLIT overflows)."""
+    h = a * _SPLIT
+    h = h - (h - a)
+    return h, a - h
+
+
 def _two_prod(a, b):
     """(p, e) with p = a b rounded and p + e = a b exactly, per element
-    (Dekker 1971, with Veltkamp's split; exact unless a step overflows
-    or underflows)."""
+    (Dekker 1971, from the halves of _split; exact unless a step
+    overflows or underflows)."""
     p = a * b
-    ah, bh = a * _SPLIT, b * _SPLIT
-    ah, bh = ah - (ah - a), bh - (bh - b)
-    al, bl = a - ah, b - bh
+    (ah, al), (bh, bl) = _split(a), _split(b)
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
@@ -396,17 +402,18 @@ def delta_critical(t):
 # Euler-Maclaurin zeta
 # ----------------------------------------------------------------------
 
+def _bernoulli(k: int) -> list:
+    """B_2, B_4, ..., B_2k as fractions, from sum_{j<=m} C(m+1, j) B_j = 0."""
+    b = [Fraction(1)]
+    for m in range(1, 2 * k + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b[2::2]
+
+
 @lru_cache(maxsize=None)
 def _bern_over_fact(k: int) -> float:
-    """B_{2k} / (2k)! as a correctly rounded double (exact rational
-    recurrence, no transcribed table)."""
-    m = 2 * k
-    row = [Fraction(0)] * (m + 1)
-    for j in range(m + 1):
-        row[j] = Fraction(1, j + 1)
-        for i in range(j, 0, -1):
-            row[i - 1] = i * (row[i - 1] - row[i])
-    return float(row[0] / math.factorial(m))
+    """B_{2k} / (2k)! as a correctly rounded double."""
+    return float(_bernoulli(k)[-1] / math.factorial(2 * k))
 
 
 def _em_truncation(s: complex) -> int:

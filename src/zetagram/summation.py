@@ -35,12 +35,12 @@ import math
 import numpy as np
 
 #: The high half of a double keeps its sign, its exponent and the top
-#: 53 - _SPLIT = 27 bits of its mantissa; the low half is the rest.
-_SPLIT = 26
-_HIGH = np.int64(-1 << _SPLIT)
+#: 53 - _LOW_BITS = 27 bits of its mantissa; the low half is the rest.
+_LOW_BITS = 26
+_HIGH = np.int64(-1 << _LOW_BITS)
 #: Each half is below 2**27 steps of its bucket, so a bucket of at most
 #: 2**26 halves stays below 2**53 steps and adds up exactly.
-_FILL = 1 << _SPLIT
+_FILL = 1 << _LOW_BITS
 #: Values of this magnitude or more (an exponent field e of 0x7FF - 60 or
 #: more), inf and nan go to math.fsum: bucket sums of such values, up to
 #: 2**26 * 2**(e - 1022), could overflow, where math.fsum raises

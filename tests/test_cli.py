@@ -266,6 +266,20 @@ def test_maxscan_table(tmp_path):
     assert all(a <= b for a, b in zip(present, present[1:]))
 
 
+@pytest.mark.parametrize("t_max", ["50", "99"])
+def test_maxscan_below_100_is_a_usage_error(t_max, tmp_path, capsys):
+    code, data = run_cli(["maxscan", "--t-max", t_max], tmp_path)
+    assert code == cli.EXIT_USAGE and data == b""
+    assert "error: class_maxima requires t_max >= 100.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_max", [100.0, 150.0, 2000.0])
+def test_maxscan_rows_stay_at_or_below_t_max(t_max, tmp_path):
+    code, data = run_cli(["maxscan", "--t-max", repr(t_max)], tmp_path)
+    heights = [float(line.split(",")[0]) for line in data.decode().strip().split("\n")[1:]]
+    assert code == 0 and heights and max(heights) == t_max
+
+
 def test_maxscan_cache_write_shares_no_temporary_name(tmp_path):
     """The cache is written through a temporary file of its own: a
     directory at the old fixed name <cache file>.tmp, standing in for

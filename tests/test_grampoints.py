@@ -91,6 +91,15 @@ def test_solve_at_a_zero_seed_argument_is_silent():
     assert abs(theta(pt.t) + math.pi / 8) < 1e-10
 
 
+def test_seed_at_the_branch_cutoff_is_right_of_two_pi():
+    # the seed grows with the target, so the cutoff's is the smallest: the
+    # Newton solve needs no clamp to start on the increasing branch t > 2 pi
+    cutoff = grampoints.THETA_MIN + grampoints.BRANCH_BUFFER
+    targets = cutoff + np.array([0.0, 1e-9, 0.1, 1.0, 10.0])
+    seeds = _initial_guess(targets)
+    assert seeds[0] >= TWO_PI + 0.05 and np.all(np.diff(seeds) > 0.0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(min_value=-0.3555, max_value=1e7))
 def test_lambertw_inverts_w_exp_w(b):

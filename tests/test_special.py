@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zetagram import special
+from zetagram.divisor import _dd_add, _dd_div, _dd_mul, _two_sum, primes_up_to
 from zetagram.grampoints import bulk_hardy_z, enumerate_points, solve_gram
 from zetagram.special import (
     BLOCK_POINTS,
@@ -621,3 +622,77 @@ def test_hardy_z_within_its_error_model_above_the_theta_switch():
 @pytest.mark.parametrize("n", (0, 1, 100, 10_000))
 def test_solve_gram_equals_mpmath_grampoint(n):
     assert solve_gram(n, 0.0).t == float(mpmath.grampoint(n))
+
+
+# ----------------------------------------------------------------------
+# The exact primitives, against fractions.Fraction
+# ----------------------------------------------------------------------
+
+#: Doubles m 2^(e - 53) with |m| < 2^53 and |e| <= 300: zero and normal
+#: values far from overflow, whose products and errors stay normal too.
+_BOUNDED = st.builds(lambda m, e: math.ldexp(float(m), e - 53),
+                     st.integers(-(2 ** 53 - 1), 2 ** 53 - 1), st.integers(-300, 300))
+
+
+def _significant_bits(x: float) -> int:
+    n = abs(Fraction(x).numerator)
+    return (n >> ((n & -n).bit_length() - 1)).bit_length() if n else 0
+
+
+def _dd(hi: float, lo: float) -> tuple:
+    """A normalized double-double, _two_sum(hi, lo), and its exact value."""
+    x = _two_sum(hi, lo)
+    return x, Fraction(x[0]) + Fraction(x[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BOUNDED)
+def test_split_halves_sum_exactly_in_26_bits(a):
+    h, lo = special._split(a)
+    assert Fraction(h) + Fraction(lo) == Fraction(a)
+    assert _significant_bits(h) <= 26 and _significant_bits(lo) <= 26
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BOUNDED, _BOUNDED)
+def test_two_prod_and_two_sum_are_exact(a, b):
+    p, e = special._two_prod(a, b)
+    assert p == a * b and Fraction(p) + Fraction(e) == Fraction(a) * Fraction(b)
+    s, e = _two_sum(a, b)
+    assert s == a + b and Fraction(s) + Fraction(e) == Fraction(a) + Fraction(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_BOUNDED, _BOUNDED, _BOUNDED), min_size=1, max_size=8))
+def test_fma_is_correctly_rounded(abc):
+    a, b, c = (np.array(v) for v in zip(*abc))
+    expected = [float(Fraction(x) * Fraction(y) + Fraction(z)) for x, y, z in abc]
+    assert special._fma(a, b, c).tolist() == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BOUNDED, _BOUNDED, _BOUNDED, _BOUNDED)
+def test_double_double_operations_within_2_to_the_minus_100(a, b, c, d):
+    # relative to the larger operand for the sum, whose cancellation is exact
+    # only up to the operands' own low parts
+    (x, fx), (y, fy) = _dd(a, b), _dd(c, d)
+    tol = Fraction(1, 2 ** 100)
+    for got, exact, scale in ((_dd_add(x, y), fx + fy, max(abs(fx), abs(fy))),
+                              (_dd_mul(x, y), fx * fy, abs(fx * fy))):
+        assert abs(Fraction(got[0]) + Fraction(got[1]) - exact) <= tol * scale
+    assume(c != 0.0)
+    got = _dd_div(x, c)
+    assert abs(Fraction(got[0]) + Fraction(got[1]) - fx / Fraction(c)) <= tol * abs(fx / Fraction(c))
+
+
+def test_c99_log_is_math_log_on_every_prime_to_a_million():
+    # the resonator's prime weights L / (p log p) take their logs this way
+    p = primes_up_to(10 ** 6)
+    expected = np.fromiter(map(math.log, p.tolist()), float, p.size)
+    assert np.array_equal(special._c99(np.log, p)[0], expected)
+
+
+def test_bernoulli_numbers_match_the_oracle():
+    assert special._bernoulli(14) == [_bernoulli(2 * k) for k in range(1, 15)]
+    assert [special._bern_over_fact(k) for k in range(1, 14)] == [
+        float(_bernoulli(2 * k) / math.factorial(2 * k)) for k in range(1, 14)]

@@ -42,6 +42,8 @@ COMMANDS = (
     ("resonate", "--x", "1e6", "--certificate", "--t-max", "1e5"),
     *(("maxscan", "--t-max", "1e5", "--threads", threads) for threads in ("1", "2")),
     *(("points", "--t-max", "1e4", "--format", fmt) for fmt in ("csv", "json")),
+    # the one command that reaches Euler-Maclaurin Z below t = 10 (n = 0 at t = 9.856)
+    ("points", "--t-max", "100", "--phi", "3.1"),
     ("verify", "thm2", "--t-max", "1e5"),
     ("divisor", "--kappa", "3", "--partial-sum", "1e6"),
     ("divisor", "--kappa", "2.7", "--partial-sum", "700001", "--format", "json"),
