@@ -53,18 +53,19 @@ class SizeBudgetError(ValueError):
 
 
 def primes_up_to(n: int) -> np.ndarray:
-    """Primes <= n by a boolean sieve of n + 1 entries, which must fit
-    INDEX_BUDGET."""
+    """Primes <= n by a boolean sieve of the odd numbers to n; n + 1
+    must fit INDEX_BUDGET."""
     if n + 1 > INDEX_BUDGET:
         raise SizeBudgetError(f"sieve of size {n} exceeds budget")
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, int(math.isqrt(n)) + 1):
-        if mask[p]:
-            mask[p * p::p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+    mask = np.ones((n + 1) // 2, dtype=bool)  # mask[i] for 2 i + 1
+    for p in range(3, math.isqrt(n) + 1, 2):
+        if mask[p // 2]:
+            mask[p * p // 2::p] = False
+    primes = 2 * np.flatnonzero(mask).astype(np.int64) + 1
+    primes[0] = 2  # in place of 1, which mask[0] stands for
+    return primes
 
 
 # ----------------------------------------------------------------------

@@ -311,9 +311,11 @@ def _check_limits(sweep: GramSweep, *polys: DirichletPolynomial) -> None:
 def s1_predicted_coefficient(phi, x_poly: DirichletPolynomial,
                              y_poly: DirichletPolynomial) -> complex:
     """e^{-2 i phi} sum_{m<=X, mn<=Y} x_m y_{mn}/(mn)
-    + sum_{m<=Y, mn<=X} y_m x_{mn}/(mn), exactly over the supports."""
-    return complex(np.exp(-2j * _as_angle(phi).phi)) * _cross_sum(x_poly, y_poly) \
-        + _cross_sum(y_poly, x_poly)
+    + sum_{m<=Y, mn<=X} y_m x_{mn}/(mn), exactly over the supports.  When
+    y_poly is x_poly the two sums are one, and it is computed once."""
+    xy = _cross_sum(x_poly, y_poly)
+    yx = xy if y_poly is x_poly else _cross_sum(y_poly, x_poly)
+    return complex(np.exp(-2j * _as_angle(phi).phi)) * xy + yx
 
 
 def compute_S1(sweep: GramSweep, x_poly: DirichletPolynomial,

@@ -306,6 +306,49 @@ def log_gamma(s):
     return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
+def _cdiv_float(a, b, c, d):
+    """_cdiv on Python floats, step for step."""
+    if abs(c) < abs(d):
+        a, b, c, d = b, -a, d, -c
+    ratio = d / c
+    denom = d * ratio + c
+    if abs(ratio) <= _DBL_MIN:
+        return (a + d * (b / c)) / denom, (b - d * (a / c)) / denom
+    return (b * ratio + a) / denom, (b - a * ratio) / denom
+
+
+def _im_log_gamma_quarter(y):
+    """Im log Gamma(1/4 + iy) for a Python float y = t/2 of theta's low
+    branch, with _log_gamma's bits: the same IEEE operations in the same
+    order on floats, the fused steps as math.fsum of _two_prod's exact
+    product and the addend, and clog as numpy's log of a complex scalar,
+    which calls the C library as _c99 does (cmath.log does not)."""
+    x, sy = 0.25, abs(y)
+    rec = sy <= 7.0
+    if rec:  # the upward recurrence of _lg_shift, to x = 7.25
+        pr, pi_, flips = x, sy, 0
+        x += 1.0
+        while x <= 7.0:
+            below = math.copysign(1.0, pi_) < 0.0
+            pr, pi_ = pr * x - pi_ * sy, pr * sy + pi_ * x
+            flips += math.copysign(1.0, pi_) < 0.0 and not below
+            x += 1.0
+        shift_li = complex(np.log(complex(pr, pi_))).imag
+    rr, ri = _cdiv_float(1.0, 0.0, x, sy)  # then _lg_stirling
+    zr, zi = _cdiv_float(rr, ri, x, sy)
+    r, s = 2.0 * zr, zr * zr + zi * zi
+    a, b = _STIRLING[:2]
+    for c in _STIRLING[2:]:  # _cevalpoly
+        a, b = math.fsum((*_two_prod(r, a), b)), math.fsum((*_two_prod(-s, a), c))
+    pr, pi_ = zr * a + b, zi * a
+    lg = complex(np.log(complex(x, sy)))
+    si = (x - 0.5) * lg.imag + sy * lg.real - sy + (rr * pi_ + ri * pr)
+    if not rec:
+        return si
+    si = si - shift_li - 2.0 * flips * math.pi
+    return -si if math.copysign(1.0, y) < 0.0 else si
+
+
 def _theta_stirling(t):
     """Stirling expansion of theta, four correction terms (t > 30).  The
     powers of t are products, which cost less than np.power; on 3e6
@@ -327,6 +370,14 @@ def theta(t):
     t must be finite and >= 0.  Uses log-Gamma directly for t <= 30 and the
     Stirling expansion above (the two branches differ by 1.8e-15 at the
     switch point and by at most 1.3e-14 on [29, 31]).
+
+    The t <= 30 branch runs per element on Python floats
+    (_im_log_gamma_quarter, with the bits of the array log-Gamma port),
+    about 10 us a height: 3 low heights, a direction's first Gram points,
+    cost 0.04 ms there against the array port's 0.28 ms.  In bulk it is
+    about 3.5x slower than the array port (80k heights: 0.85 against
+    0.23 s; even near 40 heights), but no command passes more than a few
+    such heights to one call.
     """
     arr = np.asarray(t, dtype=float)
     if not np.all((arr >= 0.0) & (arr < math.inf)):
@@ -336,8 +387,8 @@ def theta(t):
     out = np.empty_like(arr)
     low = arr <= THETA_SWITCH_T
     if low.any():
-        tl = arr[low]
-        out[low] = _log_gamma(np.full_like(tl, 0.25), 0.5 * tl)[1] - 0.5 * tl * math.log(math.pi)
+        out[low] = [_im_log_gamma_quarter(0.5 * t) - 0.5 * t * math.log(math.pi)
+                    for t in arr[low].tolist()]
     high = ~low
     if high.any():
         out[high] = _theta_stirling(arr[high])

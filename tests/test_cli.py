@@ -110,6 +110,48 @@ def test_points_stamp_adds_timestamp(tmp_path):
     assert "timestamp" in json.loads(data)["metadata"]
 
 
+def test_parser_built_once_keeps_each_commands_bytes(tmp_path, capsys):
+    # one parser serves every call of a process: a flag of one call must
+    # not reach the next, nor must an error or --version between them
+    assert cli.build_parser() is cli.build_parser()
+    tail = ["--phi", "0", "--t-max", "2000"]
+    commands = {
+        "certificate": ["resonate", "--x", "1e3", "--certificate"] + tail,
+        "resonate": ["resonate", "--x", "1e3"] + tail,
+        "thm1-k": ["verify", "thm1", "--k", "1.5"] + tail,
+        "thm1": ["verify", "thm1"] + tail,
+        "plain": ["points", "--phi", "0", "--t-max", "50", "--format", "json"],
+    }
+    alone = {}
+    for name, args in commands.items():
+        cli.build_parser.cache_clear()
+        alone[name] = run_cli(args, tmp_path, f"alone-{name}")
+    assert alone["certificate"] != alone["resonate"] and alone["thm1-k"] != alone["thm1"]
+
+    def bad_run():
+        assert cli.main(["points", "--phi", "3.2", "--t-max", "50"]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def version_run():
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.strip() == cli.__version__
+
+    sequence = ["certificate", bad_run, "resonate", version_run, "thm1-k", bad_run, "thm1",
+                ["points", "--phi", "0", "--t-max", "50", "--format", "json", "--stamp"],
+                version_run, "plain"]
+    for i, step in enumerate(sequence):
+        if callable(step):
+            step()
+        elif isinstance(step, list):
+            code, data = run_cli(step, tmp_path, f"seq-{i}")
+            assert code == 0 and "timestamp" in json.loads(data)["metadata"]
+        else:
+            assert run_cli(commands[step], tmp_path, f"seq-{i}") == alone[step], step
+    assert "timestamp" not in json.loads(alone["plain"][1])["metadata"]
+
+
 # ----------------------------------------------------------------------
 # verify
 # ----------------------------------------------------------------------

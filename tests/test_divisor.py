@@ -730,9 +730,25 @@ def test_zeta_laurent_connects_to_gamma():
     assert abs(zeta_euler_maclaurin(1 + h + 0j).real - 1 / h - gamma) <= 1e-3
 
 
+def boolean_sieve(n: int) -> np.ndarray:
+    """Primes <= n by a boolean sieve over every integer to n."""
+    mask = np.ones(n + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if mask[p]:
+            mask[p * p::p] = False
+    return np.flatnonzero(mask).astype(np.int64)
+
+
 def test_primes_up_to():
     assert list(primes_up_to(20)) == [2, 3, 5, 7, 11, 13, 17, 19]
     assert primes_up_to(1).size == 0
+    trial = [m for m in range(2, 3001) if all(m % d for d in range(2, math.isqrt(m) + 1))]
+    for n in range(3001):
+        assert primes_up_to(n).tolist() == [p for p in trial if p <= n]
+    for n in (10**6 - 1, 10**6, 10**6 + 1, 997**2 - 1, 997**2, 997**2 + 1):
+        got = primes_up_to(n)
+        assert got.dtype == np.int64 and np.array_equal(got, boolean_sieve(n))
 
 
 def test_primes_up_to_respects_index_budget(monkeypatch):

@@ -261,6 +261,25 @@ def test_s1_coefficient_resonator_bit_for_bit():
         assert s1_predicted_coefficient(phi, poly, poly) == want
 
 
+def test_s1_coefficient_one_cross_sum_when_x_is_y(monkeypatch):
+    poly = build_resonator(5e4).coefficient_polynomial()
+    twin = DirichletPolynomial(dict(poly.coefficients), poly.limit)  # equal, not the same
+    phi = 0.7
+    two_calls = complex(np.exp(-2j * phi)) * _cross_sum(poly, poly) + _cross_sum(poly, poly)
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return _cross_sum(a, b)
+
+    monkeypatch.setattr(moments, "_cross_sum", counted)
+    assert _same_bits(s1_predicted_coefficient(phi, poly, poly), two_calls)
+    assert len(calls) == 1
+    calls.clear()
+    assert _same_bits(s1_predicted_coefficient(phi, poly, twin), two_calls)
+    assert len(calls) == 2
+
+
 def reference_cross_sum(a: DirichletPolynomial, b: DirichletPolynomial) -> complex:
     """The per-m loop: for each m in supp a, ascending, every multiple k
     of m up to max supp b, one scalar times array product and one

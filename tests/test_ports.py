@@ -13,7 +13,7 @@ import pytest
 
 from zetagram import grampoints
 from zetagram.grampoints import _initial_guess, _lambertw
-from zetagram.special import delta_critical, log_gamma, theta
+from zetagram.special import THETA_SWITCH_T, delta_critical, log_gamma, theta
 
 sc = pytest.importorskip("scipy.special")
 
@@ -71,9 +71,17 @@ def test_lambertw_matches_scipy_at_its_seam_points():
 # log-Gamma
 # ----------------------------------------------------------------------
 
+#: theta's seams: t = 0; t = 14, where log-Gamma at y = t/2 = 7 turns from
+#: the recurrence to Stirling; and THETA_SWITCH_T, each with its two
+#: neighbouring doubles.
+THETA_SEAMS = [0.0, np.nextafter(0.0, 1.0),
+               np.nextafter(14.0, 0.0), 14.0, np.nextafter(14.0, 30.0),
+               np.nextafter(THETA_SWITCH_T, 0.0), THETA_SWITCH_T, np.nextafter(THETA_SWITCH_T, 31.0)]
+
+
 def theta_line():
     t = np.concatenate([np.linspace(0.0, 30.0, 60_001),
-                        np.random.default_rng(43).uniform(0.0, 30.0, 20_000)])
+                        np.random.default_rng(43).uniform(0.0, 30.0, 20_000), THETA_SEAMS])
     return t, 0.25 + 0.5j * t
 
 
@@ -85,6 +93,8 @@ def test_log_gamma_matches_scipy_on_the_theta_line():
 
 def test_theta_low_branch_matches_scipy():
     t, s = theta_line()
+    low = t <= THETA_SWITCH_T
+    t, s = t[low], s[low]
     assert_same_bits(theta(t), np.imag(sc.loggamma(s)) - 0.5 * t * math.log(math.pi))
 
 

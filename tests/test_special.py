@@ -155,6 +155,23 @@ def test_theta_branch_overlap():
         assert abs(theta(t) - theta_oracle(t)) < 1e-10
 
 
+def test_theta_same_bits_as_scalar_single_and_mixed_array():
+    # theta's t <= 30 branch runs per element on floats: a height must get
+    # the same bits alone, in a 1-element array and among Stirling heights,
+    # and the bits of the array log-Gamma port
+    seams = [0.0, -0.0, 5e-324, np.nextafter(14.0, 0.0), 14.0, np.nextafter(14.0, 30.0),
+             17.8455995405, np.nextafter(THETA_SWITCH_T, 0.0), THETA_SWITCH_T,
+             np.nextafter(THETA_SWITCH_T, 31.0), 31.0, 1e4]
+    rng = np.random.default_rng(59)
+    t = np.concatenate([seams, rng.uniform(0.0, 30.0, 200), rng.uniform(30.0, 1e3, 50)])
+    mixed = theta(t)
+    for ti, mi in zip(t.tolist(), mixed.tolist()):
+        assert np.array([theta(ti), theta(np.array([ti]))[0]]).tobytes() == np.array([mi, mi]).tobytes()
+    low = t <= THETA_SWITCH_T
+    port = special._log_gamma(np.full(low.sum(), 0.25), 0.5 * t[low])[1] - 0.5 * t[low] * math.log(math.pi)
+    assert mixed[low].tobytes() == port.tobytes()
+
+
 def test_theta_strictly_increasing_above_ten():
     rng = np.random.default_rng(5)
     grid = np.sort(rng.uniform(10.0, 1e5, 1000))
