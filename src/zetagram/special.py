@@ -27,9 +27,10 @@ critical line:
   1e-14 t (1 + |Z|) (measured: 1e-12 near t = 1e3, 3.5e-11 near 1e4,
   5e-10 near 1e5, 3e-9 near 1e6).
 
-log_gamma, behind theta below THETA_SWITCH_T, is a port of
-scipy.special.loggamma (BSD-3-Clause; Hare 1997) that repeats its
-results bit for bit, so the package needs numpy alone at run time.
+log_gamma is a port of scipy.special.loggamma (BSD-3-Clause; Hare
+1997) that repeats its results bit for bit, so the package needs numpy
+alone at run time; theta below THETA_SWITCH_T takes the same bits from
+its steps at Re s = 1/4, run on Python floats.
 
 Everything is plain binary64; long sums are compensated.  All functions
 are pure, and the array entry points are safe to call from multiple
@@ -323,10 +324,9 @@ def _im_log_gamma_quarter(y):
     order on floats, the fused steps as math.fsum of _two_prod's exact
     product and the addend, and clog as numpy's log of a complex scalar,
     which calls the C library as _c99 does (cmath.log does not)."""
-    x, sy = 0.25, abs(y)
-    rec = sy <= 7.0
-    if rec:  # the upward recurrence of _lg_shift, to x = 7.25
-        pr, pi_, flips = x, sy, 0
+    x, sy, shift_li, flips = 0.25, abs(y), 0.0, 0
+    if sy <= 7.0:  # the upward recurrence of _lg_shift, to x = 7.25
+        pr, pi_ = x, sy
         x += 1.0
         while x <= 7.0:
             below = math.copysign(1.0, pi_) < 0.0
@@ -343,10 +343,8 @@ def _im_log_gamma_quarter(y):
     pr, pi_ = zr * a + b, zi * a
     lg = complex(np.log(complex(x, sy)))
     si = (x - 0.5) * lg.imag + sy * lg.real - sy + (rr * pi_ + ri * pr)
-    if not rec:
-        return si
-    si = si - shift_li - 2.0 * flips * math.pi
-    return -si if math.copysign(1.0, y) < 0.0 else si
+    si = si - shift_li - 2.0 * flips * math.pi  # both +0.0 for y > 7: si keeps its bits
+    return -si if math.copysign(1.0, y) < 0.0 else si  # y = -0.0: the conjugate
 
 
 def _theta_stirling(t):
