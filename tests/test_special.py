@@ -158,8 +158,8 @@ def test_theta_branch_overlap():
 def test_theta_same_bits_as_scalar_single_and_mixed_array():
     # theta's t <= 30 branch runs per element on floats: a height must get
     # the same bits alone, in a 1-element array and among Stirling heights,
-    # and the bits of the array log-Gamma port
-    seams = [0.0, -0.0, 5e-324, np.nextafter(14.0, 0.0), 14.0, np.nextafter(14.0, 30.0),
+    # and the bits of the array log-Gamma port, signed zero and subnormals too
+    seams = [0.0, -0.0, 5e-324, 1e-323, 1e-310, np.nextafter(14.0, 0.0), 14.0, np.nextafter(14.0, 30.0),
              17.8455995405, np.nextafter(THETA_SWITCH_T, 0.0), THETA_SWITCH_T,
              np.nextafter(THETA_SWITCH_T, 31.0), 31.0, 1e4]
     rng = np.random.default_rng(59)
@@ -167,9 +167,10 @@ def test_theta_same_bits_as_scalar_single_and_mixed_array():
     mixed = theta(t)
     for ti, mi in zip(t.tolist(), mixed.tolist()):
         assert np.array([theta(ti), theta(np.array([ti]))[0]]).tobytes() == np.array([mi, mi]).tobytes()
-    low = t <= THETA_SWITCH_T
-    port = special._log_gamma(np.full(low.sum(), 0.25), 0.5 * t[low])[1] - 0.5 * t[low] * math.log(math.pi)
-    assert mixed[low].tobytes() == port.tobytes()
+    y = 0.5 * t[t <= THETA_SWITCH_T]
+    port = special._log_gamma(np.full(y.size, 0.25), y)[1]
+    assert np.array([special._im_log_gamma_quarter(v) for v in y.tolist()]).tobytes() == port.tobytes()
+    assert mixed[t <= THETA_SWITCH_T].tobytes() == (port - y * math.log(math.pi)).tobytes()
 
 
 def test_theta_strictly_increasing_above_ten():
