@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import divisor, expsum
-from .grampoints import _as_angle, classify, enumerate_points, solve_gram
+from .grampoints import _as_angle, classify, count_estimate, enumerate_points, solve_gram
 from .special import TWO_PI, DomainError
 from .summation import ExactSum, blocked_fsum, fsum
 
@@ -29,6 +29,8 @@ __all__ = [
     "GramSweep",
     "moment_abs_2k",
     "moment_cubed",
+    "cubic_main_term",
+    "gram_cut_height",
     "compute_S1",
     "compute_S2",
     "theorem1_pipeline",
@@ -235,12 +237,26 @@ class GramSweep:
 
     @cached_property
     def cut_height(self) -> float:
-        """Midpoint normalization T = (t_nu + t_{nu+1}) / 2 at the cut:
-        removes the boundary jitter of stopping between two roots."""
-        if not len(self.points):
-            return self.t_max
-        t_next = solve_gram(int(self.points.n[-1]) + 1, self.phi).t
-        return 0.5 * (float(self.points.t[-1]) + t_next)
+        """_midpoint_cut at the sweep's last point, with one solve (every
+        sweep holds t_0 <= 17.85 < 20 <= t_max)."""
+        return _midpoint_cut(self.phi, int(self.points.n[-1]), float(self.points.t[-1]))
+
+
+def _midpoint_cut(phi, n: int, t_n: float) -> float:
+    """T = (t_n + t_{n+1}) / 2 after the last point t_n: a cut height
+    without the boundary jitter of stopping between two roots."""
+    return 0.5 * (t_n + solve_gram(n + 1, phi).t)
+
+
+def gram_cut_height(phi, t_max: float) -> float:
+    """GramSweep(phi, t_max).cut_height from two Gram solves, without the
+    sweep: the last index of enumerate_points is the floor of
+    count_estimate, less one when that point lies above t_max."""
+    n = math.floor(count_estimate(phi, t_max))
+    t_n = solve_gram(n, phi).t
+    if t_n > t_max:
+        n, t_n = n - 1, solve_gram(n - 1, phi).t
+    return _midpoint_cut(phi, n, t_n)
 
 
 def _require_height(sweep: GramSweep, what: str) -> None:
@@ -279,20 +295,22 @@ def moment_abs_2k(sweep: GramSweep, k: float) -> MomentReport:
     return MomentReport.build(sweep, "abs2k", k, computed, predicted)
 
 
+def cubic_main_term(phi, big_t: float) -> complex:
+    """The main term of sum zeta(1/2 + i t_n)^3 at the cut height T:
+    2 e^{3 i phi} cos(phi) (T/2pi) P3(log T/2pi)
+      + 2 e^{3 i phi} cos(3 phi) (T/2pi) log(T/2pi e)."""
+    phi = _as_angle(phi).phi
+    phase, tau = complex(np.exp(3j * phi)), big_t / TWO_PI
+    return (2.0 * phase * math.cos(phi) * tau * divisor.p3_polynomial()(math.log(tau))
+            + 2.0 * phase * math.cos(3.0 * phi) * tau * math.log(tau / math.e))
+
+
 def moment_cubed(sweep: GramSweep) -> MomentReport:
     """sum zeta(1/2 + i t_n)^3 = e^{3 i phi} sum (-1)^n Z(t_n)^3 against
-    the main term
-    2 e^{3 i phi} cos(phi) (T/2pi) P3(log T/2pi)
-      + 2 e^{3 i phi} cos(3 phi) (T/2pi) log(T/2pi e).
-    """
+    cubic_main_term at the sweep's cut height."""
     _require_height(sweep, "moment_cubed")
-    phase = complex(np.exp(3j * sweep.phi.phi))
-    computed = phase * blocked_fsum(sweep.parity * sweep.z ** 3)
-    big_t = sweep.cut_height
-    tau = big_t / TWO_PI
-    p3 = divisor.p3_polynomial()
-    predicted = (2.0 * phase * math.cos(sweep.phi.phi) * tau * p3(math.log(tau))
-                 + 2.0 * phase * math.cos(3.0 * sweep.phi.phi) * tau * math.log(tau / math.e))
+    computed = complex(np.exp(3j * sweep.phi.phi)) * blocked_fsum(sweep.parity * sweep.z ** 3)
+    predicted = cubic_main_term(sweep.phi, sweep.cut_height)
     return MomentReport.build(sweep, "cubed", 3.0, computed, predicted)
 
 
@@ -331,8 +349,7 @@ def compute_S1(sweep: GramSweep, x_poly: DirichletPolynomial,
     ys = np.conj(sweep.half_line(y_poly.conjugate()))
     terms = zeta_conj * xs * ys
     computed = complex(blocked_fsum(terms.real), blocked_fsum(terms.imag))
-    big_t = sweep.cut_height
-    tau = big_t / TWO_PI
+    tau = sweep.cut_height / TWO_PI
     predicted = tau * math.log(tau / math.e) * s1_predicted_coefficient(sweep.phi, x_poly, y_poly)
     return MomentReport.build(sweep, "S1", x_poly.limit, computed, predicted)
 
@@ -347,8 +364,7 @@ def compute_S2(sweep: GramSweep, x_poly: DirichletPolynomial,
     xs = sweep.half_line(x_poly)
     computed = blocked_fsum(np.abs(xs) ** 2)
     coeff = fsum([abs(v) ** 2 / n for n, v in x_poly.coefficients.items()])
-    big_t = sweep.cut_height
-    tau = big_t / TWO_PI
+    tau = sweep.cut_height / TWO_PI
     predicted = tau * math.log(tau / math.e) * coeff
     return MomentReport.build(sweep, "S2", x_poly.limit, computed, predicted)
 

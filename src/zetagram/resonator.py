@@ -62,10 +62,7 @@ class ResonatorConfig:
         X = float(X)
         if not 1e3 <= X < math.inf:
             raise ConfigurationError(f"resonator cutoff X must be finite and >= 1e3, got {X!r}")
-        loglog = math.log(math.log(X))
-        if loglog <= 1.0:
-            raise ConfigurationError("need log log X > 1")
-        L = math.exp(math.sqrt(math.log(X) * loglog))
+        L = math.exp(math.sqrt(math.log(X) * math.log(math.log(X))))  # log log X >= 1.93
         if L ** 4 <= X:
             raise ConfigurationError(
                 f"resonator cutoff X = {X!r} has L^4 <= X, so its support would hold "
@@ -104,13 +101,8 @@ def build_resonator(X: float) -> Resonator:
     to the trivial resonator supported on {1}.
     """
     cfg = ResonatorConfig.for_cutoff(X)
-    hi = int(math.floor(cfg.effective_hi))
-    lo = int(math.ceil(cfg.prime_lo))
-    if lo > hi:
-        primes = np.empty(0, dtype=np.int64)
-    else:
-        sieve = primes_up_to(hi)
-        primes = sieve[sieve >= lo]
+    primes = primes_up_to(int(math.floor(cfg.effective_hi)))
+    primes = primes[primes >= math.ceil(cfg.prime_lo)]  # none while L^2 > X, X below about 5.5e3
     # the C library's log, as math.log; numpy's real log differs in the last bit
     logs = _c99(np.log, primes)[0]
     return Resonator(config=cfg, support=np.concatenate(([1], primes)),
@@ -153,7 +145,7 @@ def certify_lower_bound(sweep: GramSweep, res: Resonator) -> CertificateReport:
     if s2_val <= 0.0:
         raise DegenerateResonatorError("S2 vanished")
     bound = abs(s1.computed) / s2_val
-    scanned = float(np.max(np.abs(sweep.z))) if len(sweep.points) else 0.0
+    scanned = float(np.max(np.abs(sweep.z)))  # a sweep holds t_0 <= 17.85 < t_max
     if scanned < bound * (1.0 - 1e-9):
         raise RuntimeError("certificate inequality |S1| <= S2 max|zeta| failed")
     degenerate = abs(1.0 + complex(np.exp(-2j * sweep.phi.phi))) < 1e-12

@@ -111,18 +111,19 @@ def check_thm2(cache: SweepCache, phi: float) -> list:
     tol = 0.05 if cache.t_max >= REFERENCE_T else 0.10
     frac = 0.01 if cache.t_max >= REFERENCE_T else 0.03
     rep = moments.moment_cubed(cache.get(phi))
-    rep_0 = moments.moment_cubed(cache.get(0.0))
+    # the main term at phi = 0 needs that direction's cut height alone
+    main_0 = abs(moments.cubic_main_term(0.0, moments.gram_cut_height(0.0, cache.t_max)))
     out = [CriterionResult(
-        f"thm2:main:phi={phi:.6g}", _near(rep, tol, frac * abs(rep_0.predicted)),
+        f"thm2:main:phi={phi:.6g}", _near(rep, tol, frac * main_0),
         {"computed_re": rep.computed.real, "computed_im": rep.computed.imag,
          "predicted_re": rep.predicted.real, "rel_error": rep.rel_error,
          "tolerance": tol, "n_points": rep.n_points})]
     rep_v = moments.moment_cubed(cache.get(math.pi / 2))
     out.append(CriterionResult(
         "thm2:vanishing:phi=pi/2",
-        abs(rep_v.computed) <= frac * abs(rep_0.predicted),
+        abs(rep_v.computed) <= frac * main_0,
         {"computed_abs": abs(rep_v.computed),
-         "reference_main": abs(rep_0.predicted), "tolerance_fraction": frac}))
+         "reference_main": main_0, "tolerance_fraction": frac}))
     return out
 
 

@@ -220,8 +220,10 @@ def test_exponent_of_one_term_polynomials_is_quick(tmp_path):
     assert "thm1:k=100000001/100000000,1," in data.decode()
 
 
-@pytest.mark.parametrize("phi, directions", (("0.3", 3), ("0", 2)))
+@pytest.mark.parametrize("phi, directions", (("0.3", 2), ("0", 2)))
 def test_verify_all_builds_one_sweep_per_direction(tmp_path, monkeypatch, phi, directions):
+    # sweeps at phi and pi/2 only: thm2's reference main term at phi = 0
+    # takes that direction's cut height from two Gram solves, not a sweep
     built = []
     init = GramSweep.__init__
 
@@ -233,6 +235,23 @@ def test_verify_all_builds_one_sweep_per_direction(tmp_path, monkeypatch, phi, d
     code, _ = run_cli(["verify", "all", "--t-max", "2000", "--phi", phi], tmp_path)
     assert code == 0
     assert len(built) == directions
+    assert sorted(args[0] for args in built) == [float(phi), math.pi / 2]
+
+
+def test_run_checks_rejects_an_unknown_check():
+    with pytest.raises(ValueError, match="unknown check 'nope'; choose from prop1, thm2, thm1, "
+                                         "cor1, cor2, divisor or 'all'"):
+        verify.run_checks("nope", 0.0, 1e3)
+
+
+@pytest.mark.parametrize("t_max", (1000.0, 1111.0))
+def test_cor1_without_headroom_compares_the_run_height_with_itself(t_max):
+    # the lower scan height max(1e3, t_max/100) = 1e3 is not below
+    # 0.9 t_max up to t_max = 1111, so both maxima are those at t_max
+    growth = verify.check_cor1(verify.SweepCache(t_max), 0.0)[1]
+    assert growth.name == "cor1:max-growth:phi=0" and growth.passed
+    d = growth.details
+    assert (d["max_plus_small"], d["max_minus_small"]) == (d["max_plus_big"], d["max_minus_big"])
 
 
 def test_verify_determinism_two_runs(tmp_path):
@@ -515,6 +534,36 @@ def test_config_file_bad_key(tmp_path, capsys):
     cfgfile.write_text("frobnicate = 1\n")
     code = cli.main(["points", "--config", str(cfgfile)])
     assert code == cli.EXIT_USAGE
+
+
+def test_config_file_skips_blank_lines_and_comments(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("# a run\n\nphi = 0.25\n   \n  # indented comment\nt_max = 300  # height\n"
+                       "format = json\n")
+    code, data = run_cli(["points", "--config", str(cfgfile)], tmp_path)
+    assert code == 0
+    meta = json.loads(data)["metadata"]
+    assert (meta["phi"], meta["t_max"]) == (0.25, 300.0)
+
+
+@pytest.mark.parametrize("text, message", (
+    ("format = xml\n", "error: format must be csv or json\n"),
+    ("phi = 0.25\nt_max 300\n", "error: bad config line: 't_max 300'\n"),
+), ids=("format-xml", "no-equals"))
+def test_config_file_bad_value_or_line_is_a_usage_error(text, message, tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(text)
+    assert cli.main(["points", "--config", str(cfgfile)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("argv, message", (
+    (["points", "--threads", "0"], "error: threads must be >= 1\n"),
+    (["verify", "thm1", "--p", "3"], "error: --p and --q must be given together\n"),
+), ids=("threads-0", "p-without-q"))
+def test_flag_outside_its_domain_is_a_usage_error(argv, message, capsys):
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == message
 
 
 def test_rs_correction_order_removed(tmp_path):

@@ -434,6 +434,20 @@ def test_convolve_budget():
         convolve_truncated(1.0, 9, 10.0)
 
 
+def test_convolve_rejects_a_negative_power_and_xi_below_one():
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        convolve_truncated(1.0, -1, 10.0)
+    with pytest.raises(ValueError, match="xi must be >= 1"):
+        convolve_truncated(1.0, 2, 0.5)
+
+
+def test_truncated_coefficients_by_index():
+    # tr[n] is values[n] as a float: below xi = 10, d_2(n), the divisor count
+    tr = convolve_truncated(1.0, 2, 10.0)
+    assert [tr[n] for n in range(1, 11)] == [1.0, 2.0, 2.0, 3.0, 2.0, 4.0, 2.0, 4.0, 3.0, 4.0]
+    assert type(tr[6]) is float and tr[tr.limit] == float(tr.values[-1]) == 1.0
+
+
 # ----------------------------------------------------------------------
 # partial sums
 # ----------------------------------------------------------------------

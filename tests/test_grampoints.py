@@ -15,6 +15,7 @@ from zetagram.grampoints import (
     NEAR_ZERO,
     POINT_BUDGET,
     Angle,
+    GramPointSet,
     OutOfBranchError,
     _initial_guess,
     _lambertw,
@@ -160,6 +161,16 @@ def test_angle_sweep_monotone():
     for n in (3, 40):
         ts = [solve_gram(n, phi).t for phi in np.linspace(0.0, math.pi * 0.9, 7)]
         assert all(a > b for a, b in zip(ts, ts[1:]))
+
+
+def test_count_estimate_below_two_pi_raises():
+    with pytest.raises(DomainError, match="count_estimate requires t_max > 2 pi"):
+        count_estimate(0.0, 6.0)
+
+
+def test_point_set_rejects_arrays_of_different_lengths():
+    with pytest.raises(ValueError, match="index/abscissa length mismatch"):
+        GramPointSet(Angle(0.0), [0, 1], [17.8])
 
 
 def test_count_estimate_just_past_first_point():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetagram import expsum, moments, special
-from zetagram.grampoints import bulk_hardy_z, classify
+from zetagram.grampoints import bulk_hardy_z, classify, count_estimate, enumerate_points
 from zetagram.moments import (
     DirichletPolynomial,
     GramSweep,
@@ -19,6 +19,8 @@ from zetagram.moments import (
     class_maxima,
     compute_S1,
     compute_S2,
+    cubic_main_term,
+    gram_cut_height,
     max_scan,
     moment_abs_2k,
     moment_cubed,
@@ -415,6 +417,41 @@ def test_moment_cubed_real_at_phi_zero(sweep_2k):
 def test_moment_requires_height():
     with pytest.raises(DomainError):
         moment_cubed(GramSweep(0.0, 50.0))
+
+
+def test_gram_cut_height_is_the_sweeps_without_one(tmp_path, monkeypatch):
+    # the cut height from two Gram solves against that of the sweep, at 200
+    # random heights in [100, 1e5] and at Gram points and their lower
+    # neighbours, where the floor of count_estimate may name a point above
+    # T; the sweeps read one cache file and skip Z, which the cut ignores
+    monkeypatch.setattr(moments, "classify", lambda points, threads: (None,) * 3 + (np.empty(0, bool),))
+    gram = enumerate_points(0.0, 1e5, tmp_path).t
+    rng = np.random.default_rng(67)
+    on = gram[rng.integers(30, gram.size - 1, 40)]
+    heights = np.concatenate([rng.uniform(100.0, 1e5, 200), on, np.nextafter(on, 0.0)])
+    above = 0
+    for t_max in heights.tolist():
+        n = math.floor(count_estimate(0.0, t_max))
+        above += n < gram.size and gram[n] > t_max
+        sweep = GramSweep(0.0, t_max, cache_dir=str(tmp_path))
+        assert gram_cut_height(0.0, t_max) == sweep.cut_height, t_max
+    assert above  # the estimate's last point was above t_max at least once
+
+
+def test_cubic_main_term_is_moment_cubeds_prediction(sweep_2k):
+    rep = moment_cubed(sweep_2k)
+    assert cubic_main_term(0.0, sweep_2k.cut_height) == rep.predicted
+    phi3 = GramSweep(math.pi / 3, 1500.0)
+    assert cubic_main_term(math.pi / 3, phi3.cut_height) == moment_cubed(phi3).predicted
+
+
+def test_negative_exponents_and_a_ratio_not_in_lowest_terms_raise(sweep_2k):
+    with pytest.raises(ValueError, match="p/q must be in lowest terms"):
+        RationalExponent(4, 2)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        moment_abs_2k(sweep_2k, -1.0)
+    with pytest.raises(ValueError, match="ell must be >= 0"):
+        signed_odd_moment(sweep_2k, -1)
 
 
 @pytest.mark.parametrize("k", [19.0, 1e300, math.inf, math.nan])

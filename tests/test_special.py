@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -42,6 +43,13 @@ from zetagram.special import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+def _band(t):
+    """(a, N) with a = sqrt(t/2pi) and N = floor(a): the band of each
+    height, as hardy_z derives it for the main sum and the remainders."""
+    a = np.sqrt(t / TWO_PI)
+    return a, np.floor(a)
 
 
 # ----------------------------------------------------------------------
@@ -280,6 +288,56 @@ def test_zeta_em_laurent_leading_behavior():
     assert abs(zeta_euler_maclaurin(1.0 + h + 0j) - 1.0 / h - gamma) <= 1e-3
 
 
+def _em_truncation_with_bumps(s: complex) -> int:
+    """The truncation point as it was chosen before the domain was stated:
+    the start value, raised until the first omitted term's estimate
+    clears EM_ABS_TOL e^-1.5."""
+    k, n = special.EM_TERMS, max(16, math.ceil(1.25 * abs(s.imag)) + 24)
+    b = abs(special._bern_over_fact(k + 1))
+    while n < 10_000_000:
+        logterm = math.log(b) + (2 * k + 1) * math.log(abs(s) + 2 * k + 2) \
+            - (s.real + 2 * k + 1) * math.log(n)
+        if logterm < math.log(special.EM_ABS_TOL) - 1.5:
+            break
+        n = int(n * 1.3) + 8
+    return n
+
+
+def test_zeta_em_truncation_is_the_start_value_on_its_domain():
+    # the corners and edges of the domain and a grid inside it: the start
+    # value already met the tolerance, so no value changed its bits
+    res = (special.EM_MIN_RE, -1.999, -1.5, -1.0, 0.0, 0.5, 1.0, 2.0, 10.0, 1e3, special.EM_MAX_PART)
+    ims = np.concatenate([[0.0, 1e-3, 0.5, 59.0, 60.0, 61.0, special.EM_MAX_PART],
+                          np.geomspace(1.0, special.EM_MAX_PART, 200),
+                          np.linspace(9e5, special.EM_MAX_PART, 2001)])
+    for re in res:
+        for im in ims.tolist():
+            for s in (complex(re, im), complex(re, -im)):
+                n = special._em_truncation(s)
+                assert n == max(16, math.ceil(1.25 * abs(im)) + 24) == _em_truncation_with_bumps(s), s
+    # just outside the domain the bump loop ran: there the start value did
+    # not meet the tolerance
+    assert _em_truncation_with_bumps(complex(-2.05, 1e6)) > special._em_truncation(complex(-2.05, 1e6))
+
+
+@pytest.mark.parametrize("s", [
+    -2.0001, -10.0, -24 + 5j, -2.5 + 1e6j, 0.5 + 1.0000001e6j, 0.5 - 2e6j, 1e6 + 1.0, 1e14,
+    complex(math.nan, 0.0), complex(0.5, math.nan), complex(math.inf, 0.0),
+    complex(-math.inf, 0.0), complex(0.5, math.inf), complex(0.5, -math.inf)])
+def test_zeta_em_outside_its_domain_raises_at_once(s):
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="zeta_euler_maclaurin requires -2.0 <= Re s <= 1e"):
+        zeta_euler_maclaurin(s)
+    assert time.perf_counter() - start < 0.01
+
+
+def test_zeta_em_at_the_corners_of_its_domain():
+    assert zeta_euler_maclaurin(-2.0 + 0j) == 0j  # a trivial zero
+    assert zeta_euler_maclaurin(1e6 + 0j) == 1.0
+    for s in (complex(special.EM_MIN_RE, special.EM_MAX_PART), complex(0.5, -special.EM_MAX_PART)):
+        assert np.isfinite(zeta_euler_maclaurin(s))
+
+
 def test_functional_equation_closure():
     rng = np.random.default_rng(29)
     pts = [0.3 + 20j]
@@ -389,10 +447,10 @@ def test_in_place_horner_keeps_the_bits(monkeypatch):
     t = t[t >= SERIES_MIN_T]
     blocks = [t[a:a + BLOCK_POINTS] for a in range(0, t.size, BLOCK_POINTS)]
     ps = np.append(np.random.default_rng(61).uniform(0.0, 1.0, 2000), [0.0, 0.25, 0.75])
-    in_place = ([_rs_series_remainder(b, 4) for b in blocks]
+    in_place = ([_rs_series_remainder(b, *_band(b), 4) for b in blocks]
                 + [rs_psi(ps, deriv) for deriv in range(13)])
     monkeypatch.setattr(special, "_horner", _horner_allocating)
-    allocating = ([_rs_series_remainder(b, 4) for b in blocks]
+    allocating = ([_rs_series_remainder(b, *_band(b), 4) for b in blocks]
                   + [rs_psi(ps, deriv) for deriv in range(13)])
     assert len(blocks) == 9
     for got, expected in zip(in_place, allocating, strict=True):
@@ -405,7 +463,7 @@ def test_series_remainder_orders():
     mean error falls with each order up to C4."""
     ts = np.linspace(3e4, 9e4, 25)
     exact = _whole_array_quadrature(ts, theta(ts))
-    errs = [exact - _rs_series_remainder(ts, order) for order in range(5)]
+    errs = [exact - _rs_series_remainder(ts, *_band(ts), order) for order in range(5)]
     for t, err0 in zip(ts, errs[0]):
         tau = t / TWO_PI
         a = math.sqrt(tau)
@@ -437,7 +495,7 @@ def test_quadrature_mesh_matches_wide_fine_mesh():
 def test_series_matches_quadrature_above_switch():
     ts = np.random.default_rng(43).uniform(SERIES_MIN_T, 1e5, 2000)
     th = theta(ts)
-    by_quadrature = _rs_main_sum(ts, th) + _whole_array_quadrature(ts, th)
+    by_quadrature = _rs_main_sum(ts, th, _band(ts)[1]) + _whole_array_quadrature(ts, th)
     assert np.max(np.abs(hardy_z(ts) - by_quadrature)) <= 1e-11
 
 
@@ -495,13 +553,13 @@ TABLE_TOL = 1e-12
 @given(st.lists(_table_heights, min_size=1, max_size=40))
 def test_table_remainder_matches_the_quadrature(ts):
     ts = np.array(ts)
-    assert np.max(np.abs(_rs_table_remainder(ts) - _whole_array_quadrature(ts, theta(ts)))) <= TABLE_TOL
+    assert np.max(np.abs(_rs_table_remainder(*_band(ts)) - _whole_array_quadrature(ts, theta(ts)))) <= TABLE_TOL
 
 
 def test_table_remainder_matches_the_quadrature_at_every_seam():
     ts = np.array([RS_MIN_T, SERIES_MIN_T - 1e-9]
                   + [seam + off for seam in _TABLE_SEAMS[1:] for off in (-1e-3, 0.0, 1e-3)])
-    assert np.max(np.abs(_rs_table_remainder(ts) - _whole_array_quadrature(ts, theta(ts)))) <= TABLE_TOL
+    assert np.max(np.abs(_rs_table_remainder(*_band(ts)) - _whole_array_quadrature(ts, theta(ts)))) <= TABLE_TOL
 
 
 def test_table_nodes_follow_the_coefficient_decay():
@@ -519,7 +577,7 @@ def test_table_nodes_follow_the_coefficient_decay():
 def test_quadrature_and_hardy_z_take_empty_input():
     empty = np.empty(0)
     assert _rs_quadrature_remainder(empty, empty, 1).shape == (0,)
-    assert _rs_table_remainder(empty).shape == (0,)
+    assert _rs_table_remainder(empty, empty).shape == (0,)
     assert hardy_z(empty).shape == (0,)
     # blocks with no height in [RS_MIN_T, SERIES_MIN_T): series only,
     # Euler-Maclaurin only, and both

@@ -92,3 +92,36 @@ def test_report_bytes_summarizes_the_differing_lines():
         "lines": 3, "unpaired": 2, "largest": (math.ulp(2.5) / 2.5000000000000004, 2, "2.5", "2.5000000000000004")}
     assert report_bytes.summarize([]) == {"lines": 0, "unpaired": 0, "largest": None}
     assert report_bytes.NUMBER.findall("t=-1.5e-3;z=.25,+7") == ["-1.5e-3", ".25", "+7"]
+
+
+# ----------------------------------------------------------------------
+# tools/line_coverage.py
+# ----------------------------------------------------------------------
+
+import re  # noqa: E402
+import subprocess  # noqa: E402
+
+import line_coverage  # noqa: E402
+
+
+def test_line_coverage_lists_the_statements_one_test_file_never_runs():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "line_coverage.py"),
+                           "tests/test_summation.py"], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    listed = proc.stdout.splitlines()
+    assert proc.stderr.splitlines()[-1] == (f"{len(listed)} statements never executed; "
+                                            "1 processes traced; pytest exited 0")
+    files = {}
+    for row in listed:
+        match = re.fullmatch(r"(src/zetagram/\w+\.py):(\d+): (\S.*)", row)
+        assert match, row
+        path, line, source = match[1], int(match[2]), match[3]
+        assert (ROOT / path).read_text().splitlines()[line - 1].strip() == source
+        assert not source.startswith(("import ", "from ", "def ", "class ", "@", '"""'))
+        files.setdefault(path, set()).add(line)
+    # the summation tests run every statement of summation.py and none of
+    # the command line's
+    assert "src/zetagram/summation.py" not in files
+    cli = ROOT / "src" / "zetagram" / "cli.py"
+    assert files["src/zetagram/cli.py"] == {first for first, _ in line_coverage.statements(cli)}
