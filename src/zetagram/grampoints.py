@@ -47,9 +47,9 @@ NEAR_ZERO = 1e-9
 #: Most Gram points one enumeration may hold.  From T = 1e5 to 1e6 the
 #: address space (VmPeak) of `points` and `maxscan` grew by at most 42
 #: bytes per point, that of `resonate --certificate` by 106 and that of
-#: `verify all`, which holds three sweeps, by about 190; so each fits in
-#: 4 GiB at the budget.  A t_max above about 4.99e6 holds more points
-#: and is rejected before any array is allocated.
+#: `verify all` by about 190 when it held three sweeps (it holds two);
+#: so each fits in 4 GiB at the budget.  A t_max above about 4.99e6
+#: holds more points and is rejected before any array is allocated.
 POINT_BUDGET = 10_000_000
 
 

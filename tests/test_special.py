@@ -332,7 +332,7 @@ def test_zeta_em_outside_its_domain_raises_at_once(s):
 
 
 def test_zeta_em_at_the_corners_of_its_domain():
-    assert zeta_euler_maclaurin(-2.0 + 0j) == 0j  # a trivial zero
+    assert abs(zeta_euler_maclaurin(-2.0 + 0j)) <= 1e-10  # a trivial zero
     assert zeta_euler_maclaurin(1e6 + 0j) == 1.0
     for s in (complex(special.EM_MIN_RE, special.EM_MAX_PART), complex(0.5, -special.EM_MAX_PART)):
         assert np.isfinite(zeta_euler_maclaurin(s))
