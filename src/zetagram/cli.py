@@ -107,20 +107,8 @@ def _emit(text, output: str | None) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _jsonable(value):
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _dump_json(obj) -> str:
-    return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -260,21 +248,19 @@ def cmd_resonate(cfg: RunConfig, cutoff: float, with_certificate: bool) -> int:
     }
     if with_certificate:
         cert = resonator.certify_lower_bound(cfg.sweep(), res)
-        summary["certificate"] = {
-            "certified_bound": cert.certified_bound,
-            "scanned_max": cert.scanned_max,
-            "degenerate_direction": cert.degenerate_direction,
-        }
+        summary["certificate"] = {key: getattr(cert, key) for key in (
+            "certified_bound", "scanned_max", "degenerate_direction")}
     if cfg.format == "json":
         _emit(_dump_json(summary), cfg.output)
     else:
-        lines = ["n,f"]
-        lines += [f"{int(n)},{float(w)!r}" for n, w in zip(res.support, res.weights)]
-        lines.append(f"# ratio={ratio!r} sum_f_squared={res.sum_f_squared!r}")
+        blocks = ("".join(f"{n},{w!r}\n" for n, w in zip(res.support[a:a + BLOCK_POINTS].tolist(),
+                                                          res.weights[a:a + BLOCK_POINTS].tolist()))
+                  for a in range(0, res.support.size, BLOCK_POINTS))
+        tail = [f"# ratio={ratio!r} sum_f_squared={res.sum_f_squared!r}\n"]
         if with_certificate:
-            lines.append("# " + " ".join(f"{key}={_fmt_detail(value)}"
-                                         for key, value in summary["certificate"].items()))
-        _emit("\n".join(lines) + "\n", cfg.output)
+            tail.append("# " + " ".join(f"{key}={_fmt_detail(value)}"
+                                        for key, value in summary["certificate"].items()) + "\n")
+        _emit(itertools.chain(["n,f\n"], blocks, tail), cfg.output)
     return EXIT_OK
 
 

@@ -10,9 +10,9 @@ reductions, so reports are bit-identical across runs and worker counts.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -48,34 +48,40 @@ class PreconditionError(ValueError):
     """A stated precondition (polynomial length vs height) is violated."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirichletPolynomial:
-    """Finite sum X(s) = sum_{n <= limit} x_n n^{-s} with coefficients
-    {n: x_n}.  The constructor also lays the support out once as arrays:
-    ns, the n ascending, and cs, the x_n there as complex."""
+    """Finite sum X(s) = sum_{n <= limit} x_n n^{-s} as two arrays: ns, the
+    support, strictly ascending in [1, limit], and cs, the x_n there (the
+    constructor makes them int64 and complex).  Compared by identity."""
 
-    coefficients: dict
+    ns: np.ndarray
+    cs: np.ndarray
     limit: int
-    ns: np.ndarray = field(init=False, repr=False, compare=False)
-    cs: np.ndarray = field(init=False, repr=False, compare=False)
     #: GramSweep.half_line's values, per sweep
-    _half_line: weakref.WeakKeyDictionary = field(init=False, repr=False, compare=False)
+    _half_line: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, init=False, repr=False)
+    #: _cross_sum(self, b), per b, for _cross_sum_once
+    _cross: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, init=False, repr=False)
 
     def __post_init__(self):
-        ns = sorted(self.coefficients)
-        for n in ns[:1] + ns[-1:]:  # the least and the greatest
-            if not 1 <= n <= self.limit:
-                raise ValueError(f"coefficient index {n} outside [1, {self.limit}]")
-        object.__setattr__(self, "ns", np.array(ns, dtype=np.int64))
-        object.__setattr__(self, "cs", np.array([self.coefficients[n] for n in ns],
-                                                dtype=complex))
-        object.__setattr__(self, "_half_line", weakref.WeakKeyDictionary())
+        ns = np.asarray(self.ns, dtype=np.int64)
+        cs = np.asarray(self.cs, dtype=complex)
+        if ns.ndim != 1 or ns.shape != cs.shape or ns.size and not (
+                1 <= ns[0] and ns[-1] <= self.limit and (ns[1:] > ns[:-1]).all()):
+            raise ValueError(f"need indices strictly ascending in [1, {self.limit}], one per x_n")
+        object.__setattr__(self, "ns", ns)
+        object.__setattr__(self, "cs", cs)
 
     @classmethod
     def from_values(cls, values) -> "DirichletPolynomial":
-        seq = list(values)
-        coeff = {n: complex(v) for n, v in enumerate(seq, start=1) if v != 0}
-        return cls(coefficients=coeff, limit=max(len(seq), 1))
+        """The polynomial with x_n = values[n - 1], its zeros left out."""
+        values = np.asarray(values, dtype=complex)
+        ns = np.flatnonzero(values)
+        return cls(ns + 1, values[ns], max(values.size, 1))
+
+    @property
+    def coefficients(self) -> dict:
+        """{n: x_n} over the support, built from the arrays on each read."""
+        return dict(zip(self.ns.tolist(), self.cs.tolist()))
 
     def conjugate(self) -> "DirichletPolynomial":
         """The polynomial with coefficients conj(x_n), so that X(1/2 - it)
@@ -85,8 +91,7 @@ class DirichletPolynomial:
 
     @cached_property
     def _conjugate(self) -> "DirichletPolynomial":
-        return DirichletPolynomial(
-            {n: complex(v).conjugate() for n, v in self.coefficients.items()}, self.limit)
+        return DirichletPolynomial(self.ns, self.cs.conj(), self.limit)
 
     def evaluate_half_line(self, t: np.ndarray) -> np.ndarray:
         """X(1/2 + it) = sum x_n n^{-1/2} e^{-it log n} at each t.  For
@@ -183,7 +188,7 @@ class RationalExponent:
 class MomentReport:
     phi: float
     t_max: float
-    kind: str  # abs2k | cubed | S1 | S2 | signed_odd | certificate
+    kind: str  # abs2k | cubed | S1 | S2
     parameter: float
     computed: complex
     predicted: complex
@@ -326,47 +331,59 @@ def _check_limits(sweep: GramSweep, *polys: DirichletPolynomial) -> None:
                 f"polynomial limit {poly.limit} exceeds t_max^(1/4) = {bound:.3f}")
 
 
+def _cross_sum_once(a: DirichletPolynomial, b: DirichletPolynomial) -> complex:
+    """_cross_sum(a, b), once per pair of polynomials: kept on a, weakly keyed by b."""
+    if b not in a._cross:
+        a._cross[b] = _cross_sum(a, b)
+    return a._cross[b]
+
+
 def s1_predicted_coefficient(phi, x_poly: DirichletPolynomial,
                              y_poly: DirichletPolynomial) -> complex:
     """e^{-2 i phi} sum_{m<=X, mn<=Y} x_m y_{mn}/(mn)
-    + sum_{m<=Y, mn<=X} y_m x_{mn}/(mn), exactly over the supports.  When
-    y_poly is x_poly the two sums are one, and it is computed once."""
-    xy = _cross_sum(x_poly, y_poly)
-    yx = xy if y_poly is x_poly else _cross_sum(y_poly, x_poly)
+    + sum_{m<=Y, mn<=X} y_m x_{mn}/(mn), exactly over the supports, each
+    once per pair of polynomials: when y_poly is x_poly, one sum."""
+    xy, yx = _cross_sum_once(x_poly, y_poly), _cross_sum_once(y_poly, x_poly)
     return complex(np.exp(-2j * _as_angle(phi).phi)) * xy + yx
 
 
-def compute_S1(sweep: GramSweep, x_poly: DirichletPolynomial,
-               y_poly: DirichletPolynomial, enforce_limits: bool = True) -> MomentReport:
-    """S1 = sum zeta(1/2 - i t_n) X(1/2 + i t_n) Y(1/2 - i t_n) against
-    (T/2pi) log(T/2pi e) times the exact coefficient double sums."""
-    _require_height(sweep, "compute_S1")
-    if enforce_limits:
-        _check_limits(sweep, x_poly, y_poly)
+def _s1_sum(sweep: GramSweep, x_poly: DirichletPolynomial,
+            y_poly: DirichletPolynomial) -> complex:
+    """sum zeta(1/2 - i t_n) X(1/2 + i t_n) Y(1/2 - i t_n), each part exactly rounded."""
     # zeta(1/2 - it_n) = conj(zeta) = e^{i theta} Z = (-1)^n e^{-i phi} Z
     zeta_conj = sweep.parity * complex(np.exp(-1j * sweep.phi.phi)) * sweep.z
     xs = sweep.half_line(x_poly)
     ys = np.conj(sweep.half_line(y_poly.conjugate()))
     terms = zeta_conj * xs * ys
-    computed = complex(blocked_fsum(terms.real), blocked_fsum(terms.imag))
+    return complex(blocked_fsum(terms.real), blocked_fsum(terms.imag))
+
+
+def _s2_sum(sweep: GramSweep, x_poly: DirichletPolynomial) -> float:
+    """sum |X(1/2 + i t_n)|^2, exactly rounded."""
+    return blocked_fsum(np.abs(sweep.half_line(x_poly)) ** 2)
+
+
+def compute_S1(sweep: GramSweep, x_poly: DirichletPolynomial,
+               y_poly: DirichletPolynomial) -> MomentReport:
+    """S1 = sum zeta(1/2 - i t_n) X(1/2 + i t_n) Y(1/2 - i t_n) against
+    (T/2pi) log(T/2pi e) times the exact coefficient double sums."""
+    _require_height(sweep, "compute_S1")
+    _check_limits(sweep, x_poly, y_poly)
     tau = sweep.cut_height / TWO_PI
     predicted = tau * math.log(tau / math.e) * s1_predicted_coefficient(sweep.phi, x_poly, y_poly)
-    return MomentReport.build(sweep, "S1", x_poly.limit, computed, predicted)
+    return MomentReport.build(sweep, "S1", x_poly.limit, _s1_sum(sweep, x_poly, y_poly), predicted)
 
 
-def compute_S2(sweep: GramSweep, x_poly: DirichletPolynomial,
-               enforce_limits: bool = True) -> MomentReport:
+def compute_S2(sweep: GramSweep, x_poly: DirichletPolynomial) -> MomentReport:
     """S2 = sum |X(1/2 + i t_n)|^2 against
     (T/2pi) log(T/2pi e) sum |x_n|^2 / n."""
     _require_height(sweep, "compute_S2")
-    if enforce_limits:
-        _check_limits(sweep, x_poly)
-    xs = sweep.half_line(x_poly)
-    computed = blocked_fsum(np.abs(xs) ** 2)
-    coeff = fsum([abs(v) ** 2 / n for n, v in x_poly.coefficients.items()])
+    _check_limits(sweep, x_poly)
+    # Python's abs (hypot) and ** (pow): numpy's abs and x * x differ in some last bits
+    coeff = fsum([abs(v) ** 2 / n for n, v in zip(x_poly.ns.tolist(), x_poly.cs.tolist())])
     tau = sweep.cut_height / TWO_PI
     predicted = tau * math.log(tau / math.e) * coeff
-    return MomentReport.build(sweep, "S2", x_poly.limit, computed, predicted)
+    return MomentReport.build(sweep, "S2", x_poly.limit, _s2_sum(sweep, x_poly), predicted)
 
 
 # ----------------------------------------------------------------------
@@ -426,12 +443,10 @@ def theorem1_pipeline(sweep: GramSweep, kexp: RationalExponent) -> Theorem1Repor
     holder_ok = moment_val * s2_pow >= s1_pow * (1.0 - 1e-9)
     if not holder_ok:
         raise RuntimeError("Hoelder inequality violated beyond numerical slack")
-    sigma1 = _cross_sum(x_poly, y_poly).real
-    sigma2 = _cross_sum(y_poly, x_poly).real
     return Theorem1Report(
         exponent=kexp, phi=sweep.phi.phi, t_max=sweep.t_max, xi=xi,
-        s1=s1, s2=s2, moment=moment_val, lower_bound=lower,
-        holder_satisfied=holder_ok, sigma1=sigma1, sigma2=sigma2,
+        s1=s1, s2=s2, moment=moment_val, lower_bound=lower, holder_satisfied=holder_ok,
+        sigma1=_cross_sum_once(x_poly, y_poly).real, sigma2=_cross_sum_once(y_poly, x_poly).real,
         n_points=len(sweep.points), x_coeffs=x_tr, y_coeffs=y_tr)
 
 

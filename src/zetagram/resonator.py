@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divisor import primes_up_to
-from .moments import DirichletPolynomial, GramSweep, MomentReport, compute_S1, compute_S2
+from .moments import DirichletPolynomial, GramSweep, _require_height, _s1_sum, _s2_sum
 from .special import _c99
 from .summation import fsum
 
@@ -83,8 +83,7 @@ class Resonator:
 
     def coefficient_polynomial(self) -> DirichletPolynomial:
         """x_n = sqrt(n) f(n) as a DirichletPolynomial."""
-        xs = np.sqrt(self.support.astype(float)) * self.weights
-        return DirichletPolynomial(dict(zip(self.support.tolist(), xs.astype(complex).tolist())),
+        return DirichletPolynomial(self.support, np.sqrt(self.support) * self.weights,
                                    int(self.config.X))
 
     @property
@@ -124,8 +123,6 @@ class CertificateReport:
     phi: float
     t_max: float
     cutoff: float
-    s1: MomentReport
-    s2: MomentReport
     certified_bound: float      # |S1| / S2 <= max |zeta| over the points
     scanned_max: float
     degenerate_direction: bool  # phi = pi/2: the (1 + e^{-2 i phi}) factor vanishes
@@ -135,21 +132,21 @@ class CertificateReport:
 def certify_lower_bound(sweep: GramSweep, res: Resonator) -> CertificateReport:
     """Large-value certificate: |S1| <= S2 * max |zeta(1/2 + i t_n)|
     with X = Y = the resonator polynomial, so the scanned maximum must
-    dominate |S1|/S2 up to 1e-9 relative slack (raises otherwise).
-    """
+    dominate |S1|/S2 up to 1e-9 relative slack (raises otherwise).  It
+    computes the two sums alone, not their predictions."""
+    _require_height(sweep, "certify_lower_bound")
     poly = res.coefficient_polynomial()
     limit_ok = res.config.X <= sweep.t_max ** (0.25 - EPSILON)
-    s1 = compute_S1(sweep, poly, poly, enforce_limits=False)
-    s2 = compute_S2(sweep, poly, enforce_limits=False)
-    s2_val = s2.computed.real
-    if s2_val <= 0.0:
+    s1 = _s1_sum(sweep, poly, poly)
+    s2 = _s2_sum(sweep, poly)
+    if s2 <= 0.0:
         raise DegenerateResonatorError("S2 vanished")
-    bound = abs(s1.computed) / s2_val
+    bound = abs(s1) / s2
     scanned = float(np.max(np.abs(sweep.z)))  # a sweep holds t_0 <= 17.85 < t_max
     if scanned < bound * (1.0 - 1e-9):
         raise RuntimeError("certificate inequality |S1| <= S2 max|zeta| failed")
     degenerate = abs(1.0 + complex(np.exp(-2j * sweep.phi.phi))) < 1e-12
     return CertificateReport(
         phi=sweep.phi.phi, t_max=sweep.t_max, cutoff=res.config.X,
-        s1=s1, s2=s2, certified_bound=bound, scanned_max=scanned,
+        certified_bound=bound, scanned_max=scanned,
         degenerate_direction=degenerate, cutoff_warning=not limit_ok)

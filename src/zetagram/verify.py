@@ -76,8 +76,8 @@ def check_prop1(cache: SweepCache, phi: float) -> list:
     example configurations, including the cancelling direction)."""
     scale = _tol_scale(cache.t_max)
     out = []
-    one = DirichletPolynomial({1: 1.0}, 1)
-    one_one = DirichletPolynomial({1: 1.0, 2: 1.0}, 2)
+    one = DirichletPolynomial.from_values([1.0])
+    one_one = DirichletPolynomial.from_values([1.0, 1.0])
 
     for poly, tol, tag in ((one, 0.02 * scale, "S2[1]"),
                            (one_one, 0.05 * scale, "S2[1,1]")):

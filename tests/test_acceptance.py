@@ -35,8 +35,8 @@ from zetagram.special import delta, delta_critical, hardy_z, theta, zeta_euler_m
 from zetagram.summation import blocked_fsum
 from zetagram import divisor as divisor_mod
 
-ONE = DirichletPolynomial({1: 1.0}, 1)
-ONE_ONE = DirichletPolynomial({1: 1.0, 2: 1.0}, 2)
+ONE = DirichletPolynomial([1], [1.0], 1)
+ONE_ONE = DirichletPolynomial([1, 2], [1.0, 1.0], 2)
 
 
 def report(num, name, passed, detail):

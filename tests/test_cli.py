@@ -679,12 +679,65 @@ def test_points_streams_its_rows(tmp_path, fmt):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == POINTS_SHA256[("1e5", fmt)]
 
 
+#: sha256 of resonate --x 9.9e7 --t-max 1e4 at phi = 0, in JSON with the
+#: certificate and in CSV without it.
+RESONATE_TOP_SHA256 = {
+    "json": "6336a709a93946a69f1181f8df4f2049284e5b4146091e7ccf93354032efc53b",
+    "csv": "af52da7d5828c7f5d9f2f32f23810971653f7119164cb2df1e998ff7b1312d85",
+}
+
+
+def test_resonator_certificate_at_the_top_of_the_domain_is_bounded():
+    # X = 9.9e7, 5,537,943 support terms, with 1,280 MiB of headroom: the
+    # certificate's address space grows by about 990 MiB; a dense copy of
+    # the coefficients up to X for S1's predicted coefficient alone is
+    # 1.58 GB
+    proc = run_under_address_space_headroom(
+        ["resonate", "--x", "9.9e7", "--certificate", "--t-max", "1e4", "--format", "json"], 1280)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == RESONATE_TOP_SHA256["json"]
+
+
+def test_resonator_csv_at_the_top_of_the_domain_streams_its_rows(tmp_path):
+    # with 400 MiB of headroom: the 5.5M rows joined into one string take
+    # more than that beside the resonator's arrays
+    out = tmp_path / "r.csv"
+    proc = run_under_address_space_headroom(
+        ["resonate", "--x", "9.9e7", "--t-max", "1e4", "--output", str(out)], 400)
+    assert proc.returncode == 0, proc.stderr
+    try:
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == RESONATE_TOP_SHA256["csv"]
+    finally:
+        out.unlink()
+
+
 def test_point_budget_fails_before_allocating():
     # t_max = 1e9 holds about 2.8e9 points, 23 GB per float64 array
     proc = run_under_address_space_headroom(["maxscan", "--t-max", "1e9"], 64)
     assert proc.returncode == cli.EXIT_USAGE, proc.stderr
     assert proc.stderr.startswith("error: t_max = 1000000000.0 holds about 2.847e+09 ")
     assert "Traceback" not in proc.stderr
+
+
+JSON_COMMANDS = (
+    *(["verify", "all", "--phi", phi] for phi in ("0", "0.3", "1.5707963267948966", "2.9")),
+    *(["verify", name, "--phi", "0.3"] for name in verify.CHECK_NAMES),
+    ["verify", "thm1", "--k", "1.5"],
+    ["verify", "thm1", "--p", "2", "--q", "1"],
+    ["resonate", "--x", "5e4"],
+    ["resonate", "--x", "5e4", "--certificate", "--phi", "0.3"],
+    ["maxscan"],
+    ["points", "--stamp"],
+    ["divisor", "--kappa", "2.7", "--partial-sum", "1e4"],
+    ["divisor", "--kappa", "2.7", "--limit", "50"],
+)
+
+
+@pytest.mark.parametrize("args", JSON_COMMANDS, ids=" ".join)
+def test_json_reports_are_json(args, tmp_path):
+    code, data = run_cli(args + ["--t-max", "2000", "--format", "json"], tmp_path)
+    assert code == 0
+    assert isinstance(json.loads(data), dict)
 
 
 def test_semantic_hash_ignores_threads():

@@ -26,7 +26,8 @@ def _random_poly(rng, terms, limit, complex_coefficients):
     xs = rng.standard_normal(terms)
     if complex_coefficients:
         xs = xs + 1j * rng.standard_normal(terms)
-    return DirichletPolynomial(dict(zip(ns.tolist(), xs.tolist())), limit)
+    order = np.argsort(ns)
+    return DirichletPolynomial(ns[order], xs[order], limit)
 
 
 def _term_loop(poly, t, reflected=False):

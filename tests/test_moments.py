@@ -32,8 +32,15 @@ from zetagram.moments import (
 from zetagram.resonator import build_resonator, certify_lower_bound
 from zetagram.special import DomainError, theta
 
-ONE = DirichletPolynomial({1: 1.0}, 1)
-ONE_ONE = DirichletPolynomial({1: 1.0, 2: 1.0}, 2)
+ONE = DirichletPolynomial([1], [1.0], 1)
+ONE_ONE = DirichletPolynomial([1, 2], [1.0, 1.0], 2)
+
+
+def poly_of(coeffs: dict, limit: int) -> DirichletPolynomial:
+    """The polynomial with coefficients {n: x_n}, its support laid out ascending."""
+    ns = sorted(coeffs)
+    return DirichletPolynomial(np.array(ns, dtype=np.int64),
+                               np.array([coeffs[n] for n in ns], dtype=complex), limit)
 
 
 def cfsum(values) -> complex:
@@ -61,12 +68,11 @@ def sweep_2k():
 
 def _conjugated(poly):
     """The polynomial with coefficients conj(x_n), built by hand."""
-    return DirichletPolynomial({n: complex(v).conjugate() for n, v in poly.coefficients.items()},
-                               poly.limit)
+    return poly_of({n: complex(v).conjugate() for n, v in poly.coefficients.items()}, poly.limit)
 
 
 def test_polynomial_evaluation_against_loop():
-    poly = DirichletPolynomial({1: 1.0, 2: 0.5 - 0.25j, 7: 2.0}, 7)
+    poly = DirichletPolynomial([1, 2, 7], [1.0, 0.5 - 0.25j, 2.0], 7)
     ts = np.array([3.7, 55.0])
     got = poly.evaluate_half_line(ts)
     for i, t in enumerate(ts):
@@ -104,7 +110,7 @@ COEFFS = st.dictionaries(
 @settings(max_examples=60, deadline=None)
 @given(COEFFS, st.lists(st.floats(0.0, 1e3), min_size=1, max_size=5))
 def test_polynomial_evaluation_property(coeffs, ts):
-    poly = DirichletPolynomial(coeffs, 60)
+    poly = poly_of(coeffs, 60)
     ts_arr = np.array(ts)
     for got, sgn in ((poly.evaluate_half_line(ts_arr), -1.0),
                      (np.conj(poly.conjugate().evaluate_half_line(ts_arr)), 1.0)):
@@ -122,7 +128,7 @@ REAL_COEFFS = st.dictionaries(
 def test_real_polynomial_reflection_is_conjugate(coeffs, ts):
     # X(1/2 - it) == conj(X(1/2 + it)) bit for bit when every x_n is real,
     # so conjugate() may return the polynomial itself
-    poly = DirichletPolynomial(coeffs, 60)
+    poly = poly_of(coeffs, 60)
     ts = np.array(ts)
     assert poly.conjugate() is poly
     assert np.array_equal(np.conj(_conjugated(poly).evaluate_half_line(ts)),
@@ -138,13 +144,13 @@ def test_resonator_reflection_is_conjugate(sweep_2k):
 
 
 def test_conjugate_of_a_real_polynomial_is_itself():
-    for poly in (ONE, ONE_ONE, DirichletPolynomial({2: -0.5, 7: 3.0 + 0j}, 9),
-                 DirichletPolynomial({}, 1), build_resonator(5e4).coefficient_polynomial()):
+    for poly in (ONE, ONE_ONE, DirichletPolynomial([2, 7], [-0.5, 3.0 + 0j], 9),
+                 DirichletPolynomial([], [], 1), build_resonator(5e4).coefficient_polynomial()):
         assert poly.conjugate() is poly
 
 
 def test_conjugate_of_a_complex_polynomial():
-    poly = DirichletPolynomial({8: 0.25j, 1: 1.0, 3: -0.5 + 2j}, 9)
+    poly = DirichletPolynomial([1, 3, 8], [1.0, -0.5 + 2j, 0.25j], 9)
     conj = poly.conjugate()
     assert conj.limit == 9
     assert conj.coefficients == {1: 1.0, 3: -0.5 - 2j, 8: -0.25j}
@@ -163,13 +169,13 @@ def test_sweep_evaluates_each_polynomial_once(monkeypatch):
 
     monkeypatch.setattr(DirichletPolynomial, "evaluate_half_line", counting)
     sweep = GramSweep(0.0, 2000.0)
-    real = DirichletPolynomial({1: 1.0, 2: -0.5, 5: 0.25}, 5)
-    cplx = DirichletPolynomial({1: 1.0, 3: 0.5j}, 5)
-    compute_S1(sweep, real, real, enforce_limits=False)
-    compute_S2(sweep, real, enforce_limits=False)
+    real = DirichletPolynomial([1, 2, 5], [1.0, -0.5, 0.25], 5)
+    cplx = DirichletPolynomial([1, 3], [1.0, 0.5j], 5)
+    compute_S1(sweep, real, real)
+    compute_S2(sweep, real)
     assert calls == [real]
-    compute_S1(sweep, real, cplx, enforce_limits=False)
-    compute_S2(sweep, cplx, enforce_limits=False)
+    compute_S1(sweep, real, cplx)
+    compute_S2(sweep, cplx)
     assert calls == [real, cplx.conjugate(), cplx]
     ts = sweep.points.t
     for poly in (real, cplx):
@@ -200,7 +206,7 @@ def test_sweep_keeps_no_polynomial_values(sweep_2k, monkeypatch):
 
 def test_polynomial_index_bounds():
     with pytest.raises(ValueError):
-        DirichletPolynomial({3: 1.0}, 2)
+        DirichletPolynomial([3], [1.0], 2)
 
 
 def test_rational_exponent():
@@ -250,8 +256,8 @@ def _s1_oracle(phi, x_poly, y_poly):
 @settings(max_examples=60, deadline=None)
 @given(COEFFS, COEFFS, st.floats(0.0, math.pi, exclude_max=True))
 def test_s1_coefficient_matches_double_loop(x_coeffs, y_coeffs, phi):
-    x_poly = DirichletPolynomial(x_coeffs, 60)
-    y_poly = DirichletPolynomial(y_coeffs, 60)
+    x_poly = poly_of(x_coeffs, 60)
+    y_poly = poly_of(y_coeffs, 60)
     want, scale = _s1_oracle(phi, x_poly, y_poly)
     assert abs(s1_predicted_coefficient(phi, x_poly, y_poly) - want) <= 1e-15 * scale
 
@@ -263,11 +269,8 @@ def test_s1_coefficient_resonator_bit_for_bit():
         assert s1_predicted_coefficient(phi, poly, poly) == want
 
 
-def test_s1_coefficient_one_cross_sum_when_x_is_y(monkeypatch):
-    poly = build_resonator(5e4).coefficient_polynomial()
-    twin = DirichletPolynomial(dict(poly.coefficients), poly.limit)  # equal, not the same
-    phi = 0.7
-    two_calls = complex(np.exp(-2j * phi)) * _cross_sum(poly, poly) + _cross_sum(poly, poly)
+def _counting_cross_sum(monkeypatch) -> list:
+    """Patch moments._cross_sum to record its (a, b) calls in the list returned."""
     calls = []
 
     def counted(a, b):
@@ -275,11 +278,34 @@ def test_s1_coefficient_one_cross_sum_when_x_is_y(monkeypatch):
         return _cross_sum(a, b)
 
     monkeypatch.setattr(moments, "_cross_sum", counted)
+    return calls
+
+
+def test_s1_coefficient_one_cross_sum_when_x_is_y(monkeypatch):
+    poly = build_resonator(5e4).coefficient_polynomial()
+    twin = DirichletPolynomial(poly.ns, poly.cs, poly.limit)  # equal, not the same
+    phi = 0.7
+    two_calls = complex(np.exp(-2j * phi)) * _cross_sum(poly, poly) + _cross_sum(poly, poly)
+    calls = _counting_cross_sum(monkeypatch)
+    assert _same_bits(s1_predicted_coefficient(phi, poly, poly), two_calls)
+    assert calls == [(poly, poly)]
+    # the pair's sum is kept on the polynomial, so a second prediction sums nothing
     assert _same_bits(s1_predicted_coefficient(phi, poly, poly), two_calls)
     assert len(calls) == 1
     calls.clear()
     assert _same_bits(s1_predicted_coefficient(phi, poly, twin), two_calls)
-    assert len(calls) == 2
+    assert calls == [(poly, twin), (twin, poly)]
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (3, 2)])
+def test_pipeline_computes_each_cross_sum_once(sweep_2k, monkeypatch, p, q):
+    # S1's prediction and the sigmas share the sums of the two ordered pairs
+    calls = _counting_cross_sum(monkeypatch)
+    rep = theorem1_pipeline(sweep_2k, RationalExponent(p, q))
+    assert len(calls) == 2 and calls[0] == calls[1][::-1]
+    x_poly, y_poly = calls[0]
+    assert (rep.sigma1, rep.sigma2) == (_cross_sum(x_poly, y_poly).real,
+                                        _cross_sum(y_poly, x_poly).real)
 
 
 def reference_cross_sum(a: DirichletPolynomial, b: DirichletPolynomial) -> complex:
@@ -336,7 +362,7 @@ def _support_pairs(draw):
 @settings(max_examples=200, deadline=None)
 @given(_support_pairs())
 def test_cross_sum_equals_reference_loop_bit_for_bit(pair):
-    a, b = (DirichletPolynomial(c, 400) for c in pair)
+    a, b = (poly_of(c, 400) for c in pair)
     assert _same_bits(_cross_sum(a, b), reference_cross_sum(a, b))
 
 
@@ -360,15 +386,26 @@ def test_cross_sum_memory_is_bounded():
 
 
 def test_constructor_lays_out_the_support_sorted():
-    poly = DirichletPolynomial({8: 0.25, 1: 1.0, 3: -0.5 + 2j}, 9)
+    poly = DirichletPolynomial([1, 3, 8], [1.0, -0.5 + 2j, 0.25], 9)
     assert poly.ns.dtype == np.int64 and poly.ns.tolist() == [1, 3, 8]
     assert poly.cs.dtype == complex and poly.cs.tolist() == [1.0, -0.5 + 2j, 0.25]
-    assert poly == DirichletPolynomial({1: 1.0, 3: -0.5 + 2j, 8: 0.25}, 9)
-    empty = DirichletPolynomial({}, 1)
-    assert empty.ns.size == empty.cs.size == 0
-    for coeffs, limit in (({0: 1.0, 3: 1.0}, 9), ({1: 1.0, 8: 1.0}, 7), ({-2: 1.0}, 9)):
+    assert poly.coefficients == {1: 1.0, 3: -0.5 + 2j, 8: 0.25}
+    # polynomials compare by identity: equal arrays make another polynomial
+    assert poly == poly and poly != DirichletPolynomial(poly.ns, poly.cs, 9)
+    empty = DirichletPolynomial([], [], 1)
+    assert empty.ns.size == empty.cs.size == 0 and empty.coefficients == {}
+    for ns, cs, limit in (([0, 3], [1.0, 1.0], 9), ([1, 8], [1.0, 1.0], 7), ([-2], [1.0], 9),
+                          ([8, 1, 3], [0.25, 1.0, 2.0], 9), ([1, 3, 3], [1.0, 1.0, 1.0], 9),
+                          ([1, 2], [1.0], 9), ([[1, 2]], [[1.0, 1.0]], 9)):
         with pytest.raises(ValueError):
-            DirichletPolynomial(coeffs, limit)
+            DirichletPolynomial(ns, cs, limit)
+
+
+def test_from_values_keeps_the_nonzero_values():
+    poly = DirichletPolynomial.from_values([0.5, 0.0, -0.0, 2.0 - 1j, 0.0])
+    assert poly.ns.tolist() == [1, 4] and poly.cs.tolist() == [0.5, 2.0 - 1j]
+    assert poly.limit == 5
+    assert DirichletPolynomial.from_values([]).limit == 1
 
 
 # ----------------------------------------------------------------------
@@ -481,7 +518,7 @@ def test_s1_single(sweep_2k):
 
 
 def test_s1_limit_precondition(sweep_2k):
-    big = DirichletPolynomial({1: 1.0, 50: 1.0}, 50)
+    big = DirichletPolynomial([1, 50], [1.0, 1.0], 50)
     with pytest.raises(PreconditionError):
         compute_S1(sweep_2k, big, ONE)
     with pytest.raises(PreconditionError):
@@ -530,8 +567,8 @@ def test_pipeline_rejects_overflowing_holder_powers(sweep_2k, monkeypatch):
     # stays finite
     real = moments.compute_S2
 
-    def huge(sw, x_poly, enforce_limits=True):
-        rep = real(sw, x_poly, enforce_limits)
+    def huge(sw, x_poly):
+        rep = real(sw, x_poly)
         rep.computed = complex(1e300)
         return rep
 

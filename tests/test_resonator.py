@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from zetagram import moments
 from zetagram.moments import GramSweep
 from zetagram.resonator import (
     ConfigurationError,
@@ -134,3 +135,13 @@ def test_certificate_warns_on_oversized_cutoff():
     cert = certify_lower_bound(sweep, res)
     assert cert.cutoff_warning
     assert cert.scanned_max >= cert.certified_bound * (1 - 1e-9)
+
+
+def test_certificate_sums_no_cross_sum(monkeypatch):
+    # the certificate needs |S1| and S2 alone, not S1's predicted coefficient
+    calls = []
+    cross_sum = moments._cross_sum
+    monkeypatch.setattr(moments, "_cross_sum", lambda a, b: calls.append((a, b)) or cross_sum(a, b))
+    cert = certify_lower_bound(GramSweep(0.3, 2000.0), build_resonator(5e4))
+    assert cert.scanned_max >= cert.certified_bound * (1 - 1e-9)
+    assert calls == []

@@ -1,7 +1,9 @@
 """The pair summary of tools/bench_pairs.py on synthetic runs, and the
-in-process pairs of tools/inproc_pairs.py on one revision."""
+in-process pairs of tools/inproc_pairs.py on stub ops and on one
+revision."""
 
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -40,38 +42,64 @@ import inproc_pairs  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: Pairs of the same-revision run; certify-1e4 ops take about 0.1 s.
+#: Pairs of the same-revision run; certify-1e4 ops take about 0.03 s.
 SAME_PAIRS = 24
 
 
-def binomial_band(n: int, level: float = 0.99) -> tuple:
-    """(lo, hi), the central band that the number of wins of n fair coin
-    flips falls in with probability at least level: each tail outside it
-    holds at most (1 - level) / 2."""
-    tail = (1.0 - level) / 2
-    pmf = [math.comb(n, k) / 2 ** n for k in range(n + 1)]
-    lo = next(k for k in range(n + 1) if sum(pmf[:k + 1]) > tail)
-    return lo, n - lo
+class StubWorker:
+    """The part of perfbench/worker.py that run_pairs uses, with fixed op
+    times: an op that runs first in its pair takes 2 s and the second
+    1 s, so whichever side runs first loses the pair.  Records each op
+    as (cli, phase, phi)."""
+
+    def __init__(self, check_op):
+        self.ops = []
+        self.check_op = check_op
+        self.WORKLOADS = {"stub": dict(
+            argv=lambda phi, cache: ["stub", repr(phi), cache],
+            check=lambda phi, out, rng, warm_out: None if out == "ok" else out,
+            phi_per_op=True)}
+
+    def run_op(self, cli, argv, phase):
+        self.ops.append((cli, phase, float(argv[1])))
+        timed = sum(p == "timed" for _, p, _ in self.ops)
+        return {"argv": argv, "wall_s": 2.0 if timed % 2 else 1.0, "error": None}, cli()
 
 
-def test_binomial_band():
-    # P(X <= 5) = 55,455 / 2^24 = 0.0033 and P(X <= 6) = 0.0113 at n = 24
-    assert binomial_band(24) == (6, 18)
-    assert binomial_band(150) == (59, 91)
+def test_inproc_pairs_alternate_which_side_runs_first():
+    worker = inproc_pairs.load_module(ROOT / "perfbench" / "worker.py", "perfbench_worker")
+    stub = StubWorker(worker.check_op)
+    change_outputs = iter(["ok", "ok", "wrong", "ok", "wrong", "ok", "ok"])
+    clis = {"parent": lambda: "ok", "change": lambda: next(change_outputs)}
+    pairs = 6
+    result = inproc_pairs.run_pairs(clis, stub, "stub", pairs, seed=3)
+    # the side that runs first is slower: odd pairs the parent, even the change
+    assert result["change_won"] == pairs // 2
+    assert result["parent"]["median_s"] == result["change"]["median_s"] == 1.5
+    assert result["ratio"] == 1.0
+    assert result["order"] == "odd pairs ran the parent first, even pairs the change first"
+    assert result["parent"]["incorrect_ops"] == 0 and result["change"]["incorrect_ops"] == 2
+    # one warm-up op a side on the run's phi, then one phi per pair for both sides
+    rng = random.Random("stub/3")
+    run_phi = rng.uniform(0.0, math.pi)
+    want = [(clis["parent"], "warmup", run_phi), (clis["change"], "warmup", run_phi)]
+    for i in range(1, pairs + 1):
+        phi = rng.uniform(0.0, math.pi)
+        sides = ("parent", "change") if i % 2 else ("change", "parent")
+        want += [(clis[side], "timed", phi) for side in sides]
+    assert stub.ops == want
 
 
-def test_inproc_pairs_of_one_revision_win_within_the_binomial_band():
-    # the same src/ on both sides, imported under two package names: the
-    # pairing must favour neither side, so the change's wins are those
-    # of a fair coin (this test fails by chance in about 1 run of 100)
+def test_inproc_pairs_of_one_revision_run_every_op_correctly():
+    # the same src/ on both sides, imported under two package names
     clis = {side: inproc_pairs.load_cli(ROOT / "src", f"zetagram_same_{side}")
             for side in inproc_pairs.SIDES}
     worker = inproc_pairs.load_module(ROOT / "perfbench" / "worker.py", "perfbench_worker")
     result = inproc_pairs.run_pairs(clis, worker, "certify-1e4", SAME_PAIRS)
-    lo, hi = binomial_band(SAME_PAIRS)
-    assert lo <= result["change_won"] <= hi, result
     assert result["parent"]["incorrect_ops"] == result["change"]["incorrect_ops"] == 0
-    assert clis["parent"] is not clis["change"]
+    assert [clis[side].__name__ for side in inproc_pairs.SIDES] == [
+        "zetagram_same_parent.cli", "zetagram_same_change.cli"]
+    assert result["pairs"] == SAME_PAIRS and 0 <= result["change_won"] <= SAME_PAIRS
 
 
 # ----------------------------------------------------------------------
