@@ -141,7 +141,12 @@ def test_certificate_sums_no_cross_sum(monkeypatch):
     # the certificate needs |S1| and S2 alone, not S1's predicted coefficient
     calls = []
     cross_sum = moments._cross_sum
-    monkeypatch.setattr(moments, "_cross_sum", lambda a, b: calls.append((a, b)) or cross_sum(a, b))
+
+    def counted(a, b):
+        calls.append((a, b))
+        return cross_sum(a, b)
+
+    monkeypatch.setattr(moments, "_cross_sum", counted)
     cert = certify_lower_bound(GramSweep(0.3, 2000.0), build_resonator(5e4))
     assert cert.scanned_max >= cert.certified_bound * (1 - 1e-9)
     assert calls == []
