@@ -3,6 +3,7 @@ Gram points, and numerical verification of their discrete moments."""
 
 from .special import (
     DomainError,
+    InvariantError,
     PoleError,
     delta,
     hardy_z,
@@ -54,7 +55,6 @@ from .moments import (
 )
 from .resonator import (
     CertificateReport,
-    DegenerateResonatorError,
     Resonator,
     ResonatorConfig,
     build_resonator,

@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import __version__, divisor, moments, resonator, verify
-from .special import BLOCK_POINTS, DomainError, theta
+from .special import BLOCK_POINTS, DomainError, InvariantError, theta
 from .verify import run_checks
 
 EXIT_OK = 0
@@ -358,8 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command line (sys.argv[1:] when argv is None) and return
-    its exit code.  The parser is built once per process, so a
-    long-lived caller gains about 1.5 ms per call."""
+    its exit code: EXIT_USAGE for bad input (a DomainError or other
+    ValueError, or an OSError), EXIT_CHECK_FAILED for a failed criterion
+    or an InvariantError, each error with one "error:" line on stderr.
+    The parser is built once per process, so a long-lived caller gains
+    about 1.5 ms per call."""
     args = build_parser().parse_args(argv)  # its subcommand is required
     try:
         cfg = _build_runconfig(args)
@@ -372,9 +375,12 @@ def main(argv=None) -> int:
         if args.command == "resonate":
             return cmd_resonate(cfg, args.cutoff, args.certificate)
         return cmd_divisor(cfg, args.kappa, args.limit, args.partial)  # the one left
-    except (DomainError, resonator.ConfigurationError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
-from .special import TWO_PI, DomainError, _c99, _cevalpoly, theta, theta_deriv
+from .special import TWO_PI, DomainError, InvariantError, _c99, _cevalpoly, theta, theta_deriv
 
 __all__ = [
     "Angle",
@@ -322,7 +322,7 @@ def enumerate_points(phi, t_max: float, cache_dir: str | None = None) -> GramPoi
             b = min(a + special.BLOCK_POINTS, t.size)
             t[a:b] = _solve_targets(math.pi * np.arange(a, b) - angle.phi)
         if np.any(t[1:] <= t[:-1]):
-            raise RuntimeError("enumerated abscissas are not strictly increasing")
+            raise InvariantError("enumerated abscissas are not strictly increasing")
         if cache_dir:
             _store_cache(path, angle, t_max, t)
     k = int(np.searchsorted(t[:n_max + 1], t_max, "right"))
@@ -369,12 +369,12 @@ def classify(points: GramPointSet, threads: int = 1) -> tuple:
 
     The identity form (-1)^n Z is exact on the canonical branch; a 1%
     stride is cross-checked against Re(e^{-i phi} e^{-i theta} Z) and a
-    mismatch raises, as does a non-finite Z.  Near-zero values
+    mismatch raises InvariantError, as does a non-finite Z.  Near-zero values
     (|value| < NEAR_ZERO) count as "+".
     """
     z = bulk_hardy_z(points.t, threads)
     if not np.all(np.isfinite(z)):
-        raise RuntimeError("Hardy Z is not finite at some Gram point")
+        raise InvariantError("Hardy Z is not finite at some Gram point")
     parity = np.where(points.n % 2 == 0, 1.0, -1.0)
     value = parity * z
     if len(points):
@@ -383,7 +383,7 @@ def classify(points: GramPointSet, threads: int = 1) -> tuple:
         ts = points.t[samp]
         direct = np.exp(-1j * (points.phi.phi + theta(ts))) * z[samp]
         if np.max(np.abs(direct.real - value[samp])) > 1e-6 * max(1.0, np.max(np.abs(value[samp]))):
-            raise RuntimeError("sign-classification cross-check failed")
+            raise InvariantError("sign-classification cross-check failed")
         if np.max(np.abs(direct.imag)) > 1e-6 * max(1.0, float(np.max(np.abs(z[samp])))):
-            raise RuntimeError("e^{-i phi} zeta is not numerically real at sampled points")
+            raise InvariantError("e^{-i phi} zeta is not numerically real at sampled points")
     return z, parity, value, value > -NEAR_ZERO

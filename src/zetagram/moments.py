@@ -18,7 +18,7 @@ import numpy as np
 
 from . import divisor, expsum
 from .grampoints import _as_angle, classify, count_estimate, enumerate_points, solve_gram
-from .special import TWO_PI, DomainError
+from .special import TWO_PI, DomainError, InvariantError
 from .summation import ExactSum, blocked_fsum, fsum
 
 __all__ = [
@@ -399,8 +399,7 @@ class Theorem1Report:
     s1: MomentReport
     s2: MomentReport
     moment: float          # sum |zeta|^{2k}, computed directly
-    lower_bound: float     # |S1|^{2k} / S2^{2k-1}
-    holder_satisfied: bool
+    lower_bound: float     # |S1|^{2k} / S2^{2k-1}, at most moment (up to 1e-9)
     sigma1: float          # coefficient sum over (m in X-range, mn in Y-range)
     sigma2: float          # coefficient sum over (m in Y-range, mn in X-range)
     n_points: int
@@ -416,9 +415,9 @@ def theorem1_pipeline(sweep: GramSweep, kexp: RationalExponent) -> Theorem1Repor
     direct moment, and checks the Hoelder chain
         sum |zeta|^{2k} >= |S1|^{2k} / S2^{2k-1}
     (an inequality between the actually computed sums, so it must hold
-    up to 1e-9 relative slack; a violation raises).  A k too large for
-    the comparator of moment_abs_2k or for finite Hoelder powers raises
-    DomainError.
+    up to 1e-9 relative slack; a violation raises InvariantError).  A k
+    too large for the comparator of moment_abs_2k or for finite Hoelder
+    powers raises DomainError.
     """
     _require_height(sweep, "theorem1_pipeline")
     k = kexp.k
@@ -440,12 +439,11 @@ def theorem1_pipeline(sweep: GramSweep, kexp: RationalExponent) -> Theorem1Repor
     if not (math.isfinite(s1_pow) and math.isfinite(moment_val * s2_pow)):
         raise DomainError(f"k = {k!r} is too large: its Hoelder powers overflow a double")
     lower = s1_pow / s2_pow if s2_val > 0 else 0.0
-    holder_ok = moment_val * s2_pow >= s1_pow * (1.0 - 1e-9)
-    if not holder_ok:
-        raise RuntimeError("Hoelder inequality violated beyond numerical slack")
+    if not moment_val * s2_pow >= s1_pow * (1.0 - 1e-9):
+        raise InvariantError("Hoelder inequality violated beyond numerical slack")
     return Theorem1Report(
         exponent=kexp, phi=sweep.phi.phi, t_max=sweep.t_max, xi=xi,
-        s1=s1, s2=s2, moment=moment_val, lower_bound=lower, holder_satisfied=holder_ok,
+        s1=s1, s2=s2, moment=moment_val, lower_bound=lower,
         sigma1=_cross_sum_once(x_poly, y_poly).real, sigma2=_cross_sum_once(y_poly, x_poly).real,
         n_points=len(sweep.points), x_coeffs=x_tr, y_coeffs=y_tr)
 
@@ -458,7 +456,7 @@ def signed_odd_moment(sweep: GramSweep, ell: int) -> tuple:
     """(plus, minus): sums of |zeta|^{2 ell + 1} over the two sign
     classes, computed both by direct classification and through the
     identity (1/2) sum (|v|^{2l+1} +- v^{2l+1}) with v = (-1)^n Z.
-    The two routes must agree to 1e-6 relative.
+    The two routes must agree to 1e-6 relative (InvariantError otherwise).
     """
     _require_height(sweep, "signed_odd_moment")
     if ell < 0:
@@ -474,7 +472,7 @@ def signed_odd_moment(sweep: GramSweep, ell: int) -> tuple:
     scale = max(plus_direct + minus_direct, 1e-300)
     if abs(plus_ident - plus_direct) > 1e-6 * scale or \
             abs(minus_ident - minus_direct) > 1e-6 * scale:
-        raise RuntimeError("signed-moment identity route disagrees with direct route")
+        raise InvariantError("signed-moment identity route disagrees with direct route")
     return plus_direct, minus_direct
 
 

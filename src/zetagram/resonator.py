@@ -22,13 +22,12 @@ import numpy as np
 
 from .divisor import primes_up_to
 from .moments import DirichletPolynomial, GramSweep, _require_height, _s1_sum, _s2_sum
-from .special import _c99
+from .special import DomainError, InvariantError, _c99
 from .summation import fsum
 
 __all__ = [
     "ResonatorConfig",
     "Resonator",
-    "DegenerateResonatorError",
     "ConfigurationError",
     "build_resonator",
     "resonator_ratio",
@@ -36,16 +35,8 @@ __all__ = [
     "CertificateReport",
 ]
 
-#: The prediction is trusted for cutoffs X <= t_max^(1/4 - EPSILON).
-EPSILON = 0.01
-
-
-class ConfigurationError(RuntimeError):
+class ConfigurationError(DomainError):
     """A cutoff X that the resonator's construction does not admit."""
-
-
-class DegenerateResonatorError(ValueError):
-    """The certificate's S2 vanished, so |S1|/S2 is undefined."""
 
 
 @dataclass(frozen=True)
@@ -126,27 +117,27 @@ class CertificateReport:
     certified_bound: float      # |S1| / S2 <= max |zeta| over the points
     scanned_max: float
     degenerate_direction: bool  # phi = pi/2: the (1 + e^{-2 i phi}) factor vanishes
-    cutoff_warning: bool
 
 
 def certify_lower_bound(sweep: GramSweep, res: Resonator) -> CertificateReport:
     """Large-value certificate: |S1| <= S2 * max |zeta(1/2 + i t_n)|
     with X = Y = the resonator polynomial, so the scanned maximum must
-    dominate |S1|/S2 up to 1e-9 relative slack (raises otherwise).  It
-    computes the two sums alone, not their predictions."""
+    dominate |S1|/S2 up to 1e-9 relative slack.  A break of that, or an
+    S2 (a sum of squares with x_1 = 1) that is not positive, raises
+    InvariantError.  It computes the two sums alone, not their
+    predictions."""
     _require_height(sweep, "certify_lower_bound")
     poly = res.coefficient_polynomial()
-    limit_ok = res.config.X <= sweep.t_max ** (0.25 - EPSILON)
     s1 = _s1_sum(sweep, poly, poly)
     s2 = _s2_sum(sweep, poly)
-    if s2 <= 0.0:
-        raise DegenerateResonatorError("S2 vanished")
+    if not s2 > 0.0:
+        raise InvariantError("certificate sum S2 is not positive")
     bound = abs(s1) / s2
     scanned = float(np.max(np.abs(sweep.z)))  # a sweep holds t_0 <= 17.85 < t_max
     if scanned < bound * (1.0 - 1e-9):
-        raise RuntimeError("certificate inequality |S1| <= S2 max|zeta| failed")
+        raise InvariantError("certificate inequality |S1| <= S2 max|zeta| failed")
     degenerate = abs(1.0 + complex(np.exp(-2j * sweep.phi.phi))) < 1e-12
     return CertificateReport(
         phi=sweep.phi.phi, t_max=sweep.t_max, cutoff=res.config.X,
         certified_bound=bound, scanned_max=scanned,
-        degenerate_direction=degenerate, cutoff_warning=not limit_ok)
+        degenerate_direction=degenerate)

@@ -52,6 +52,7 @@ from .summation import fsum
 __all__ = [
     "DomainError",
     "PoleError",
+    "InvariantError",
     "log_gamma",
     "theta",
     "theta_deriv",
@@ -93,6 +94,11 @@ class DomainError(ValueError):
 
 class PoleError(ValueError):
     """Evaluation requested at (or numerically too close to) a pole."""
+
+
+class InvariantError(RuntimeError):
+    """Computed numbers broke an identity or inequality that holds by
+    algebra for every input: a fault of the program, not of its input."""
 
 
 # ----------------------------------------------------------------------

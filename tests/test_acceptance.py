@@ -151,7 +151,7 @@ def test_criterion_08_rational_lower_bound_pipeline(sweep_1e5_phi0):
         rep = theorem1_pipeline(sweep_1e5_phi0.sweep, kexp)
         holder_margin = rep.moment * rep.s2.computed.real ** (2 * kexp.k - 1) \
             / max(abs(rep.s1.computed) ** (2 * kexp.k), 1e-300)
-        case_ok = rep.holder_satisfied and rep.sigma2 >= rep.sigma1
+        case_ok = holder_margin >= 1 - 1e-9 and rep.sigma2 >= rep.sigma1
         # truncated-convolution invariants at the constructed cutoff
         for m in (kexp.p, kexp.r):
             tr = divisor_mod.convolve_truncated(kexp.kappa, m, rep.xi)

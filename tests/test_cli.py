@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zetagram import cli, divisor, grampoints, moments, verify
+from zetagram import cli, divisor, grampoints, moments, resonator, special, verify
 from zetagram.moments import GramSweep
 from zetagram.special import hardy_z, theta
 from zetagram.verify import CriterionResult
@@ -767,3 +767,96 @@ def test_entry_point_runs_as_subprocess():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,phi,t,")
+
+
+# ----------------------------------------------------------------------
+# broken invariants: one InvariantError, exit 1, one error line, no report
+# ----------------------------------------------------------------------
+
+def assert_invariant_error(argv, message, capsys):
+    code = cli.main(argv + ["--t-max", "2000"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (cli.EXIT_CHECK_FAILED, "")
+    assert err.splitlines() == [f"error: {message}"]
+
+
+#: Commands that build a sweep, so each meets a broken Gram-point invariant.
+SWEEP_COMMANDS = (["points"], ["maxscan"], ["verify", "all"],
+                  ["resonate", "--x", "5e4", "--certificate"])
+
+
+def test_broken_holder_chain_is_an_invariant_error(monkeypatch, capsys):
+    moment_abs_2k = moments.moment_abs_2k
+    monkeypatch.setattr(moments, "moment_abs_2k", lambda sweep, k: dataclasses.replace(
+        moment_abs_2k(sweep, k), computed=0j))
+    for argv in (["verify", "thm1"], ["verify", "all"]):
+        assert_invariant_error(argv, "Hoelder inequality violated beyond numerical slack", capsys)
+
+
+def test_disagreeing_signed_moment_routes_are_an_invariant_error(monkeypatch, capsys):
+    classify = moments.classify
+
+    def one_flipped(points, threads=1):
+        z, parity, value, plus = classify(points, threads)
+        plus[np.argmax(np.abs(value))] ^= True
+        return z, parity, value, plus
+
+    monkeypatch.setattr(moments, "classify", one_flipped)
+    for argv in (["verify", "cor1"], ["verify", "all"]):
+        assert_invariant_error(
+            argv, "signed-moment identity route disagrees with direct route", capsys)
+
+
+def test_broken_certificate_inequality_is_an_invariant_error(monkeypatch, capsys):
+    s1_sum = resonator._s1_sum
+    monkeypatch.setattr(resonator, "_s1_sum", lambda *a: 1e9 * s1_sum(*a))
+    for argv in (["resonate", "--x", "5e4", "--certificate"], ["verify", "cor2"],
+                 ["verify", "all"]):
+        assert_invariant_error(
+            argv, "certificate inequality |S1| <= S2 max|zeta| failed", capsys)
+
+
+def test_vanishing_certificate_s2_is_an_invariant_error(monkeypatch, capsys):
+    monkeypatch.setattr(resonator, "_s2_sum", lambda sweep, poly: 0.0)
+    for argv in (["resonate", "--x", "5e4", "--certificate"], ["verify", "cor2"]):
+        assert_invariant_error(argv, "certificate sum S2 is not positive", capsys)
+
+
+def test_non_finite_hardy_z_is_an_invariant_error(monkeypatch, capsys):
+    hardy_z = special.hardy_z
+
+    def one_nan(t):
+        z = hardy_z(t)
+        z[z.size // 2] = np.nan
+        return z
+
+    monkeypatch.setattr(special, "hardy_z", one_nan)
+    for argv in SWEEP_COMMANDS:
+        assert_invariant_error(argv, "Hardy Z is not finite at some Gram point", capsys)
+
+
+@pytest.mark.parametrize("turn, message", (
+    (math.pi, "sign-classification cross-check failed"),
+    (1e-4, "e^{-i phi} zeta is not numerically real at sampled points"),
+), ids=("sign", "real"))
+def test_failed_sign_cross_check_is_an_invariant_error(turn, message, monkeypatch, capsys):
+    # theta turned once the points are solved: the direct route
+    # e^{-i (phi + theta)} Z is then (-1)^n Z e^{-i turn}, of the opposite
+    # sign for a turn of pi and off the real axis for a small one
+    enumerate_points = moments.enumerate_points
+
+    def enumerate_then_turn(*args):
+        points = enumerate_points(*args)
+        monkeypatch.setattr(grampoints, "theta", lambda t: theta(t) + turn)
+        return points
+
+    monkeypatch.setattr(moments, "enumerate_points", enumerate_then_turn)
+    for argv in SWEEP_COMMANDS:
+        monkeypatch.setattr(grampoints, "theta", theta)
+        assert_invariant_error(argv, message, capsys)
+
+
+def test_non_increasing_abscissas_are_an_invariant_error(monkeypatch, capsys):
+    monkeypatch.setattr(grampoints, "_solve_targets", lambda targets: np.full(targets.shape, 100.0))
+    for argv in SWEEP_COMMANDS:
+        assert_invariant_error(argv, "enumerated abscissas are not strictly increasing", capsys)

@@ -187,6 +187,14 @@ def test_sweep_evaluates_each_polynomial_once(monkeypatch):
     assert len(calls) == 3
 
 
+def holder_margin(rep) -> float:
+    """moment S2^(2k-1) / |S1|^(2k) from the report's sums: the Hoelder
+    chain holds when this is at least 1 - 1e-9."""
+    k = rep.exponent.k
+    return rep.moment * rep.s2.computed.real ** (2 * k - 1) \
+        / max(abs(rep.s1.computed) ** (2 * k), 1e-300)
+
+
 def test_sweep_keeps_no_polynomial_values(sweep_2k, monkeypatch):
     """Once theorem1_pipeline returns, the values of its X and Y are gone
     with the polynomials: the sweep holds none of them."""
@@ -199,7 +207,7 @@ def test_sweep_keeps_no_polynomial_values(sweep_2k, monkeypatch):
         return values
 
     monkeypatch.setattr(DirichletPolynomial, "evaluate_half_line", tracking)
-    assert theorem1_pipeline(sweep_2k, RationalExponent(3, 2)).holder_satisfied
+    assert holder_margin(theorem1_pipeline(sweep_2k, RationalExponent(3, 2))) >= 1 - 1e-9
     gc.collect()
     assert len(refs) == 2 and all(r() is None for r in refs)
 
@@ -539,7 +547,7 @@ def test_report_fields(sweep_2k):
 
 def test_pipeline_integer_k_degenerates_to_unit_y(sweep_2k):
     rep = theorem1_pipeline(sweep_2k, RationalExponent(1, 1))
-    assert rep.holder_satisfied
+    assert holder_margin(rep) >= 1 - 1e-9
     assert rep.lower_bound > 0.0
     assert rep.moment >= rep.lower_bound * (1 - 1e-9)
     # r = 0: Y is the empty product {1}
@@ -548,7 +556,7 @@ def test_pipeline_integer_k_degenerates_to_unit_y(sweep_2k):
 
 def test_pipeline_three_halves(sweep_2k):
     rep = theorem1_pipeline(sweep_2k, RationalExponent(3, 2))
-    assert rep.holder_satisfied
+    assert holder_margin(rep) >= 1 - 1e-9
     assert rep.sigma2 >= rep.sigma1
     assert rep.moment > 0.0
 
