@@ -4,7 +4,6 @@ Gram points, and numerical verification of their discrete moments."""
 from .special import (
     DomainError,
     InvariantError,
-    PoleError,
     delta,
     hardy_z,
     log_delta,
@@ -17,7 +16,6 @@ from .grampoints import (
     Angle,
     GramPoint,
     GramPointSet,
-    OutOfBranchError,
     classify,
     count_estimate,
     enumerate_points,
@@ -26,7 +24,6 @@ from .grampoints import (
 from .divisor import (
     DivisorTable,
     MomentPolynomial,
-    SizeBudgetError,
     TruncatedCoeffs,
     build_table,
     convolve_truncated,
@@ -42,7 +39,6 @@ from .moments import (
     GramSweep,
     MaxScanResult,
     MomentReport,
-    PreconditionError,
     RationalExponent,
     Theorem1Report,
     compute_S1,

@@ -21,6 +21,7 @@ import time
 import numpy as np
 
 from . import __version__, divisor, moments, resonator, verify
+from .grampoints import Angle
 from .special import BLOCK_POINTS, DomainError, InvariantError, theta
 from .verify import run_checks
 
@@ -40,8 +41,7 @@ class RunConfig:
     stamp: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.phi < math.pi:
-            raise DomainError("phi must be in [0, pi)")
+        Angle(self.phi)  # the canonical phi test and message
         if not 0.0 < self.t_max < math.inf:
             raise DomainError(f"t_max must be finite and positive, got {self.t_max!r}")
         if self.threads < 1:

@@ -21,13 +21,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special import _bernoulli, _split, _two_prod
+from .special import DomainError, _bernoulli, _split, _two_prod
 
 __all__ = [
     "DivisorTable",
     "TruncatedCoeffs",
     "MomentPolynomial",
-    "SizeBudgetError",
     "primes_up_to",
     "d_kappa",
     "build_table",
@@ -48,15 +47,11 @@ INDEX_BUDGET = 100_000_000
 SEG = 1 << 18
 
 
-class SizeBudgetError(ValueError):
-    """A table or convolution would exceed the index budget."""
-
-
 def primes_up_to(n: int) -> np.ndarray:
     """Primes <= n by a boolean sieve of the odd numbers to n; n + 1
     must fit INDEX_BUDGET."""
     if n + 1 > INDEX_BUDGET:
-        raise SizeBudgetError(f"sieve of size {n} exceeds budget")
+        raise DomainError(f"sieve of size {n} exceeds budget")
     if n < 2:
         return np.empty(0, dtype=np.int64)
     mask = np.ones((n + 1) // 2, dtype=bool)  # mask[i] for 2 i + 1
@@ -86,8 +81,8 @@ KAPPA_MAX = 1e5
 
 def _check_kappa(kappa: float) -> None:
     if not (math.isfinite(kappa) and 0 < kappa <= KAPPA_MAX):
-        raise ValueError(f"kappa must be finite and positive and at most {KAPPA_MAX:g}, "
-                         f"got {kappa!r}")
+        raise DomainError(f"kappa must be finite and positive and at most {KAPPA_MAX:g}, "
+                          f"got {kappa!r}")
 
 
 def _prime_power_coeff(kappa: float, j: int) -> float:
@@ -105,7 +100,7 @@ def d_kappa(n: int, kappa: float) -> float:
     sieve, _sieve_segments, instead, and sums over n come from the
     prime-sum engine, _multiplicative_sums."""
     if n < 1:
-        raise ValueError("d_kappa requires n >= 1")
+        raise DomainError("d_kappa requires n >= 1")
     _check_kappa(kappa)
     out = 1.0
     m = int(n)
@@ -157,9 +152,9 @@ def _sieve_segments(kappa: float, limit: int):
     _check_kappa(kappa)
     limit = int(limit)
     if limit < 1:
-        raise ValueError("limit must be >= 1")
+        raise DomainError("limit must be >= 1")
     if limit + 1 > INDEX_BUDGET:
-        raise SizeBudgetError(f"table of size {limit} exceeds budget")
+        raise DomainError(f"table of size {limit} exceeds budget")
 
     def segments():
         small = primes_up_to(math.isqrt(limit)).tolist()
@@ -234,13 +229,13 @@ def _dirichlet_convolve(a: np.ndarray, b_idx: list, b_val: list, limit: int) -> 
 def convolve_truncated(kappa: float, m: int, xi: float) -> TruncatedCoeffs:
     """m-fold Dirichlet power of the xi-truncated d_kappa sequence."""
     if m < 0:
-        raise ValueError("m must be >= 0")
+        raise DomainError("m must be >= 0")
     if xi < 1:
-        raise ValueError("xi must be >= 1")
+        raise DomainError("xi must be >= 1")
     base_limit = int(math.floor(xi))
     limit = base_limit ** m if m else 1
     if limit + 1 > INDEX_BUDGET:
-        raise SizeBudgetError(f"convolution length {limit} exceeds budget")
+        raise DomainError(f"convolution length {limit} exceeds budget")
     if m == 0:
         vals = np.zeros(2, dtype=float)
         vals[1] = 1.0
@@ -276,7 +271,7 @@ def divisor_partial_sum(lam: float, x: float):
     other lam the exact sum is still returned with prediction None.
     """
     if not 2 <= x < math.inf:
-        raise ValueError(f"x must be finite and >= 2, got {x!r}")
+        raise DomainError(f"x must be finite and >= 2, got {x!r}")
     total = _multiplicative_sums(((lam, 1.0),), (int(math.floor(x)),), 0)[0][0]
     if lam == 3:
         prediction = x * p2_polynomial()(math.log(x))
@@ -311,7 +306,7 @@ def divisor_ratio_sums_by_case(cases, checkpoints) -> list:
     """
     checkpoints = list(checkpoints)
     if not checkpoints or not all(2 <= c < math.inf for c in checkpoints):
-        raise ValueError(f"checkpoints must be finite and >= 2, got {checkpoints!r}")
+        raise DomainError(f"checkpoints must be finite and >= 2, got {checkpoints!r}")
     return _multiplicative_sums(cases, [int(c) for c in checkpoints], 1)
 
 
@@ -363,7 +358,7 @@ def _multiplicative_sums(cases, xs, s: int) -> list:
     for kappa in (k for case in cases for k in case):
         _check_kappa(kappa)
     if top + 1 > INDEX_BUDGET:
-        raise SizeBudgetError(f"table of size {top} exceeds budget")
+        raise DomainError(f"table of size {top} exceeds budget")
     vs = _quotients(xs)
     primes = primes_up_to(math.isqrt(top))
     small = primes[primes ** 3 <= top]

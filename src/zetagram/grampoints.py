@@ -22,7 +22,6 @@ __all__ = [
     "Angle",
     "GramPoint",
     "GramPointSet",
-    "OutOfBranchError",
     "solve_gram",
     "enumerate_points",
     "classify",
@@ -51,10 +50,6 @@ NEAR_ZERO = 1e-9
 #: so each fits in 4 GiB at the budget.  A t_max above about 4.99e6
 #: holds more points and is rejected before any array is allocated.
 POINT_BUDGET = 10_000_000
-
-
-class OutOfBranchError(ValueError):
-    """Requested index lies below the increasing-branch cutoff."""
 
 
 @dataclass(frozen=True)
@@ -169,8 +164,8 @@ def _solve_targets(targets: np.ndarray) -> np.ndarray:
     """
     targets = np.asarray(targets, dtype=float)
     if np.any(targets < THETA_MIN + BRANCH_BUFFER):
-        raise OutOfBranchError(
-            "target below the increasing-branch cutoff "
+        raise DomainError(
+            f"target {float(targets.min())!r} below the increasing-branch cutoff "
             f"theta(2 pi) + {BRANCH_BUFFER} = {THETA_MIN + BRANCH_BUFFER:.4f}")
     t = _initial_guess(targets)
     # each pass works on the still-live elements only: live indexes t,
@@ -204,11 +199,7 @@ def _solve_targets(targets: np.ndarray) -> np.ndarray:
 def solve_gram(n: int, phi) -> GramPoint:
     """Solve theta(t) = pi n - phi on the canonical branch t > 2 pi."""
     angle = _as_angle(phi)
-    target = math.pi * n - angle.phi
-    if target < THETA_MIN + BRANCH_BUFFER:
-        raise OutOfBranchError(
-            f"index n={n} at phi={angle.phi} lies below the canonical branch")
-    t = float(_solve_targets(np.array([target]))[0])
+    t = float(_solve_targets(np.array([math.pi * n - angle.phi]))[0])
     return GramPoint(n=n, phi=angle, t=t)
 
 
@@ -225,7 +216,7 @@ class GramPointSet:
         self.n = np.asarray(n, dtype=np.int64)
         self.t = np.asarray(t, dtype=float)
         if self.n.shape != self.t.shape:
-            raise ValueError("index/abscissa length mismatch")
+            raise DomainError("index/abscissa length mismatch")
 
     def __len__(self) -> int:
         return int(self.n.size)

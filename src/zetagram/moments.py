@@ -25,7 +25,6 @@ __all__ = [
     "DirichletPolynomial",
     "MomentReport",
     "RationalExponent",
-    "PreconditionError",
     "GramSweep",
     "moment_abs_2k",
     "moment_cubed",
@@ -42,10 +41,6 @@ __all__ = [
 ]
 
 REL_EPS = 1e-300
-
-
-class PreconditionError(ValueError):
-    """A stated precondition (polynomial length vs height) is violated."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +62,7 @@ class DirichletPolynomial:
         cs = np.asarray(self.cs, dtype=complex)
         if ns.ndim != 1 or ns.shape != cs.shape or ns.size and not (
                 1 <= ns[0] and ns[-1] <= self.limit and (ns[1:] > ns[:-1]).all()):
-            raise ValueError(f"need indices strictly ascending in [1, {self.limit}], one per x_n")
+            raise DomainError(f"need indices strictly ascending in [1, {self.limit}], one per x_n")
         object.__setattr__(self, "ns", ns)
         object.__setattr__(self, "cs", cs)
 
@@ -167,9 +162,9 @@ class RationalExponent:
 
     def __post_init__(self):
         if not (self.p >= self.q >= 1):
-            raise ValueError("need p >= q >= 1")
+            raise DomainError("need p >= q >= 1")
         if math.gcd(self.p, self.q) != 1:
-            raise ValueError("p/q must be in lowest terms")
+            raise DomainError("p/q must be in lowest terms")
 
     @property
     def k(self) -> float:
@@ -283,7 +278,7 @@ def moment_abs_2k(sweep: GramSweep, k: float) -> MomentReport:
     """
     _require_height(sweep, "moment_abs_2k")
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise DomainError("k must be >= 0")
     big_t = sweep.cut_height
     try:
         predicted = big_t * math.log(big_t) ** (k * k + 1.0) / TWO_PI
@@ -327,7 +322,7 @@ def _check_limits(sweep: GramSweep, *polys: DirichletPolynomial) -> None:
     bound = sweep.t_max ** 0.25 * (1.0 + 1e-9)
     for poly in polys:
         if poly.limit > bound:
-            raise PreconditionError(
+            raise DomainError(
                 f"polynomial limit {poly.limit} exceeds t_max^(1/4) = {bound:.3f}")
 
 
@@ -460,7 +455,7 @@ def signed_odd_moment(sweep: GramSweep, ell: int) -> tuple:
     """
     _require_height(sweep, "signed_odd_moment")
     if ell < 0:
-        raise ValueError("ell must be >= 0")
+        raise DomainError("ell must be >= 0")
     power = 2 * ell + 1
     absv = np.abs(sweep.value) ** power
     plus_direct = blocked_fsum(absv[sweep.plus_mask])

@@ -28,15 +28,11 @@ from .summation import fsum
 __all__ = [
     "ResonatorConfig",
     "Resonator",
-    "ConfigurationError",
     "build_resonator",
     "resonator_ratio",
     "certify_lower_bound",
     "CertificateReport",
 ]
-
-class ConfigurationError(DomainError):
-    """A cutoff X that the resonator's construction does not admit."""
 
 
 @dataclass(frozen=True)
@@ -52,10 +48,10 @@ class ResonatorConfig:
     def for_cutoff(cls, X: float) -> "ResonatorConfig":
         X = float(X)
         if not 1e3 <= X < math.inf:
-            raise ConfigurationError(f"resonator cutoff X must be finite and >= 1e3, got {X!r}")
+            raise DomainError(f"resonator cutoff X must be finite and >= 1e3, got {X!r}")
         L = math.exp(math.sqrt(math.log(X) * math.log(math.log(X))))  # log log X >= 1.93
         if L ** 4 <= X:
-            raise ConfigurationError(
+            raise DomainError(
                 f"resonator cutoff X = {X!r} has L^4 <= X, so its support would hold "
                 "products of primes; only {1} and primes are supported")
         return cls(X=X, L=L, prime_lo=L * L, prime_hi=math.exp(math.log(L) ** 2))

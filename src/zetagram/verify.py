@@ -17,10 +17,9 @@ import numpy as np
 from . import divisor, moments, resonator
 from .grampoints import Angle
 from .moments import DirichletPolynomial, GramSweep, RationalExponent
+from .special import DomainError
 
 __all__ = ["CriterionResult", "SweepCache", "run_checks", "CHECK_NAMES"]
-
-CHECK_NAMES = ("prop1", "thm2", "thm1", "cor1", "cor2", "divisor")
 
 REFERENCE_T = 1e5
 
@@ -268,6 +267,7 @@ _CHECKS = {
     "cor2": check_cor2,
     "divisor": check_divisor,
 }
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def run_checks(which: str, phi: float, t_max: float, threads: int = 1,
@@ -281,8 +281,8 @@ def run_checks(which: str, phi: float, t_max: float, threads: int = 1,
     names = CHECK_NAMES if which == "all" else (which,)
     for name in names:
         if name not in _CHECKS:
-            raise ValueError(f"unknown check {name!r}; choose from "
-                             f"{', '.join(CHECK_NAMES)} or 'all'")
+            raise DomainError(f"unknown check {name!r}; choose from "
+                              f"{', '.join(CHECK_NAMES)} or 'all'")
     cache = SweepCache(t_max, threads, cache_dir)
     results = []
     for name in names:

@@ -239,8 +239,8 @@ def test_verify_all_builds_one_sweep_per_direction(tmp_path, monkeypatch, phi, d
 
 
 def test_run_checks_rejects_an_unknown_check():
-    with pytest.raises(ValueError, match="unknown check 'nope'; choose from prop1, thm2, thm1, "
-                                         "cor1, cor2, divisor or 'all'"):
+    with pytest.raises(special.DomainError, match="unknown check 'nope'; choose from prop1, thm2, "
+                                                  "thm1, cor1, cor2, divisor or 'all'"):
         verify.run_checks("nope", 0.0, 1e3)
 
 

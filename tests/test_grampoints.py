@@ -16,7 +16,6 @@ from zetagram.grampoints import (
     POINT_BUDGET,
     Angle,
     GramPointSet,
-    OutOfBranchError,
     _initial_guess,
     _lambertw,
     classify,
@@ -109,7 +108,7 @@ def test_lambertw_inverts_w_exp_w(b):
 
 
 def test_solve_below_branch_raises():
-    with pytest.raises(OutOfBranchError):
+    with pytest.raises(DomainError, match="target -6.283185307179586 below the increasing-branch"):
         solve_gram(-2, 0.0)
 
 
@@ -169,7 +168,7 @@ def test_count_estimate_below_two_pi_raises():
 
 
 def test_point_set_rejects_arrays_of_different_lengths():
-    with pytest.raises(ValueError, match="index/abscissa length mismatch"):
+    with pytest.raises(DomainError, match="index/abscissa length mismatch"):
         GramPointSet(Angle(0.0), [0, 1], [17.8])
 
 

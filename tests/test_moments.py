@@ -14,7 +14,6 @@ from zetagram.moments import (
     DirichletPolynomial,
     GramSweep,
     MomentReport,
-    PreconditionError,
     RationalExponent,
     class_maxima,
     compute_S1,
@@ -213,16 +212,16 @@ def test_sweep_keeps_no_polynomial_values(sweep_2k, monkeypatch):
 
 
 def test_polynomial_index_bounds():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="need indices strictly ascending in \\[1, 2\\]"):
         DirichletPolynomial([3], [1.0], 2)
 
 
 def test_rational_exponent():
     k = RationalExponent(3, 2)
     assert k.k == 1.5 and k.kappa == 0.5 and k.r == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="need p >= q >= 1"):
         RationalExponent(2, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="need p >= q >= 1"):
         RationalExponent(1, 2)
 
 
@@ -405,7 +404,7 @@ def test_constructor_lays_out_the_support_sorted():
     for ns, cs, limit in (([0, 3], [1.0, 1.0], 9), ([1, 8], [1.0, 1.0], 7), ([-2], [1.0], 9),
                           ([8, 1, 3], [0.25, 1.0, 2.0], 9), ([1, 3, 3], [1.0, 1.0, 1.0], 9),
                           ([1, 2], [1.0], 9), ([[1, 2]], [[1.0, 1.0]], 9)):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="need indices strictly ascending"):
             DirichletPolynomial(ns, cs, limit)
 
 
@@ -491,11 +490,11 @@ def test_cubic_main_term_is_moment_cubeds_prediction(sweep_2k):
 
 
 def test_negative_exponents_and_a_ratio_not_in_lowest_terms_raise(sweep_2k):
-    with pytest.raises(ValueError, match="p/q must be in lowest terms"):
+    with pytest.raises(DomainError, match="p/q must be in lowest terms"):
         RationalExponent(4, 2)
-    with pytest.raises(ValueError, match="k must be >= 0"):
+    with pytest.raises(DomainError, match="k must be >= 0"):
         moment_abs_2k(sweep_2k, -1.0)
-    with pytest.raises(ValueError, match="ell must be >= 0"):
+    with pytest.raises(DomainError, match="ell must be >= 0"):
         signed_odd_moment(sweep_2k, -1)
 
 
@@ -527,9 +526,9 @@ def test_s1_single(sweep_2k):
 
 def test_s1_limit_precondition(sweep_2k):
     big = DirichletPolynomial([1, 50], [1.0, 1.0], 50)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(DomainError, match="polynomial limit 50 exceeds t_max\\^\\(1/4\\)"):
         compute_S1(sweep_2k, big, ONE)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(DomainError, match="polynomial limit 50 exceeds t_max\\^\\(1/4\\)"):
         compute_S2(sweep_2k, big)
 
 

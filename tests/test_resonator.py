@@ -6,13 +6,13 @@ import pytest
 from zetagram import moments
 from zetagram.moments import GramSweep
 from zetagram.resonator import (
-    ConfigurationError,
     Resonator,
     ResonatorConfig,
     build_resonator,
     certify_lower_bound,
     resonator_ratio,
 )
+from zetagram.special import DomainError
 
 
 def is_prime(n: int) -> bool:
@@ -28,7 +28,7 @@ def test_config_parameters():
 
 
 def test_config_rejects_small_cutoff():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(DomainError):
         ResonatorConfig.for_cutoff(500.0)
 
 
@@ -36,13 +36,13 @@ def test_config_rejects_cutoff_with_product_support():
     # L^4 > X keeps products of two window primes (each >= L^2) above X
     cfg = ResonatorConfig.for_cutoff(1e29)
     assert cfg.L ** 4 > cfg.X
-    with pytest.raises(ConfigurationError, match="L\\^4 <= X"):
+    with pytest.raises(DomainError, match="L\\^4 <= X"):
         ResonatorConfig.for_cutoff(1e30)
 
 
 @pytest.mark.parametrize("x", (math.inf, math.nan, -math.inf))
 def test_config_rejects_non_finite_cutoff(x):
-    with pytest.raises(ConfigurationError, match="finite and >= 1e3"):
+    with pytest.raises(DomainError, match="finite and >= 1e3"):
         ResonatorConfig.for_cutoff(x)
 
 
