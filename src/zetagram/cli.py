@@ -53,6 +53,10 @@ class RunConfig:
         return moments.GramSweep(self.phi, self.t_max, cache_dir=self.cache_dir,
                                  threads=self.threads)
 
+    def stream(self) -> moments.SweepStream:
+        return moments.SweepStream(self.phi, self.t_max, cache_dir=self.cache_dir,
+                                   threads=self.threads)
+
     def semantic_hash(self) -> str:
         # threads, cache location and output format do not affect the numbers
         payload = "\n".join([
@@ -122,36 +126,45 @@ def _json_with_list(payload: dict, blocks):
     head = _dump_json(payload)
     yield head[:-len("null\n}\n")] + "["
     sep = "\n    "
-    for block in blocks:
-        yield sep + ",\n    ".join(block)
+    for text in map(",\n    ".join, blocks):
+        yield sep
+        yield text
+        del text  # written: not held while the next block is joined
         sep = ",\n    "
     yield "\n  ]\n}\n"
 
 
-def _point_blocks(sweep: moments.GramSweep):
-    """Rows (n, t, zeta_re, zeta_im, z, sign) of the sweep, BLOCK_POINTS at a time."""
-    for a in range(0, len(sweep.points), BLOCK_POINTS):
-        block = slice(a, a + BLOCK_POINTS)
-        t, z = sweep.points.t[block], sweep.z[block]
-        zeta = np.exp(-1j * theta(t)) * z
-        sign = np.where(sweep.plus_mask[block], "+", "-")
-        yield zip(sweep.points.n[block].tolist(), t.tolist(), zeta.real.tolist(),
-                  zeta.imag.tolist(), z.tolist(), sign.tolist())
+def _point_rows(blk):
+    """Rows (n, t, zeta_re, zeta_im, z, sign) of one block of a sweep."""
+    zeta = np.exp(-1j * theta(blk.t)) * blk.z
+    sign = np.where(blk.plus, "+", "-")
+    return zip(blk.n.tolist(), blk.t.tolist(), zeta.real.tolist(), zeta.imag.tolist(),
+               blk.z.tolist(), sign.tolist())
 
 
 def cmd_points(cfg: RunConfig) -> int:
-    sweep = cfg.sweep()
+    blocks = cfg.stream().blocks()
+    # the first block is classified and checked before any output is written;
+    # a check that fails in a later block ends the report where it stands
+    blocks = itertools.chain([next(blocks)], blocks)
     phi = repr(cfg.phi)
+    # one block's rows at a time, formatted inside a call so that none
+    # outlives its text
     if cfg.format == "json":
-        blocks = ([f'{{\n      "n": {n},\n      "phi": {phi},\n      "sign": "{sign}",\n'
-                   f'      "t": {t!r},\n      "z": {z!r},\n      "zeta_im": {zi!r},\n'
-                   f'      "zeta_re": {zr!r}\n    }}'
-                   for n, t, zr, zi, z, sign in rows] for rows in _point_blocks(sweep))
-        _emit(_json_with_list({"metadata": _metadata(cfg), "points": None}, blocks), cfg.output)
+        def items(blk):
+            return [f'{{\n      "n": {n},\n      "phi": {phi},\n      "sign": "{sign}",\n'
+                    f'      "t": {t!r},\n      "z": {z!r},\n      "zeta_im": {zi!r},\n'
+                    f'      "zeta_re": {zr!r}\n    }}'
+                    for n, t, zr, zi, z, sign in _point_rows(blk)]
+
+        _emit(_json_with_list({"metadata": _metadata(cfg), "points": None}, map(items, blocks)),
+              cfg.output)
     else:
-        blocks = ("".join(f"{n},{phi},{t!r},{zr!r},{zi!r},{z!r},{sign}\n"
-                          for n, t, zr, zi, z, sign in rows) for rows in _point_blocks(sweep))
-        _emit(itertools.chain(["n,phi,t,zeta_re,zeta_im,z,sign\n"], blocks), cfg.output)
+        def text(blk):
+            return "".join(f"{n},{phi},{t!r},{zr!r},{zi!r},{z!r},{sign}\n"
+                           for n, t, zr, zi, z, sign in _point_rows(blk))
+
+        _emit(itertools.chain(["n,phi,t,zeta_re,zeta_im,z,sign\n"], map(text, blocks)), cfg.output)
     return EXIT_OK
 
 
@@ -210,7 +223,7 @@ def _fmt_detail(v):
 
 
 def cmd_maxscan(cfg: RunConfig) -> int:
-    sweep = cfg.sweep()
+    sweep = cfg.stream()
     n_checkpoints = max(2, int(math.log10(max(cfg.t_max / 100.0, 10.0)) * 3))
     checkpoints = np.geomspace(max(100.0, cfg.t_max / 1000.0), cfg.t_max, n_checkpoints)
     columns = ("T", "count", "max_plus", "argmax_plus", "max_minus", "argmax_minus",

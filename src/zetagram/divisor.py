@@ -230,8 +230,8 @@ def convolve_truncated(kappa: float, m: int, xi: float) -> TruncatedCoeffs:
     """m-fold Dirichlet power of the xi-truncated d_kappa sequence."""
     if m < 0:
         raise DomainError("m must be >= 0")
-    if xi < 1:
-        raise DomainError("xi must be >= 1")
+    if not 1 <= xi < math.inf:
+        raise DomainError(f"xi must be >= 1 and finite, got {xi!r}")
     base_limit = int(math.floor(xi))
     limit = base_limit ** m if m else 1
     if limit + 1 > INDEX_BUDGET:

@@ -10,8 +10,12 @@ import hashlib
 import math
 import os
 import tempfile
+import weakref
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +28,8 @@ __all__ = [
     "GramPointSet",
     "solve_gram",
     "enumerate_points",
+    "SweepBlock",
+    "classified_blocks",
     "classify",
     "count_estimate",
 ]
@@ -43,12 +49,13 @@ NEWTON_MAX_ITER = 60
 #: classification values of smaller magnitude count as "+"
 NEAR_ZERO = 1e-9
 
-#: Most Gram points one enumeration may hold.  From T = 1e5 to 1e6 the
-#: address space (VmPeak) of `points` and `maxscan` grew by at most 42
-#: bytes per point, that of `resonate --certificate` by 106 and that of
-#: `verify all` by about 190 when it held three sweeps (it holds two);
-#: so each fits in 4 GiB at the budget.  A t_max above about 4.99e6
-#: holds more points and is rejected before any array is allocated.
+#: Most Gram points one enumeration may hold.  `points` and `maxscan`
+#: hold a few blocks of them at a time, whatever the count; from T = 1e5
+#: to 1e6 the address space (VmPeak) of `resonate --certificate`, which
+#: holds its sweep, grew by 106 bytes per point and that of `verify all`
+#: by about 190 when it held three sweeps (it holds two); so each fits
+#: in 4 GiB at the budget.  A t_max above about 4.99e6 holds more points
+#: and is rejected before any array is allocated.
 POINT_BUDGET = 10_000_000
 
 
@@ -163,6 +170,8 @@ def _solve_targets(targets: np.ndarray) -> np.ndarray:
     achievable residual in binary64.
     """
     targets = np.asarray(targets, dtype=float)
+    if not np.all(targets < math.inf):
+        raise DomainError(f"target pi n - phi = {float(np.max(targets))!r} is not finite")
     if np.any(targets < THETA_MIN + BRANCH_BUFFER):
         raise DomainError(
             f"target {float(targets.min())!r} below the increasing-branch cutoff "
@@ -199,7 +208,11 @@ def _solve_targets(targets: np.ndarray) -> np.ndarray:
 def solve_gram(n: int, phi) -> GramPoint:
     """Solve theta(t) = pi n - phi on the canonical branch t > 2 pi."""
     angle = _as_angle(phi)
-    t = float(_solve_targets(np.array([math.pi * n - angle.phi]))[0])
+    try:
+        target = math.pi * n - angle.phi
+    except OverflowError:  # an integer n beyond the range of a double
+        target = math.inf if n > 0 else -math.inf
+    t = float(_solve_targets(np.array([target]))[0])
     return GramPoint(n=n, phi=angle, t=t)
 
 
@@ -221,9 +234,64 @@ class GramPointSet:
     def __len__(self) -> int:
         return int(self.n.size)
 
+    def blocks(self):
+        """t in slices of BLOCK_POINTS points, from the first."""
+        block = special.BLOCK_POINTS
+        return (self.t[a:a + block] for a in range(0, len(self), block))
+
     def residuals(self) -> np.ndarray:
         """theta(t_n) - (pi n - phi) for every point."""
         return theta(self.t) - (math.pi * self.n - self.phi.phi)
+
+
+def _check_rising(t: np.ndarray, before: float) -> None:
+    """Raise InvariantError unless before < t[0] < t[1] < ..."""
+    if not (before < t[0] and np.all(t[1:] > t[:-1])):
+        raise InvariantError("enumerated abscissas are not strictly increasing")
+
+
+class _StreamedPoints(GramPointSet):
+    """The points n = 0, 1, ... with t_n <= t_max, read or solved a block
+    of BLOCK_POINTS at a time at the fixed indices 0, BLOCK_POINTS, ...
+
+    read(a, b) gives t_a, ..., t_{b-1}.  The count is known before the
+    first block is used: the last index that may lie below t_max is
+    n_max = floor(count_estimate), so the block holding it is read (or
+    solved) first and kept.  Each block is checked to rise strictly from
+    the one before; n and t are the whole arrays, built once on first
+    use."""
+
+    def __init__(self, phi: Angle, t_max: float, n_max: int, read):
+        self.phi, self._read = phi, read
+        self._last_start = n_max - n_max % special.BLOCK_POINTS
+        self._last = read(self._last_start, n_max + 1)
+        _check_rising(self._last, -math.inf)
+        self._count = self._last_start + int(np.searchsorted(self._last, t_max, "right"))
+
+    def __len__(self) -> int:
+        return self._count
+
+    def blocks(self):
+        before = -math.inf
+        for a in range(0, self._count, special.BLOCK_POINTS):
+            b = min(a + special.BLOCK_POINTS, self._count)
+            t = self._last[:b - a] if a == self._last_start else self._read(a, b)
+            _check_rising(t, before)
+            before = t[-1]
+            yield t
+
+    @cached_property
+    def n(self) -> np.ndarray:
+        return np.arange(self._count, dtype=np.int64)
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        out = np.empty(self._count)
+        a = 0
+        for t in self.blocks():
+            out[a:a + t.size] = t
+            a += t.size
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -241,57 +309,96 @@ def _cache_fields(phi: Angle) -> bytes:
     return f"zetagram gram points evaluator={EVALUATOR_VERSION} phi={phi.phi!r} height=".encode()
 
 
-def _digest(fields: bytes, body: bytes) -> bytes:
-    return hashlib.sha256(fields + body).hexdigest().encode()
-
-
-def _load_cache(path: str, phi: Angle):
-    """(height, t) from the cache file of phi, or None for a missing,
-    foreign or damaged one.
+class _CacheFile:
+    """A cache file of phi, open for reading t_a, ..., t_{b-1} by offset.
 
     The file is one header line, then t_0, t_1, ... as little-endian
-    float64: every point up to the height.  The header ends in the
-    sha256 of its own fields and of every byte of t, so any change to
-    either fails the comparison.
+    float64: every point up to the index n_max of the height.  The
+    header ends in the sha256 of its own fields and of every byte of t,
+    as 64 hex digits, so any change to either fails the comparison.
+    Reads go to the open file, which later replacements of the path do
+    not touch; it is closed with this object.
     """
-    try:
-        with open(path, "rb") as fh:
-            head, _, body = fh.read().partition(b"\n")
-    except OSError:
-        return None
-    fields, _, digest = head.partition(b" sha256=")
-    prefix = _cache_fields(phi)
-    if not fields.startswith(prefix) or digest != _digest(fields, body):
-        return None
-    return float(fields[len(prefix):]), np.frombuffer(body, dtype="<f8")
 
+    #: Bytes per read of the digest pass: one block of t.
+    CHUNK = 8 * special.BLOCK_POINTS
 
-def _store_cache(path: str, phi: Angle, height: float, t: np.ndarray) -> None:
-    fields = _cache_fields(phi) + repr(height).encode()
-    body = t.astype("<f8").tobytes()
-    # a temporary file of its own, so no other writer or file shares its name
-    fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=os.path.basename(path) + ".",
-                               dir=os.path.dirname(path))
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(fields + b" sha256=" + _digest(fields, body) + b"\n" + body)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    def __init__(self, fd: int, body: int, height: float, points: int):
+        self._fd, self._body, self.height, self.points = fd, body, height, points
+        weakref.finalize(self, os.close, fd)
+
+    def read(self, a: int, b: int) -> np.ndarray:
+        return np.frombuffer(os.pread(self._fd, 8 * (b - a), self._body + 8 * a), dtype="<f8")
+
+    @classmethod
+    def load(cls, path: str, phi: Angle):
+        """The file at path, or None for a missing, foreign or damaged
+        one: its digest is checked in one pass before any t is read."""
+        try:
+            fd = os.open(path, os.O_RDONLY)
+        except OSError:
+            return None
+        try:
+            head, newline, _ = os.pread(fd, cls.CHUNK, 0).partition(b"\n")
+            fields, _, digest = head.partition(b" sha256=")
+            prefix = _cache_fields(phi)
+            if newline and fields.startswith(prefix):
+                body, offset = len(head) + 1, len(head) + 1
+                check = hashlib.sha256(fields)
+                while chunk := os.pread(fd, cls.CHUNK, offset):
+                    check.update(chunk)
+                    offset += len(chunk)
+                if check.hexdigest().encode() == digest:
+                    return cls(fd, body, float(fields[len(prefix):]), (offset - body) // 8)
+        except OSError:
+            pass
+        os.close(fd)
+        return None
+
+    @classmethod
+    def write(cls, path: str, phi: Angle, height: float, points: int, read) -> "_CacheFile":
+        """Write t_0, ..., t_{points-1} from read(a, b), a block at a time
+        and each checked to rise, into a temporary file of its own; fill
+        the digest field of the header last, then replace path with it."""
+        fields = _cache_fields(phi) + repr(height).encode()
+        head = fields + b" sha256=" + b"0" * 64 + b"\n"
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=os.path.basename(path) + ".",
+                                   dir=os.path.dirname(path))
+        try:
+            digest, before = hashlib.sha256(fields), -math.inf
+            with open(fd, "wb", closefd=False) as fh:
+                fh.write(head)
+                for a in range(0, points, special.BLOCK_POINTS):
+                    t = read(a, min(a + special.BLOCK_POINTS, points))
+                    _check_rising(t, before)
+                    before = t[-1]
+                    body = t.astype("<f8").tobytes()
+                    digest.update(body)
+                    fh.write(body)
+            os.pwrite(fd, digest.hexdigest().encode(), len(head) - 65)
+            os.replace(tmp, path)
+        except BaseException:
+            os.close(fd)
+            os.unlink(tmp)
+            raise
+        return cls(fd, len(head), height, points)
 
 
 def enumerate_points(phi, t_max: float, cache_dir: str | None = None) -> GramPointSet:
-    """All Gram points t_n(phi) with 0 <= n and t_n <= t_max, ascending.
+    """All Gram points t_n(phi) with 0 <= n and t_n <= t_max, ascending,
+    handed out a block at a time (see _StreamedPoints).
 
     Enumeration starts at index 0 (the root of theta = -phi); negative
     indices on the canonical branch remain reachable via solve_gram.
     Each t_n is a function of (n, phi) alone, so the points below t_max
-    are a prefix of those below any larger height.  One cache file per
-    phi holds the points up to the largest height asked for: a lower
-    t_max reads its prefix, a higher one solves the missing indices and
-    rewrites the file, and a damaged or foreign file is replaced.  A
-    t_max with more than POINT_BUDGET points raises DomainError.
+    are a prefix of those below any larger height.  Without a cache
+    directory the blocks are solved as they are used.  With one, one
+    file per phi holds the points up to the largest height asked for: a
+    lower t_max reads its prefix by offset, and a higher one, or a
+    damaged or foreign file, makes a new file before this returns, with
+    the points of the old file copied a block at a time and only the
+    missing indices solved.  A t_max with more than POINT_BUDGET points
+    raises DomainError.
     """
     angle = _as_angle(phi)
     t_max = float(t_max)
@@ -302,22 +409,25 @@ def enumerate_points(phi, t_max: float, cache_dir: str | None = None) -> GramPoi
         raise DomainError(f"t_max = {t_max!r} holds about {estimate:.4g} Gram points, "
                           f"above the budget of {POINT_BUDGET}")
     n_max = int(math.floor(estimate))
-    height, t = -math.inf, np.empty(0)
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        path = _cache_path(cache_dir, angle)
-        height, t = _load_cache(path, angle) or (height, t)
-    if t_max > height:
-        known, t = t.size, np.concatenate([t, np.empty(n_max + 1 - t.size)])
-        for a in range(known, t.size, special.BLOCK_POINTS):
-            b = min(a + special.BLOCK_POINTS, t.size)
-            t[a:b] = _solve_targets(math.pi * np.arange(a, b) - angle.phi)
-        if np.any(t[1:] <= t[:-1]):
-            raise InvariantError("enumerated abscissas are not strictly increasing")
-        if cache_dir:
-            _store_cache(path, angle, t_max, t)
-    k = int(np.searchsorted(t[:n_max + 1], t_max, "right"))
-    return GramPointSet(angle, np.arange(k), t[:k])
+
+    def solve(a, b):
+        return _solve_targets(math.pi * np.arange(a, b) - angle.phi)
+
+    if not cache_dir:
+        return _StreamedPoints(angle, t_max, n_max, solve)
+    os.makedirs(cache_dir, exist_ok=True)
+    path = _cache_path(cache_dir, angle)
+    cache = _CacheFile.load(path, angle)
+    if cache is None or t_max > cache.height:
+        known, old = (cache.points, cache.read) if cache else (0, None)
+
+        def fill(a, b):
+            if a >= known:
+                return solve(a, b)
+            return old(a, b) if b <= known else np.concatenate([old(a, known), solve(known, b)])
+
+        cache = _CacheFile.write(path, angle, t_max, n_max + 1, fill)
+    return _StreamedPoints(angle, t_max, n_max, cache.read)
 
 
 def count_estimate(phi, t_max: float) -> float:
@@ -335,46 +445,90 @@ def count_estimate(phi, t_max: float) -> float:
 # Classification
 # ----------------------------------------------------------------------
 
-def bulk_hardy_z(t: np.ndarray, threads: int = 1) -> np.ndarray:
-    """Z(t) over an array, its hardy_z blocks mapped over a thread pool.
+class SweepBlock(NamedTuple):
+    """One block of classified points: the indices n, the heights t,
+    z = Z(t_n), parity = (-1)^n, value = parity z and plus, the mask of
+    the "+" class."""
 
-    Each Z depends only on its own t, so the bytes are identical for
-    every thread count.
-    """
+    n: np.ndarray
+    t: np.ndarray
+    z: np.ndarray
+    parity: np.ndarray
+    value: np.ndarray
+    plus: np.ndarray
+
+
+def _hardy_z_blocks(t_blocks, threads: int):
+    """(t, Z(t)) for each block of t_blocks, in order.  With threads > 1
+    the Z of a block comes from one pool of that many threads, which
+    holds at most threads + 1 blocks in flight, so the next block is
+    queued while the caller uses the last one.  Each Z depends only on
+    its own t, so the bytes are identical for every thread count."""
+    if threads <= 1:
+        for t in t_blocks:
+            yield t, special.hardy_z(t)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        flight = deque()
+        for t in t_blocks:
+            flight.append((t, pool.submit(special.hardy_z, t)))
+            if len(flight) > threads:
+                t, z = flight.popleft()
+                yield t, z.result()
+        for t, z in flight:
+            yield t, z.result()
+
+
+def bulk_hardy_z(t: np.ndarray, threads: int = 1) -> np.ndarray:
+    """Z(t) over an array, its BLOCK_POINTS blocks mapped over a pool of
+    threads as the blocks of a sweep are."""
     t = np.asarray(t, dtype=float)
     block = special.BLOCK_POINTS
     if threads <= 1 or t.size <= block:
         return special.hardy_z(t)
-    out = np.empty_like(t)
-    starts = range(0, t.size, block)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for a, z in zip(starts, pool.map(special.hardy_z, (t[a:a + block] for a in starts))):
-            out[a:a + block] = z
-    return out
+    blocks = (t[a:a + block] for a in range(0, t.size, block))
+    return np.concatenate([z for _, z in _hardy_z_blocks(blocks, threads)])
+
+
+def classified_blocks(points: GramPointSet, threads: int = 1):
+    """The sign classes of e^{-i phi} zeta(1/2 + i t_n) = (-1)^n Z(t_n),
+    one SweepBlock per block of points.blocks(), in order; Z comes from
+    _hardy_z_blocks on threads threads when there is more than one block.
+
+    The identity form (-1)^n Z is exact on the canonical branch; a 1%
+    stride of the points, fixed by their count, is cross-checked against
+    Re(e^{-i phi} e^{-i theta} Z), each block's samples against its own
+    largest value, and a mismatch raises InvariantError, as does a
+    non-finite Z.  Near-zero values (|value| < NEAR_ZERO) count as "+".
+    """
+    count = len(points)
+    stride = max(1, count // 100)
+    a = 0
+    for t, z in _hardy_z_blocks(points.blocks(), threads if count > special.BLOCK_POINTS else 1):
+        if not np.all(np.isfinite(z)):
+            raise InvariantError("Hardy Z is not finite at some Gram point")
+        n = np.arange(a, a + t.size)
+        parity = np.where(n % 2 == 0, 1.0, -1.0)
+        value = parity * z
+        samp = np.arange(-a % stride, t.size, stride)
+        if samp.size:
+            direct = np.exp(-1j * (points.phi.phi + theta(t[samp]))) * z[samp]
+            if np.max(np.abs(direct.real - value[samp])) > \
+                    1e-6 * max(1.0, np.max(np.abs(value[samp]))):
+                raise InvariantError("sign-classification cross-check failed")
+            if np.max(np.abs(direct.imag)) > 1e-6 * max(1.0, float(np.max(np.abs(z[samp])))):
+                raise InvariantError("e^{-i phi} zeta is not numerically real at sampled points")
+        yield SweepBlock(n, t, z, parity, value, value > -NEAR_ZERO)
+        a += t.size
 
 
 def classify(points: GramPointSet, threads: int = 1) -> tuple:
-    """The sign classes of e^{-i phi} zeta(1/2 + i t_n) = (-1)^n Z(t_n),
-    as the arrays (z, parity, value, plus): Z(t_n), (-1)^n, value =
-    parity z, and the mask of the "+" class.
-
-    The identity form (-1)^n Z is exact on the canonical branch; a 1%
-    stride is cross-checked against Re(e^{-i phi} e^{-i theta} Z) and a
-    mismatch raises InvariantError, as does a non-finite Z.  Near-zero values
-    (|value| < NEAR_ZERO) count as "+".
-    """
-    z = bulk_hardy_z(points.t, threads)
-    if not np.all(np.isfinite(z)):
-        raise InvariantError("Hardy Z is not finite at some Gram point")
-    parity = np.where(points.n % 2 == 0, 1.0, -1.0)
-    value = parity * z
-    if len(points):
-        stride = max(1, len(points) // 100)
-        samp = np.arange(0, len(points), stride)
-        ts = points.t[samp]
-        direct = np.exp(-1j * (points.phi.phi + theta(ts))) * z[samp]
-        if np.max(np.abs(direct.real - value[samp])) > 1e-6 * max(1.0, np.max(np.abs(value[samp]))):
-            raise InvariantError("sign-classification cross-check failed")
-        if np.max(np.abs(direct.imag)) > 1e-6 * max(1.0, float(np.max(np.abs(z[samp])))):
-            raise InvariantError("e^{-i phi} zeta is not numerically real at sampled points")
-    return z, parity, value, value > -NEAR_ZERO
+    """The arrays (z, parity, value, plus) of classified_blocks over all
+    of points, whose n and t it reads once."""
+    held = GramPointSet(points.phi, points.n, points.t)
+    z, parity, value = (np.empty(len(held)) for _ in range(3))
+    plus = np.empty(len(held), dtype=bool)
+    for blk in classified_blocks(held, threads):
+        part = slice(blk.n[0], blk.n[-1] + 1)
+        z[part], parity[part], value[part], plus[part] = blk.z, blk.parity, blk.value, blk.plus
+    return z, parity, value, plus

@@ -10,6 +10,7 @@ reductions, so reports are bit-identical across runs and worker counts.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from weakref import WeakKeyDictionary
@@ -17,14 +18,16 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from . import divisor, expsum
-from .grampoints import _as_angle, classify, count_estimate, enumerate_points, solve_gram
-from .special import TWO_PI, DomainError, InvariantError
+from .grampoints import (SweepBlock, _as_angle, classified_blocks, classify, count_estimate,
+                         enumerate_points, solve_gram)
+from .special import BLOCK_POINTS, TWO_PI, DomainError, InvariantError
 from .summation import ExactSum, blocked_fsum, fsum
 
 __all__ = [
     "DirichletPolynomial",
     "MomentReport",
     "RationalExponent",
+    "SweepStream",
     "GramSweep",
     "moment_abs_2k",
     "moment_cubed",
@@ -161,6 +164,8 @@ class RationalExponent:
     q: int
 
     def __post_init__(self):
+        if not (isinstance(self.p, numbers.Integral) and isinstance(self.q, numbers.Integral)):
+            raise DomainError(f"p and q must be integers, got {self.p!r} and {self.q!r}")
         if not (self.p >= self.q >= 1):
             raise DomainError("need p >= q >= 1")
         if math.gcd(self.p, self.q) != 1:
@@ -204,14 +209,12 @@ class MomentReport:
                    n_points=len(sweep.points))
 
 
-class GramSweep:
-    """Shared enumeration + sign classification for a (phi, t_max) pair:
-    the one pipeline from a height to classified points.  It holds the
-    points and, one entry per point, the arrays z = Z(t_n), parity =
-    (-1)^n, value = parity z and the class masks plus_mask/minus_mask.
-
-    Every moment engine takes one of these as its first argument, so one
-    sweep serves every verification at its (phi, t_max).
+class SweepStream:
+    """The one pipeline from a height to classified points, for a (phi,
+    t_max) pair: blocks() hands out the points a SweepBlock of
+    BLOCK_POINTS at a time, in order, and holds no more than the blocks
+    in flight (see grampoints.classified_blocks), so its memory does not
+    grow with t_max.  Each call of blocks() runs the pipeline again.
     """
 
     def __init__(self, phi, t_max: float, cache_dir: str | None = None,
@@ -219,8 +222,33 @@ class GramSweep:
         self.phi = _as_angle(phi)
         self.t_max = float(t_max)
         self.points = enumerate_points(self.phi, self.t_max, cache_dir)
+        self.threads = threads
+
+    def blocks(self):
+        return classified_blocks(self.points, self.threads)
+
+
+class GramSweep(SweepStream):
+    """A SweepStream that holds its blocks, concatenated: the points and,
+    one entry per point, the arrays z = Z(t_n), parity = (-1)^n, value =
+    parity z and the class masks plus_mask/minus_mask.
+
+    Every moment engine takes one of these as its first argument, so one
+    sweep serves every verification at its (phi, t_max).
+    """
+
+    def __init__(self, phi, t_max: float, cache_dir: str | None = None,
+                 threads: int = 1):
+        super().__init__(phi, t_max, cache_dir, threads)
         self.z, self.parity, self.value, self.plus_mask = classify(self.points, threads)
         self.minus_mask = ~self.plus_mask
+
+    def blocks(self):
+        """The held arrays as SweepBlocks of BLOCK_POINTS points."""
+        for a in range(0, len(self.points), BLOCK_POINTS):
+            part = slice(a, a + BLOCK_POINTS)
+            yield SweepBlock(self.points.n[part], self.points.t[part], self.z[part],
+                             self.parity[part], self.value[part], self.plus_mask[part])
 
     def half_line(self, poly: DirichletPolynomial) -> np.ndarray:
         """poly.evaluate_half_line at the sweep's heights, read-only and
@@ -480,30 +508,34 @@ class MaxScanResult:
     count: int             # points scanned: those with t_n <= T
 
 
-def class_maxima(sweep: GramSweep, heights) -> list:
+def class_maxima(sweep: SweepStream, heights) -> list:
     """MaxScanResult over the prefix t_n <= T of the sweep for each height
     T: the largest |zeta| in each sign class and its abscissa (ties go to
-    the first point), None for a class with no point below T.  Requires
-    t_max >= 100, as every other statistic of the sweep."""
+    the first point), None for a class with no point below T.  Folded
+    over sweep.blocks(), so a SweepStream is scanned without being held.
+    Requires t_max >= 100, as every other statistic of the sweep."""
     _require_height(sweep, "class_maxima")
-    absz = np.abs(sweep.value)
-    t = sweep.points.t
-
-    def best(mask, count):
-        idx = np.nonzero(mask[:count])[0]
-        if not idx.size:
-            return None, None
-        j = idx[np.argmax(absz[idx])]
-        return float(absz[j]), float(t[j])
-
-    out = []
-    for height in heights:
-        count = int(np.searchsorted(t, height, "right"))
-        mp, ap = best(sweep.plus_mask, count)
-        mm, am = best(sweep.minus_mask, count)
-        out.append(MaxScanResult(max_plus=mp, max_minus=mm, argmax_plus=ap,
-                                 argmax_minus=am, count=count))
-    return out
+    heights = list(heights)
+    counts = [0] * len(heights)
+    best = {cls: [None] * len(heights) for cls in (True, False)}  # (max, argmax) per height
+    for blk in sweep.blocks():
+        absz = np.abs(blk.value)
+        # |value| in the class and -1 outside: the argmax of a prefix is its
+        # first largest |value| in the class, when the class meets it
+        scores = {cls: np.where(blk.plus == cls, absz, -1.0) for cls in best}
+        for i, height in enumerate(heights):
+            k = int(np.searchsorted(blk.t, height, "right"))
+            if not k:
+                continue
+            counts[i] += k
+            for cls, score in scores.items():
+                j = int(np.argmax(score[:k]))
+                if score[j] >= 0.0 and (best[cls][i] is None or score[j] > best[cls][i][0]):
+                    best[cls][i] = (float(score[j]), float(blk.t[j]))
+    none = (None, None)
+    return [MaxScanResult(max_plus=(p or none)[0], max_minus=(m or none)[0],
+                          argmax_plus=(p or none)[1], argmax_minus=(m or none)[1], count=c)
+            for p, m, c in zip(best[True], best[False], counts)]
 
 
 def max_scan(sweep: GramSweep) -> MaxScanResult:

@@ -39,6 +39,7 @@ threads.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from fractions import Fraction
@@ -301,10 +302,13 @@ def log_gamma(s):
     them; the reflection formula for Re s < 0.1; otherwise the upward
     recurrence to Re s > 7 and Stirling there.
 
-    Raises :class:`DomainError` at the poles s = 0, -1, -2, ...
+    Raises :class:`DomainError` at the poles s = 0, -1, -2, ... and for
+    a non-finite s.
     """
     arr = np.asarray(s, dtype=complex)
     x, y = arr.real.ravel(), arr.imag.ravel()
+    if not np.all(np.isfinite(x) & np.isfinite(y)):
+        raise DomainError("log_gamma requires finite s")
     if np.any((y == 0.0) & (x <= 0.0) & (x == np.floor(x))):
         raise DomainError(f"log_gamma pole at s={s}")
     out = np.empty(x.size, dtype=complex)
@@ -424,6 +428,8 @@ def log_delta(s: complex) -> complex:
     and has no removable singularities at even integers.
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"Delta requires a finite s, got s={s}")
     for arg in ((1.0 - s) / 2.0, s / 2.0):
         if arg.imag == 0.0 and arg.real <= 0.0 and arg.real == int(arg.real):
             raise DomainError(f"Delta has a pole/zero at s={s}")
@@ -435,18 +441,21 @@ def delta(s: complex) -> complex:
     critical line, Delta(s) Delta(1-s) = 1.
 
     Returns 0 at the trivial zeros s = 0, -2, -4, ... and raises
-    :class:`DomainError` at the poles s = 1, 3, 5, ...
+    :class:`DomainError` at the poles s = 1, 3, 5, ... and for a
+    non-finite s.
     """
     s = complex(s)
     half = s / 2.0
-    if half.imag == 0.0 and half.real <= 0.0 and half.real == int(half.real):
+    if cmath.isfinite(s) and half.imag == 0.0 and half.real <= 0.0 and half.real == int(half.real):
         return 0.0 + 0.0j
     return complex(np.exp(log_delta(s)))
 
 
 def delta_critical(t):
-    """Delta(1/2 + it) for an array of heights (vectorized)."""
+    """Delta(1/2 + it) for an array of finite heights (vectorized)."""
     arr = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("delta_critical requires finite t")
     s = 0.5 + 1j * arr
     ld = (s - 0.5) * math.log(math.pi) + log_gamma((1.0 - s) / 2.0) - log_gamma(s / 2.0)
     return np.exp(ld)
@@ -735,15 +744,22 @@ def _rs_main_sum(t: np.ndarray, th: np.ndarray, n_main: np.ndarray) -> np.ndarra
     n_main = floor(sqrt(t/2pi)) of _hardy_z_block.
 
     One pass per n over the points with N >= n, a suffix of the points
-    sorted by N.  Each point adds its terms in n order, so its sum does
-    not depend on the rest of the batch.
+    sorted by N, its term computed in one scratch array.  Each point adds
+    its terms in n order, so its sum does not depend on the rest of the
+    batch.
     """
     order = np.argsort(n_main, kind="stable")
     ts, ths, counts = t[order], th[order], n_main[order]
     starts = np.searchsorted(counts, np.arange(1, counts[-1] + 1 if ts.size else 1))
     acc = np.zeros_like(ts)
+    scratch = np.empty_like(ts)
     for n, i in enumerate(starts.tolist(), 1):
-        acc[i:] += np.cos(ths[i:] - ts[i:] * math.log(n)) * (1.0 / math.sqrt(n))
+        term = scratch[i:]  # cos(theta - t log n) / sqrt(n)
+        np.multiply(ts[i:], math.log(n), out=term)
+        np.subtract(ths[i:], term, out=term)
+        np.cos(term, out=term)
+        np.multiply(term, 1.0 / math.sqrt(n), out=term)
+        acc[i:] += term
     out = np.empty_like(t)
     out[order] = 2.0 * acc
     return out

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -387,6 +388,49 @@ def test_maxscan_empty_class_cells(tmp_path):
     body = data.decode().strip().split("\n")[1:]
     # minus class is empty this low: empty cells, not an error
     assert any(",," in line for line in body)
+
+
+def test_maxscan_bytes_across_threads_and_blocks(tmp_path):
+    # 77,898 points, 5 blocks: more than the 2 and 3 threads keep in flight
+    cache = str(tmp_path / "cache")
+    runs = [run_cli(["maxscan", "--t-max", "6e4", "--phi", "0.7", "--threads", threads,
+                     *extra], tmp_path, f"{threads}{len(extra)}.csv")
+            for threads, extra in (("1", ["--cache-dir", cache]), ("2", ["--cache-dir", cache]),
+                                   ("3", ["--cache-dir", cache]), ("3", []))]
+    assert len(GramSweep(0.7, 6e4).points) > 4 * special.BLOCK_POINTS
+    assert runs[0][0] == 0 and runs[0][1]
+    assert all(run == runs[0] for run in runs)
+
+
+def traced_peak(argv) -> int:
+    """The tracemalloc peak, in bytes, of one in-process command."""
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == cli.EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command, low, high, cached", (
+    (["points", "--format", "csv"], "2e4", "2e5", False),
+    (["points", "--format", "json"], "2e4", "2e5", False),
+    # 35,672 and 466,658 points.  2e4 has one full block, below t = 15,000,
+    # where Z's scratch is smaller.  On two threads the peak depends on
+    # whether their Z peaks meet, which varies from run to run; the window
+    # of threads + 1 blocks is tested in test_grampoints
+    (["maxscan", "--threads", "1"], "3e4", "3e5", True),
+))
+def test_streamed_command_peak_does_not_grow_with_t_max(tmp_path, command, low, high, cached):
+    """Ten times the points within 25% of the traced peak at the lower
+    height; with a Gram-point cache, both when it is written and read."""
+    out = ["--output", str(tmp_path / "out")]
+    cli.main(command + ["--t-max", low] + out)  # lazy tables of Z, untraced
+    for run in ("cold", "warm") if cached else ("uncached",):
+        peaks = [traced_peak(command + ["--t-max", height, *out] +
+                             (["--cache-dir", str(tmp_path / height)] if cached else []))
+                 for height in (low, high)]
+        assert peaks[1] <= 1.25 * peaks[0], (run, peaks)
 
 
 # ----------------------------------------------------------------------

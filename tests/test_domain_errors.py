@@ -24,6 +24,7 @@ from zetagram.resonator import build_resonator
 from zetagram.special import (
     DomainError,
     delta,
+    delta_critical,
     hardy_z,
     log_delta,
     log_gamma,
@@ -58,6 +59,18 @@ LIBRARY_ROWS = {
     "hardy_z-nan": (lambda: hardy_z(math.nan), "hardy_z requires finite t >= 0"),
     "enumerate-low": (lambda: enumerate_points(0, 10),
                       "enumerate_points requires a finite t_max >= 20"),
+    "convolve-xi-nan": (lambda: convolve_truncated(1, 2, math.nan),
+                        "xi must be >= 1 and finite, got nan"),
+    "convolve-xi-inf": (lambda: convolve_truncated(1, 2, math.inf),
+                        "xi must be >= 1 and finite, got inf"),
+    "exponent-not-integer": (lambda: RationalExponent(3.5, 2),
+                             "p and q must be integers, got 3.5 and 2"),
+    "solve_gram-huge-n": (lambda: solve_gram(10 ** 400, 0),
+                          "target pi n - phi = inf is not finite"),
+    "log_gamma-nan": (lambda: log_gamma(math.nan), "log_gamma requires finite s"),
+    "delta-nan": (lambda: delta(math.nan), "Delta requires a finite s, got s=(nan+0j)"),
+    "log_delta-nan": (lambda: log_delta(math.nan), "Delta requires a finite s, got s=(nan+0j)"),
+    "delta_critical-nan": (lambda: delta_critical([math.nan]), "delta_critical requires finite t"),
 }
 
 

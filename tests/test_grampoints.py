@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetagram import grampoints
+from zetagram import grampoints, special
 from zetagram.grampoints import (
     EVALUATOR_VERSION,
     NEAR_ZERO,
@@ -18,13 +19,14 @@ from zetagram.grampoints import (
     GramPointSet,
     _initial_guess,
     _lambertw,
+    classified_blocks,
     classify,
     count_estimate,
     enumerate_points,
     solve_gram,
 )
 from zetagram.moments import GramSweep
-from zetagram.special import DomainError, delta, delta_critical, hardy_z, theta
+from zetagram.special import BLOCK_POINTS, DomainError, delta, delta_critical, hardy_z, theta
 
 TWO_PI = 2.0 * math.pi
 
@@ -261,10 +263,43 @@ def test_enumeration_memory_is_bounded():
     tracemalloc.start()
     try:
         pts = enumerate_points(0.3, 3e5)
+        assert pts.t.size == pts.n.size == len(pts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 40 * len(pts)
+
+
+def test_points_without_a_cache_are_solved_as_their_blocks_are_used(monkeypatch):
+    # 5 blocks: the last, up to the index floor(count_estimate), is solved
+    # first, for the count, and kept; the others are solved one by one as
+    # blocks() reaches them
+    calls = []
+    real = grampoints._solve_targets
+    monkeypatch.setattr(grampoints, "_solve_targets",
+                        lambda targets: calls.append(targets.size) or real(targets))
+    pts = enumerate_points(0.3, 6e4)
+    assert calls == [math.floor(count_estimate(0.3, 6e4)) % BLOCK_POINTS + 1]
+    assert len(pts) > 4 * BLOCK_POINTS
+    blocks = pts.blocks()
+    first = next(blocks)
+    assert len(calls) == 2 and first.size == BLOCK_POINTS
+    sizes = [first.size] + [t.size for t in blocks]
+    assert sizes == [BLOCK_POINTS] * 4 + [len(pts) - 4 * BLOCK_POINTS] and len(calls) == 5
+    assert np.concatenate(list(pts.blocks())).tobytes() == pts.t.tobytes()
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_sweep_keeps_at_most_threads_plus_one_blocks_in_flight(monkeypatch, threads):
+    # a slow consumer of 5 blocks: the pool may not run ahead of it
+    started = []
+    real = special.hardy_z
+    monkeypatch.setattr(special, "hardy_z", lambda t: started.append(t.size) or real(t))
+    pts = enumerate_points(0.3, 6e4)
+    for k, blk in enumerate(classified_blocks(pts, threads)):
+        assert len(started) <= k + 1 + threads
+        time.sleep(0.03)
+    assert len(started) == 5 and blk.n[-1] == len(pts) - 1
 
 
 def test_enumeration_beyond_the_point_budget_raises():
@@ -340,6 +375,18 @@ def flip_bit(data: bytes, pos: int) -> bytes:
     return data[:pos] + bytes([data[pos] ^ 1]) + data[pos + 1:]
 
 
+def in_block(data: bytes, k: int) -> int:
+    """A byte inside the sixth point of block k of the cache file data
+    (k < 0 counts from the last block)."""
+    body = data.index(b"\n") + 1
+    blocks = -(-(len(data) - body) // (8 * BLOCK_POINTS))
+    return body + 8 * ((k % blocks) * BLOCK_POINTS + 5) + 3
+
+
+#: Height of the damaged caches: 49,401 points, 4 blocks.
+DAMAGE_T_MAX = 4e4
+
+
 CACHE_DAMAGE = {
     "truncated": lambda g, _: g[:g.index(b"\n") + 1 + 8 * 100],
     "truncated-mid-row": lambda g, _: g[:-4],
@@ -354,7 +401,9 @@ CACHE_DAMAGE = {
     "reordered": lambda g, _: edit_t(g, lambda t: put(t, [10, 11], t[[11, 10]])),
     "extra-row": lambda g, _: g + g[-8:],
     "flipped-bit": lambda g, _: flip_bit(g, len(g) - 100),
-    # "height=2000.0" becomes "height=3000.0"
+    "flipped-bit-in-first-block": lambda g, _: flip_bit(g, in_block(g, 0)),
+    "flipped-bit-in-block-before-last": lambda g, _: flip_bit(g, in_block(g, -2)),
+    # "height=40000.0" becomes "height=50000.0"
     "flipped-bit-in-height": lambda g, _: flip_bit(g, g.index(b"height=") + 7),
     "foreign-phi": lambda g, tmp: cache_bytes(0.7, 2000.0, tmp),
     "foreign-version": lambda g, _: resign(g, lambda f: f.replace(
@@ -364,9 +413,10 @@ CACHE_DAMAGE = {
 
 @pytest.mark.parametrize("damage", sorted(CACHE_DAMAGE))
 def test_damaged_cache_is_rebuilt(tmp_path, damage):
-    cold = enumerate_points(0.3, 2000.0)
+    cold = enumerate_points(0.3, DAMAGE_T_MAX)
+    assert len(cold) > 3 * BLOCK_POINTS
     cache = tmp_path / "cache"
-    enumerate_points(0.3, 2000.0, cache_dir=str(cache))
+    enumerate_points(0.3, DAMAGE_T_MAX, cache_dir=str(cache))
     (path,) = cache.iterdir()
     good = path.read_bytes()
     assert good.endswith(b"\n" + cold.t.astype("<f8").tobytes())
@@ -374,7 +424,7 @@ def test_damaged_cache_is_rebuilt(tmp_path, damage):
     bad = CACHE_DAMAGE[damage](good, tmp_path)
     assert bad != good
     path.write_bytes(bad)
-    pts = enumerate_points(0.3, 2000.0, cache_dir=str(cache))
+    pts = enumerate_points(0.3, DAMAGE_T_MAX, cache_dir=str(cache))
     assert pts.n.tobytes() == cold.n.tobytes()
     assert pts.t.tobytes() == cold.t.tobytes()
     assert list(cache.iterdir()) == [path]
@@ -394,6 +444,14 @@ def test_lower_height_reads_prefix_and_higher_height_extends(tmp_path):
     assert pts.t.tobytes() == enumerate_points(0.3, 3000.0).t.tobytes()
     assert list(tmp_path.iterdir()) == [path]
     assert path.read_bytes() == cache_bytes(0.3, 3000.0, tmp_path / "x")
+    # across many blocks: 22,491 points copied a block at a time, then
+    # 247,962 more solved, give the bytes of a fresh file
+    big = tmp_path / "big"
+    enumerate_points(0.3, 2e4, cache_dir=str(big))
+    pts = enumerate_points(0.3, 2e5, cache_dir=str(big))
+    assert len(pts) > 16 * BLOCK_POINTS
+    (path,) = big.iterdir()
+    assert path.read_bytes() == cache_bytes(0.3, 2e5, tmp_path / "y")
 
 
 @pytest.mark.parametrize("phi", (0.0, 0.3, 2.9))

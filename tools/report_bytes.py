@@ -41,6 +41,8 @@ COMMANDS = (
        "--phi", phi) for phi in ("0", "0.3")),
     ("resonate", "--x", "1e6", "--certificate", "--t-max", "1e5"),
     *(("maxscan", "--t-max", "1e5", "--threads", threads) for threads in ("1", "2")),
+    # 17 blocks of Gram points, more than the 4 that 3 threads keep in flight
+    ("maxscan", "--t-max", "2e5", "--threads", "3"),
     *(("points", "--t-max", "1e4", "--format", fmt) for fmt in ("csv", "json")),
     # the one command that reaches Euler-Maclaurin Z below t = 10 (n = 0 at t = 9.856)
     ("points", "--t-max", "100", "--phi", "3.1"),
