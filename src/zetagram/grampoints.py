@@ -286,12 +286,7 @@ class _StreamedPoints(GramPointSet):
 
     @cached_property
     def t(self) -> np.ndarray:
-        out = np.empty(self._count)
-        a = 0
-        for t in self.blocks():
-            out[a:a + t.size] = t
-            a += t.size
-        return out
+        return np.concatenate(list(self.blocks()))
 
 
 # ----------------------------------------------------------------------
